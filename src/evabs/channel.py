@@ -262,17 +262,7 @@ class Network:
         if isinstance(action, Replay):
             original = self.transcript.append(self.clock.now, channel, direction, frame)
             seq = action.of_seq if action.of_seq is not None else original.seq
-            source = self.transcript.get(seq)
-            if source is None:
-                raise ScriptError(f"replay references seq {seq} which was never recorded")
-            if source.channel == SECURE:
-                raise ScriptError("cannot replay protected-line frames onto the open link")
-            self.transcript.append(
-                self.clock.now, channel, source.direction, source.frame,
-                {"kind": "replayed", "of_seq": seq},
-            )
-            # the copy routes where the original went, not where the trigger went
-            return [(direction, frame), (source.direction, source.frame)]
+            return [(direction, frame)] + self.replay_entry(seq)
         raise ScriptError(f"unknown action {action!r}")
 
     def attacker_send(self, direction, frame):
@@ -284,7 +274,8 @@ class Network:
         return [(direction, frame)]
 
     def replay_entry(self, seq):
-        """Re-deliver a recorded insecure frame (adversary replay by seq)."""
+        """Re-deliver a recorded insecure frame (adversary replay by seq). The
+        copy routes where the original went, not where any trigger went."""
         source = self.transcript.get(seq)
         if source is None:
             raise ScriptError(f"replay references seq {seq} which was never recorded")

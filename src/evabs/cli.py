@@ -148,8 +148,9 @@ def cmd_session(args):
     record = _pick_vehicle(registry, args.vehicle)
     seed = _fresh_seed(args)
     runner = ScenarioRunner(registry, seed=seed, persist=lambda: registry.save(path))
+    # the persist hook saves the file as soon as the nonce is consumed and
+    # again when the invoice is issued; nothing else in a session changes it
     outcome = runner.run_session(record, duration=args.duration, budget=args.budget)
-    registry.save(path)
     if args.transcript:
         runner.transcript.write(args.transcript)
     if outcome.phase != "completed":

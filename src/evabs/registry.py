@@ -278,20 +278,17 @@ class Registry:
             id_a = _hex_field(vobj, "id_a", crypto.BLOCK_SIZE, where)
             k_a = _hex_field(vobj, "k_a", crypto.KEY_SIZE, where)
             stored_lookup = _hex_field(vobj, "lookup_key", crypto.BLOCK_SIZE, where)
-            derived = crypto.encrypt_block(id_a, k_a)
-            if derived != stored_lookup:
-                raise StorageError(
-                    f"{where}: lookup_key does not match E(id_a, k_a) for {id_a.hex()}"
-                )
             balance = vobj.get("balance", 0)
             if not isinstance(balance, int):
                 raise StorageError(f"{where}: balance must be an integer")
             try:
-                record = reg.register(
-                    id_a, k_a, balance=max(balance, 0), owner=str(vobj.get("owner", ""))
-                )
+                record = reg.register(id_a, k_a, owner=str(vobj.get("owner", "")))
             except DuplicateVehicle as exc:
                 raise StorageError(f"{where}: {exc}") from exc
+            if record.lookup_key != stored_lookup:
+                raise StorageError(
+                    f"{where}: lookup_key does not match E(id_a, k_a) for {id_a.hex()}"
+                )
             record.balance = balance  # negative balances survive a round trip
             record.revoked = bool(vobj.get("revoked", False))
             nonces = vobj.get("used_nonces", [])

@@ -30,7 +30,8 @@ replay[=SEQ]. Rules fire once, on the nth occurrence of their frame variant
 
 expect forms:
     expect completed N | aborted N | failed N [reason=LABEL]
-    expect accepted N | rejected N [reason=LABEL]
+    expect accepted N
+    expect rejected N [reason=LABEL]
     expect invoices N [total=AMOUNT]
     expect no-secrets [ids|keys|all]
     expect fresh-frames
@@ -39,7 +40,9 @@ expect forms:
     expect sweep no-charging | expect sweep mac-invalid
 
 Failed expectations never raise; they mark the report FAIL and the run
-carries on, so one broken defense does not hide another.
+carries on, so one broken defense does not hide another. A malformed line
+(unknown word, missing or non-integer count, unknown reason label) raises
+ScriptError instead.
 """
 
 import os
@@ -223,6 +226,35 @@ def _parse_int(value, lineno, what, base=10):
         raise ScriptError(f"line {lineno}: {what} must be an integer, got {value!r}") from None
 
 
+# counted expect forms, `expect WHAT N [KEY=VALUE]`: WHAT -> the one KEY it takes
+_COUNTED = {
+    "completed": "reason",
+    "aborted": "reason",
+    "failed": "reason",
+    "accepted": None,
+    "rejected": "reason",
+    "invoices": "total",
+}
+
+
+def _parse_counted(what, args, lineno):
+    """(N, VALUE) for a counted expect form: a reason comes back as a Reason,
+    a total as an int, an absent KEY=VALUE as None."""
+    if not args:
+        raise ScriptError(f"line {lineno}: expect {what} needs a count")
+    want = _parse_int(args[0], lineno, f"expect {what} count")
+    key = _COUNTED[what]
+    value = _parse_options(args[1:], {key}, lineno).get(key)
+    if value is None:
+        return want, None
+    if key == "total":
+        return want, _parse_int(value, lineno, "total")
+    try:
+        return want, Reason.from_label(value)
+    except FrameError:
+        raise ScriptError(f"line {lineno}: unknown reason {value!r}") from None
+
+
 # a `#` opens a comment unless a digit follows: `#K` is an ordinal vehicle
 # reference, so `session #2  # second car` keeps the ref and drops the note
 _COMMENT = re.compile(r"#(?!\d)")
@@ -243,22 +275,17 @@ def parse_scenario(text, default_name="scenario"):
                 raise ScriptError(f"line {lineno}: scenario takes exactly one name")
             name = tokens[1]
             continue
-        if tokens[0] not in (
-            "session",
-            "sessions",
-            "advance",
-            "revoke",
-            "snapshot",
-            "rule",
-            "flood",
-            "sweep",
-            "probe",
-            "report",
-            "expect",
-        ):
-            raise ScriptError(f"line {lineno}: unknown directive {tokens[0]!r}")
+        _directive(tokens, lineno)
         steps.append((lineno, tokens))
     return Scenario(name=name, steps=steps)
+
+
+def _directive(tokens, lineno):
+    """The runner method that executes one scenario line."""
+    try:
+        return _DIRECTIVES[tokens[0]]
+    except KeyError:
+        raise ScriptError(f"line {lineno}: unknown directive {tokens[0]!r}") from None
 
 
 def builtin_scenarios():
@@ -333,18 +360,24 @@ class ScenarioRunner:
     def _advance(self, ms):
         self.clock.advance(ms)
         # deferred frames were already transcribed and rule-matched when the
-        # adversary held them back; deliver straight to the agents
-        for direction, frame in self.network.due():
-            self._pump(deque(self._handle(INSECURE, direction, frame)))
+        # adversary held them back; each fully cascades before the next
+        for delivery in self.network.due():
+            self._deliver(INSECURE, [delivery])
 
-    def _pump(self, queue):
-        """Deliver until quiet. Every frame fully cascades before the next
-        queued one, matching store-and-forward agents."""
+    def _send(self, channel, direction, frame):
+        """Put an agent's own frame on its link and deliver until quiet."""
+        self._deliver(channel, self.network.send(channel, direction, frame))
+
+    def _deliver(self, channel, deliveries):
+        """Hand frames the network already transcribed and rule-matched to
+        their receivers, then send what the agents answer, until quiet.
+        Frames are handled in arrival order and answers go on the link in
+        the order they were made, matching store-and-forward agents."""
+        queue = deque((channel, direction, frame) for direction, frame in deliveries)
         while queue:
-            channel, direction, frame = queue.popleft()
-            for out_direction, delivered in self.network.send(channel, direction, frame):
-                for item in self._handle(channel, out_direction, delivered):
-                    queue.append(item)
+            for out_channel, out_direction, out_frame in self._handle(*queue.popleft()):
+                for direction, frame in self.network.send(out_channel, out_direction, out_frame):
+                    queue.append((out_channel, direction, frame))
 
     def _handle(self, channel, direction, frame):
         try:
@@ -383,6 +416,8 @@ class ScenarioRunner:
         return []
 
     def _begin_session(self, record):
+        """A fresh vehicle session whose auth request has been sent and
+        answered until quiet."""
         creds = VehicleCredentials(record.id_a, record.k_a)
         trace = HandshakeTrace()
         vehicle = VehicleSession(creds, self.registry.group_key, self._rng_for(record), trace)
@@ -393,14 +428,15 @@ class ScenarioRunner:
         raw = req.encode()
         self._session_auth_frame = raw
         self._session_frames["auth_request"] = raw
-        return vehicle, deque([(INSECURE, V2T, raw)])
+        self._send(INSECURE, V2T, raw)
+        return vehicle
 
     def _teardown(self, vehicle):
         """Stop any energy still flowing and bill it; abort a stuck vehicle."""
         vehicle.abort()
         while self.terminal.energy_on:
             report = self.terminal.stop_charge(self.clock.now)
-            self._pump(deque([(SECURE, T2S, report.encode())]))
+            self._send(SECURE, T2S, report.encode())
         self.terminal.pending.clear()
         self._vehicle = None
         self._session_trace = None
@@ -418,8 +454,7 @@ class ScenarioRunner:
         """One charge attempt, end to end, through the adversary."""
         self._advance(1000)
         invoices_before = len(self.registry.invoices)
-        vehicle, queue = self._begin_session(record)
-        self._pump(queue)
+        vehicle = self._begin_session(record)
         if vehicle.phase is Phase.CHARGING:
             effective = duration
             cutoff = self.budget_cutoff_ms(budget, self.registry.tariff_per_second)
@@ -429,7 +464,7 @@ class ScenarioRunner:
             report = self.terminal.stop_charge(self.clock.now)
             vehicle.unplug(self.clock.now)
             if report is not None:
-                self._pump(deque([(SECURE, T2S, report.encode())]))
+                self._send(SECURE, T2S, report.encode())
         self._teardown(vehicle)
         new_invoices = self.registry.invoices[invoices_before:]
         invoice = new_invoices[0] if new_invoices else None
@@ -463,11 +498,7 @@ class ScenarioRunner:
                 frame = AuthRequest(
                     m3=rng.next_bytes(16), mac=rng.next_bytes(32), n_a=rng.next_bytes(16)
                 ).encode()
-            queue = deque()
-            for direction, delivered in self.network.attacker_send(V2T, frame):
-                for item in self._handle(INSECURE, direction, delivered):
-                    queue.append(item)
-            self._pump(queue)
+            self._deliver(INSECURE, self.network.attacker_send(V2T, frame))
         self.terminal.pending.clear()
 
     def run_sweep(self, record, variant, mask=0x01):
@@ -490,9 +521,7 @@ class ScenarioRunner:
         first = self.run_session(record, duration=3000, record_outcome=False)
         stale = first.frames.get("start_charge")
         if first.phase != "completed" or stale is None:
-            self.checks.append(
-                CheckResult("probe replay-start-charge", "FAIL", "setup session failed")
-            )
+            self._check("probe replay-start-charge", False, "setup session failed")
             return
         seq = next(
             e.seq
@@ -501,33 +530,20 @@ class ScenarioRunner:
         )
         self._advance(1000)
         self.script.arm_ephemeral(Rule(INSECURE, "start_charge", None, Drop()))
-        vehicle, queue = self._begin_session(record)
-        self._pump(queue)
+        vehicle = self._begin_session(record)
         fresh_t1 = self.terminal.active[-1].t1 if self.terminal.active else None
-        deliveries = self.network.replay_entry(seq)
-        self._pump(deque((INSECURE, d, f) for d, f in deliveries))
+        self._deliver(INSECURE, self.network.replay_entry(seq))
         if vehicle.phase is Phase.CHARGING and vehicle.t2 == first.t1:
-            self.checks.append(
-                CheckResult(
-                    "probe replay-start-charge",
-                    "EXPECTED-WEAKNESS",
-                    f"stale start message accepted: vehicle t2={vehicle.t2} "
-                    f"(old session) vs terminal t1={fresh_t1} (seq {seq} replayed)",
-                )
+            status = "EXPECTED-WEAKNESS"
+            detail = (
+                f"stale start message accepted: vehicle t2={vehicle.t2} "
+                f"(old session) vs terminal t1={fresh_t1} (seq {seq} replayed)"
             )
         elif vehicle.phase is not Phase.CHARGING:
-            self.checks.append(
-                CheckResult(
-                    "probe replay-start-charge", "PASS", "stale start message refused"
-                )
-            )
+            status, detail = "PASS", "stale start message refused"
         else:
-            self.checks.append(
-                CheckResult(
-                    "probe replay-start-charge", "FAIL",
-                    f"unexpected t2={vehicle.t2} after replay of seq {seq}",
-                )
-            )
+            status, detail = "FAIL", f"unexpected t2={vehicle.t2} after replay of seq {seq}"
+        self.checks.append(CheckResult("probe replay-start-charge", status, detail))
         self._teardown(vehicle)
 
     def probe_splice_auth(self, record):
@@ -536,27 +552,21 @@ class ScenarioRunner:
         first = self.run_session(record, duration=3000, record_outcome=False)
         raw = first.frames.get("auth_request")
         if first.phase != "completed" or raw is None:
-            self.checks.append(CheckResult("probe splice-auth", "FAIL", "setup session failed"))
+            self._check("probe splice-auth", False, "setup session failed")
             return
         old = decode_frame(raw)
         accepted_before = self.server.accepted
         forged = AuthRequest(m3=old.m3, mac=old.mac, n_a=self.adversary_rng.next_nonce())
-        queue = deque()
-        for direction, delivered in self.network.attacker_send(V2T, forged.encode()):
-            queue.extend(self._handle(INSECURE, direction, delivered))
-        self._pump(queue)
+        self._deliver(INSECURE, self.network.attacker_send(V2T, forged.encode()))
         self.terminal.pending.clear()
-        if self.server.accepted == accepted_before:
-            self.checks.append(
-                CheckResult(
-                    "probe splice-auth", "PASS",
-                    "recorded frame with a fresh nonce does not authenticate",
-                )
-            )
-        else:
-            self.checks.append(
-                CheckResult("probe splice-auth", "FAIL", "spliced frame was accepted")
-            )
+        held = self.server.accepted == accepted_before
+        self._check(
+            "probe splice-auth",
+            held,
+            "recorded frame with a fresh nonce does not authenticate"
+            if held
+            else "spliced frame was accepted",
+        )
 
     # -- vehicle references ----------------------------------------------
 
@@ -588,7 +598,7 @@ class ScenarioRunner:
     def _phase_count(self, phase, reason=None):
         hits = [o for o in self.outcomes if o.phase == phase]
         if reason is not None:
-            hits = [o for o in hits if o.reason == reason]
+            hits = [o for o in hits if o.reason == reason.label]
         return len(hits)
 
     def _check(self, name, ok, detail):
@@ -599,56 +609,24 @@ class ScenarioRunner:
         what = tokens[1] if len(tokens) > 1 else ""
         args = tokens[2:]
 
-        if what in ("completed", "aborted", "failed"):
-            reason = None
-            count_args = []
-            for arg in args:
-                if arg.startswith("reason="):
-                    reason = arg.split("=", 1)[1]
-                else:
-                    count_args.append(arg)
-            want = int(count_args[0]) if count_args else 0
-            got = self._phase_count(what, reason)
-            self._check(name, got == want, f"expected {want}, got {got}")
-            return
-        if what == "accepted":
-            want = int(args[0])
-            got = self.server.accepted
-            self._check(name, got == want, f"expected {want}, got {got}")
-            return
-        if what == "rejected":
-            reason = None
-            count_args = []
-            for arg in args:
-                if arg.startswith("reason="):
-                    reason = Reason.from_label(arg.split("=", 1)[1])
-                else:
-                    count_args.append(arg)
-            want = int(count_args[0])
-            if reason is None:
-                got = sum(self.server.rejected.values())
+        if what in _COUNTED:
+            want, value = _parse_counted(what, args, lineno)
+            ok, detail = True, ""
+            if what == "accepted":
+                got = self.server.accepted
+            elif what == "rejected":
+                rejected = self.server.rejected
+                got = sum(rejected.values()) if value is None else rejected.get(value, 0)
+            elif what == "invoices":
+                issued = self.registry.invoices[self._invoices_start:]
+                got = len(issued)
+                if value is not None:
+                    amount = sum(inv.amount for inv in issued)
+                    ok = amount == value
+                    detail = f"; total expected {value}, got {amount}"
             else:
-                got = self.server.rejected.get(reason, 0)
-            self._check(name, got == want, f"expected {want}, got {got}")
-            return
-        if what == "invoices":
-            total = None
-            count_args = []
-            for arg in args:
-                if arg.startswith("total="):
-                    total = int(arg.split("=", 1)[1])
-                else:
-                    count_args.append(arg)
-            want = int(count_args[0])
-            issued = self.registry.invoices[self._invoices_start:]
-            got = len(issued)
-            ok = got == want
-            detail = f"expected {want}, got {got}"
-            if total is not None:
-                amount = sum(inv.amount for inv in issued)
-                ok = ok and amount == total
-                detail += f"; total expected {total}, got {amount}"
-            self._check(name, ok, detail)
+                got = self._phase_count(what, value)
+            self._check(name, ok and got == want, f"expected {want}, got {got}{detail}")
             return
         if what == "no-secrets":
             scope = args[0] if args else "all"
@@ -765,110 +743,109 @@ class ScenarioRunner:
             return
         raise ScriptError(f"unknown sweep expectation {mode!r}")
 
-    # -- directive loop ----------------------------------------------------
+    # -- directives: one method per line kind, dispatched through _DIRECTIVES --
+
+    def _do_session(self, tokens, lineno):
+        if len(tokens) < 2:
+            raise ScriptError(f"line {lineno}: session needs a vehicle")
+        record = self._resolve_vehicle(tokens[1], lineno)
+        options = _parse_options(tokens[2:], {"duration", "budget"}, lineno)
+        budget = options.get("budget")
+        self.run_session(
+            record,
+            duration=_parse_int(options.get("duration", 5000), lineno, "duration"),
+            budget=None if budget is None else _parse_int(budget, lineno, "budget"),
+        )
+
+    def _do_sessions(self, tokens, lineno):
+        if len(tokens) < 3:
+            raise ScriptError(f"line {lineno}: sessions needs a count and a vehicle")
+        count = _parse_int(tokens[1], lineno, "session count")
+        record = self._resolve_vehicle(tokens[2], lineno)
+        options = _parse_options(tokens[3:], {"duration"}, lineno)
+        duration = _parse_int(options.get("duration", 5000), lineno, "duration")
+        for _ in range(count):
+            self.run_session(record, duration=duration)
+
+    def _do_advance(self, tokens, lineno):
+        if len(tokens) != 2:
+            raise ScriptError(f"line {lineno}: advance takes a millisecond count")
+        self._advance(_parse_int(tokens[1], lineno, "advance"))
+
+    def _do_revoke(self, tokens, lineno):
+        if len(tokens) != 2:
+            raise ScriptError(f"line {lineno}: revoke takes a vehicle reference")
+        record = self._resolve_vehicle(tokens[1], lineno)
+        self.registry.revoke(record.id_a)
+
+    def _do_snapshot(self, tokens, lineno):
+        self._snapshot = self.registry.snapshot()
+
+    def _do_rule(self, tokens, lineno):
+        if len(tokens) < 4:
+            raise ScriptError(f"line {lineno}: rule CHANNEL VARIANT [nth=K] ACTION")
+        channel = tokens[1]
+        if channel not in (INSECURE, SECURE):
+            raise ScriptError(f"line {lineno}: unknown channel {channel!r}")
+        variant = tokens[2]
+        nth = 1
+        action_token = tokens[3]
+        if action_token.startswith("nth="):
+            nth = _parse_int(action_token.split("=", 1)[1], lineno, "nth")
+            if len(tokens) < 5:
+                raise ScriptError(f"line {lineno}: rule is missing its action")
+            action_token = tokens[4]
+        self.script.add_rule(Rule(channel, variant, nth, _parse_action(action_token, lineno)))
+
+    def _do_flood(self, tokens, lineno):
+        if len(tokens) < 2:
+            raise ScriptError(f"line {lineno}: flood needs a frame count")
+        count = _parse_int(tokens[1], lineno, "flood count")
+        options = _parse_options(tokens[2:], {"style"}, lineno)
+        style = options.get("style", "wellformed")
+        if style not in ("wellformed", "garbage", "mixed"):
+            raise ScriptError(f"line {lineno}: unknown flood style {style!r}")
+        self.flood(count, style)
+
+    def _do_sweep(self, tokens, lineno):
+        if len(tokens) < 2:
+            raise ScriptError(f"line {lineno}: sweep needs a frame variant")
+        variant = tokens[1]
+        options = _parse_options(tokens[2:], {"mask"}, lineno)
+        mask = _parse_int(options.get("mask", "01"), lineno, "mask", base=16)
+        record = self._resolve_vehicle("*", lineno)
+        self.run_sweep(record, variant, mask)
+
+    def _do_probe(self, tokens, lineno):
+        if len(tokens) != 2:
+            raise ScriptError(f"line {lineno}: probe takes exactly one probe name")
+        record = self._resolve_vehicle("*", lineno)
+        if tokens[1] == "replay-start-charge":
+            self.probe_replay_start_charge(record)
+        elif tokens[1] == "splice-auth":
+            self.probe_splice_auth(record)
+        else:
+            raise ScriptError(f"line {lineno}: unknown probe {tokens[1]!r}")
+
+    def _do_report(self, tokens, lineno):
+        if len(tokens) != 2:
+            raise ScriptError(f"line {lineno}: report takes exactly one report name")
+        if tokens[1] != "nonce-store":
+            raise ScriptError(f"line {lineno}: unknown report {tokens[1]!r}")
+        sizes = ", ".join(
+            f"{rec.id_a.hex()[:8]}..={len(rec.used_nonces)}" for rec in self.registry.vehicles
+        )
+        total = sum(len(rec.used_nonces) for rec in self.registry.vehicles)
+        self.checks.append(
+            CheckResult(
+                "report nonce-store", "INFO",
+                f"stored nonces grow without bound: total={total} ({sizes})",
+            )
+        )
 
     def execute(self, scenario):
         for lineno, tokens in scenario.steps:
-            head = tokens[0]
-            if head == "session":
-                if len(tokens) < 2:
-                    raise ScriptError(f"line {lineno}: session needs a vehicle")
-                record = self._resolve_vehicle(tokens[1], lineno)
-                options = _parse_options(tokens[2:], {"duration", "budget"}, lineno)
-                self.run_session(
-                    record,
-                    duration=_parse_int(options.get("duration", 5000), lineno, "duration"),
-                    budget=(
-                        _parse_int(options["budget"], lineno, "budget")
-                        if "budget" in options
-                        else None
-                    ),
-                )
-            elif head == "sessions":
-                if len(tokens) < 3:
-                    raise ScriptError(f"line {lineno}: sessions needs a count and a vehicle")
-                count = _parse_int(tokens[1], lineno, "session count")
-                record = self._resolve_vehicle(tokens[2], lineno)
-                options = _parse_options(tokens[3:], {"duration"}, lineno)
-                duration = _parse_int(options.get("duration", 5000), lineno, "duration")
-                for _ in range(count):
-                    self.run_session(record, duration=duration)
-            elif head == "advance":
-                if len(tokens) != 2:
-                    raise ScriptError(f"line {lineno}: advance takes a millisecond count")
-                self._advance(_parse_int(tokens[1], lineno, "advance"))
-            elif head == "revoke":
-                if len(tokens) != 2:
-                    raise ScriptError(f"line {lineno}: revoke takes a vehicle reference")
-                record = self._resolve_vehicle(tokens[1], lineno)
-                self.registry.revoke(record.id_a)
-            elif head == "snapshot":
-                self._snapshot = self.registry.snapshot()
-            elif head == "rule":
-                if len(tokens) < 4:
-                    raise ScriptError(f"line {lineno}: rule CHANNEL VARIANT [nth=K] ACTION")
-                channel = tokens[1]
-                if channel not in (INSECURE, SECURE):
-                    raise ScriptError(f"line {lineno}: unknown channel {channel!r}")
-                variant = tokens[2]
-                nth = 1
-                action_token = tokens[3]
-                if action_token.startswith("nth="):
-                    nth = _parse_int(action_token.split("=", 1)[1], lineno, "nth")
-                    if len(tokens) < 5:
-                        raise ScriptError(f"line {lineno}: rule is missing its action")
-                    action_token = tokens[4]
-                self.script.add_rule(
-                    Rule(channel, variant, nth, _parse_action(action_token, lineno))
-                )
-            elif head == "flood":
-                if len(tokens) < 2:
-                    raise ScriptError(f"line {lineno}: flood needs a frame count")
-                count = _parse_int(tokens[1], lineno, "flood count")
-                options = _parse_options(tokens[2:], {"style"}, lineno)
-                style = options.get("style", "wellformed")
-                if style not in ("wellformed", "garbage", "mixed"):
-                    raise ScriptError(f"line {lineno}: unknown flood style {style!r}")
-                self.flood(count, style)
-            elif head == "sweep":
-                if len(tokens) < 2:
-                    raise ScriptError(f"line {lineno}: sweep needs a frame variant")
-                variant = tokens[1]
-                options = _parse_options(tokens[2:], {"mask"}, lineno)
-                mask = _parse_int(options.get("mask", "01"), lineno, "mask", base=16)
-                record = self._resolve_vehicle("*", lineno)
-                self.run_sweep(record, variant, mask)
-            elif head == "probe":
-                if len(tokens) != 2:
-                    raise ScriptError(f"line {lineno}: probe takes exactly one probe name")
-                record = self._resolve_vehicle("*", lineno)
-                if tokens[1] == "replay-start-charge":
-                    self.probe_replay_start_charge(record)
-                elif tokens[1] == "splice-auth":
-                    self.probe_splice_auth(record)
-                else:
-                    raise ScriptError(f"line {lineno}: unknown probe {tokens[1]!r}")
-            elif head == "report":
-                if len(tokens) != 2:
-                    raise ScriptError(f"line {lineno}: report takes exactly one report name")
-                if tokens[1] == "nonce-store":
-                    sizes = ", ".join(
-                        f"{rec.id_a.hex()[:8]}..={len(rec.used_nonces)}"
-                        for rec in self.registry.vehicles
-                    )
-                    total = sum(len(rec.used_nonces) for rec in self.registry.vehicles)
-                    self.checks.append(
-                        CheckResult(
-                            "report nonce-store", "INFO",
-                            f"stored nonces grow without bound: total={total} ({sizes})",
-                        )
-                    )
-                else:
-                    raise ScriptError(f"line {lineno}: unknown report {tokens[1]!r}")
-            elif head == "expect":
-                self._expect(tokens, lineno)
-            else:
-                raise ScriptError(f"line {lineno}: unknown directive {head!r}")
+            _directive(tokens, lineno)(self, tokens, lineno)
         return ScenarioReport(
             name=scenario.name,
             seed=self.seed,
@@ -883,6 +860,23 @@ class ScenarioRunner:
             },
             transcript=self.transcript,
         )
+
+
+# every directive a scenario line may start with (besides `scenario NAME`,
+# which only names the run), mapped to the runner method that executes it
+_DIRECTIVES = {
+    "session": ScenarioRunner._do_session,
+    "sessions": ScenarioRunner._do_sessions,
+    "advance": ScenarioRunner._do_advance,
+    "revoke": ScenarioRunner._do_revoke,
+    "snapshot": ScenarioRunner._do_snapshot,
+    "rule": ScenarioRunner._do_rule,
+    "flood": ScenarioRunner._do_flood,
+    "sweep": ScenarioRunner._do_sweep,
+    "probe": ScenarioRunner._do_probe,
+    "report": ScenarioRunner._do_report,
+    "expect": ScenarioRunner._expect,
+}
 
 
 def run_named_scenario(make_registry, name_or_path, seed=1):

@@ -151,6 +151,25 @@ class TestSession:
         assert len(record.used_nonces) == 2
         assert len(Registry.load(registry_path).invoices) == 2
 
+    def test_session_saves_once_per_registry_change(self, cli, registry_path, monkeypatch):
+        # one save when the nonce is consumed, one when the invoice is issued
+        saves = []
+        save = Registry.save
+
+        def counting_save(registry, path):
+            saves.append(path)
+            save(registry, path)
+
+        monkeypatch.setattr(Registry, "save", counting_save)
+        code, _, _ = cli(
+            "session", "--registry", registry_path, "--duration", "1000", "--seed", "11"
+        )
+        assert code == 0
+        assert saves == [registry_path, registry_path]
+        loaded = Registry.load(registry_path)
+        assert len(loaded.vehicles[0].used_nonces) == 1
+        assert [inv.duration_ms for inv in loaded.invoices] == [1000]
+
     def test_revoked_vehicle_fails_with_exit_1(self, cli, registry_path):
         code, _, _ = cli("revoke", "--registry", registry_path, "--vehicle", VEHICLE)
         assert code == 0
@@ -244,6 +263,13 @@ class TestAttack:
         )
         assert code == 0
         assert open(registry_path).read() == before
+
+    def test_malformed_scenario_line_exits_2(self, cli, tmp_path):
+        path = tmp_path / "bad.scn"
+        path.write_text("session *\nexpect completed abc\n")
+        code, _, err = cli("attack", "--scenario", str(path), "--seed", "9")
+        assert code == 2
+        assert "line 2" in err
 
     def test_registry_without_vehicles_rejected(self, cli, tmp_path):
         path = str(tmp_path / "empty.json")

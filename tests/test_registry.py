@@ -259,6 +259,22 @@ class TestPersistence:
             Registry.load(path)
         assert "lookup_key" in str(err.value)
 
+    def test_load_derives_each_lookup_key_once(self, tmp_path, monkeypatch):
+        registry = seeded_registry(vehicles=5)
+        path = tmp_path / "registry.json"
+        registry.save(path)
+        calls = []
+        encrypt = crypto.kernels.aes256_encrypt_block
+
+        def counting_encrypt(key, block):
+            calls.append(block)
+            return encrypt(key, block)
+
+        monkeypatch.setattr(crypto.kernels, "aes256_encrypt_block", counting_encrypt)
+        loaded = Registry.load(path)
+        assert len(calls) == 5
+        assert loaded.snapshot() == registry.snapshot()
+
     def test_load_rejects_bad_tariff(self, registry, tmp_path):
         path = tmp_path / "registry.json"
         registry.save(path)

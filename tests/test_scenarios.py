@@ -4,8 +4,11 @@ Every shipped scenario must end DEFENSE HELD: the only tolerated non-PASS
 statuses are INFO (measurements) and EXPECTED-WEAKNESS (the documented
 missing freshness check on the terminal nonce)."""
 
+import hashlib
+
 import pytest
 
+from evabs.channel import INSECURE
 from evabs.errors import ConfigError, ScriptError
 from evabs.registry import Registry
 from evabs.scenario import (
@@ -16,7 +19,7 @@ from evabs.scenario import (
     parse_scenario,
     run_named_scenario,
 )
-from evabs.wire import Reason
+from evabs.wire import Reason, StartCharge
 
 from conftest import seeded_registry
 
@@ -32,6 +35,22 @@ SHIPPED = [
     "tamper-m8",
     "traceability",
 ]
+
+# SHA-256 of transcript.to_jsonl() + report.to_text() for every shipped
+# scenario at seed 11 against seeded_registry(): a refactor that moves one
+# transcript byte or one report character shows up here
+GOLDEN = {
+    "cloning": "88819cca5c6290d08b8becd38c843cee23a1d7ec43e8e01d530f5525e7c3eb5a",
+    "desync": "bf6b098b724a5e21cc4ffcae787f877cc0493f47b5c7cbcd561abb237917e923",
+    "dos": "ffbf706add90ee1d786ff59dd00bba451bb2bce645df382a776d653d9135666f",
+    "eavesdrop": "974adfa444289493555106fdb7132da640f04587ecde29f79cca74f0d912cb8f",
+    "impersonation": "f4d5e35107adf1b7b4892c6387a10abd162177c8466a3dac337046a669cd4694",
+    "physical-disclosure": "d3c93f58736d7f567d84daa38855e64cf362bd59108827ede279852f859627d9",
+    "replay": "6f60843ab881336e623db1ecbb34f47fc1d6ecdf8e20272c948b7ae6a8aabec4",
+    "tamper-m3": "ff68859cc1ac884bb31330e4baa6273cdae8d9be12c7fcd7a72f11ef627f1872",
+    "tamper-m8": "19c5f3fc80e66419845894487278802d8e42c077dda04605b3e3ce28f7d3b0eb",
+    "traceability": "2bd620707eaace388ed2dc486e9d202e016084161d5182c3a1d3f584adb26227",
+}
 
 
 def _runner(seed=3, **kwargs):
@@ -74,6 +93,13 @@ class TestParsing:
             "probe unknown-probe\n",
             "probe\n",
             "report unknown-report\n",
+            "expect completed\n",
+            "expect completed abc\n",
+            "expect accepted\n",
+            "expect rejected x\n",
+            "expect rejected 1 reason=bogus\n",
+            "expect invoices\n",
+            "expect invoices 1 total=lots\n",
         ],
     )
     def test_bad_directives_raise(self, text):
@@ -238,6 +264,32 @@ class TestRunnerSessions:
         assert check.status == "EXPECTED-WEAKNESS"
         assert "stale start message accepted" in check.detail
 
+    def test_probe_replays_the_stale_start_message_once(self):
+        # the replayed copy reaches the vehicle without going back on the
+        # link, so no plain entry repeats it and no rule counts it
+        runner = _runner()
+        built = []
+        handle_reply = runner.terminal.handle_reply
+
+        def counting_handle_reply(msg, now):
+            out = handle_reply(msg, now)
+            if isinstance(out, StartCharge):
+                built.append(out)
+            return out
+
+        runner.terminal.handle_reply = counting_handle_reply
+        runner.probe_replay_start_charge(runner.registry.vehicles[0])
+        [replayed] = [
+            e for e in runner.transcript
+            if (e.adversary_action or {}).get("kind") == "replayed"
+        ]
+        plain = [
+            e.seq for e in runner.transcript
+            if e.adversary_action is None and e.frame == replayed.frame
+        ]
+        assert plain == [replayed.adversary_action["of_seq"]]
+        assert runner.script._counts[(INSECURE, "start_charge")] == len(built) == 2
+
     def test_probe_splice_auth_passes(self):
         runner = _runner()
         runner.probe_splice_auth(runner.registry.vehicles[0])
@@ -293,6 +345,12 @@ class TestShippedScenarios:
         statuses = {c.status for c in report.checks}
         assert report.held, report.to_text()
         assert statuses <= {"PASS", "INFO", "EXPECTED-WEAKNESS"}
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_transcript_and_report_match_golden_digest(self, name):
+        [report] = run_named_scenario(lambda: seeded_registry(), name, seed=11)
+        text = report.transcript.to_jsonl() + report.to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
 
     def test_replay_scenario_documents_the_weakness(self):
         [report] = run_named_scenario(lambda: seeded_registry(), "replay", seed=11)
