@@ -17,7 +17,7 @@ Layout:
   cli       the `evabs` command
 """
 
-from evabs._backend import BACKEND
+from evabs.crypto import BACKEND
 
 __version__ = "0.1.0"
 __all__ = ["BACKEND", "__version__"]

@@ -1,9 +1,8 @@
-"""Pure-Python fallback for the hot kernels.
+"""The hot kernels, in pure Python.
 
-Implements exactly what the compiled backend (evabs._kernels) implements:
 AES-256 on a single 16-byte block, plus one step of the xorshift128+
-generator. Both backends must agree byte for byte; evabs._backend picks one
-at import time and everything above it is backend-agnostic.
+generator. This is the only kernel module; evabs.crypto validates sizes and
+calls it, and everything above crypto reaches the kernels through crypto.
 
 The block functions are raw codebook operation on one block: deterministic
 by design, because the server indexes vehicle records by E(id, key) and an

@@ -25,8 +25,7 @@ import json
 import os
 import sys
 
-from evabs import crypto
-from evabs._backend import BACKEND
+from evabs import __version__, crypto
 from evabs.errors import (
     ConfigError,
     EvabsError,
@@ -261,7 +260,9 @@ def build_parser():
         "sessions, attack scenarios, invoices",
     )
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s 0.1.0 (kernel backend: {BACKEND})"
+        "--version",
+        action="version",
+        version=f"%(prog)s {__version__} (kernel backend: {crypto.BACKEND})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

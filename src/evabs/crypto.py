@@ -15,12 +15,14 @@ Four operations and a nonce source:
     construction so a run seed reproduces every frame byte.
 
 All sizes are fixed: 16-byte blocks and nonces, 32-byte keys and tags.
+The block cipher and the xorshift128+ step run in evabs._pykernels, bound
+here as `kernels`; BACKEND names it.
 """
 
 import hashlib
 import hmac as _hmac
 
-from evabs._backend import BACKEND, kernels
+from evabs import _pykernels as kernels
 from evabs.errors import InvalidInput, InvalidSeed
 
 __all__ = [
@@ -43,6 +45,8 @@ BLOCK_SIZE = 16
 KEY_SIZE = 32
 NONCE_SIZE = 16
 TAG_SIZE = 32
+
+BACKEND = kernels.BACKEND
 
 _MASK64 = (1 << 64) - 1
 

@@ -13,9 +13,9 @@ Concurrency and durability rules:
   * a revoked vehicle is indistinguishable from an unknown one.
 
 On-disk form is a single JSON document (hex lowercase, nonces sorted, so
-files diff cleanly); saving writes to a temp file and renames over the
-target. Loading re-derives every lookup_key and refuses records that do
-not match their stored one.
+files diff cleanly); saving writes and fsyncs a temp file, renames it over
+the target and fsyncs the directory. Loading re-derives every lookup_key
+and refuses records that do not match their stored one.
 """
 
 import json
@@ -206,8 +206,7 @@ class Registry:
                     record.balance += amount
                     raise StorageError(f"persist failed, invoice dropped: {exc}") from exc
         log.info(
-            "invoice: vehicle=%s duration_ms=%d amount=%d balance=%d",
-            record.id_a.hex(), duration, amount, record.balance,
+            "invoice: duration_ms=%d amount=%d balance=%d", duration, amount, record.balance
         )
         return invoice
 
@@ -242,7 +241,9 @@ class Registry:
         }
 
     def save(self, path):
-        """Write atomically: temp file in the same directory, then rename."""
+        """Write atomically and durably: temp file in the same directory,
+        fsync, rename, then fsync the directory so the rename survives a
+        crash."""
         payload = json.dumps(self.to_obj(), indent=2) + "\n"
         directory = os.path.dirname(os.path.abspath(path))
         try:
@@ -250,10 +251,17 @@ class Registry:
             try:
                 with os.fdopen(fd, "w") as fh:
                     fh.write(payload)
+                    fh.flush()
+                    os.fsync(fh.fileno())
                 os.replace(tmp, path)
             except BaseException:
                 os.unlink(tmp)
                 raise
+            dir_fd = os.open(directory, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
         except OSError as exc:
             raise StorageError(f"cannot write registry {path}: {exc}") from exc
 

@@ -41,8 +41,8 @@ expect forms:
 
 Failed expectations never raise; they mark the report FAIL and the run
 carries on, so one broken defense does not hide another. A malformed line
-(unknown word, missing or non-integer count, unknown reason label) raises
-ScriptError instead.
+(unknown word, missing or non-integer count, unknown reason label, unknown
+or extra argument) raises ScriptError instead.
 """
 
 import os
@@ -253,6 +253,27 @@ def _parse_counted(what, args, lineno):
         return want, Reason.from_label(value)
     except FrameError:
         raise ScriptError(f"line {lineno}: unknown reason {value!r}") from None
+
+
+# the other expect forms, `expect WHAT [ARG]`: WHAT -> the ARG values it
+# accepts, None standing for an absent ARG
+_UNCOUNTED = {
+    "no-secrets": (None, "ids", "keys", "all"),
+    "fresh-frames": (None,),
+    "registry-unchanged": (None,),
+    "energy-off": (None,),
+    "sweep": ("no-charging", "mac-invalid"),
+}
+
+
+def _parse_uncounted(what, args, lineno):
+    """The one optional ARG of an uncounted expect form, or None."""
+    choices = _UNCOUNTED[what]
+    arg = args[0] if args else None
+    if len(args) > 1 or arg not in choices:
+        allowed = "|".join(c for c in choices if c) or "no argument"
+        raise ScriptError(f"line {lineno}: expect {what} takes {allowed}, got {' '.join(args)!r}")
+    return arg
 
 
 # a `#` opens a comment unless a digit follows: `#K` is an ordinal vehicle
@@ -628,9 +649,11 @@ class ScenarioRunner:
                 got = self._phase_count(what, value)
             self._check(name, ok and got == want, f"expected {want}, got {got}{detail}")
             return
+        if what not in _UNCOUNTED:
+            raise ScriptError(f"line {lineno}: unknown expectation {what!r}")
+        arg = _parse_uncounted(what, args, lineno)
         if what == "no-secrets":
-            scope = args[0] if args else "all"
-            self._expect_no_secrets(name, scope)
+            self._expect_no_secrets(name, arg or "all")
             return
         if what == "fresh-frames":
             self._expect_fresh_frames(name)
@@ -648,10 +671,7 @@ class ScenarioRunner:
                 f"active charges: {len(self.terminal.active)}",
             )
             return
-        if what == "sweep":
-            self._expect_sweep(name, args[0] if args else "")
-            return
-        raise ScriptError(f"line {lineno}: unknown expectation {what!r}")
+        self._expect_sweep(name, arg)
 
     def _expect_no_secrets(self, name, scope):
         needles = []
@@ -660,8 +680,6 @@ class ScenarioRunner:
         if scope in ("keys", "all"):
             needles += [("key", rec.k_a) for rec in self.registry.vehicles]
             needles.append(("group-key", self.registry.group_key))
-        if scope not in ("ids", "keys", "all"):
-            raise ScriptError(f"no-secrets scope must be ids, keys or all, not {scope!r}")
         frames = [e.frame for e in self.transcript if e.channel == INSECURE]
         hits = []
         for label, needle in needles:
@@ -740,8 +758,6 @@ class ScenarioRunner:
                 if not bad
                 else f"positions {bad[:5]} did not fail as mac_invalid",
             )
-            return
-        raise ScriptError(f"unknown sweep expectation {mode!r}")
 
     # -- directives: one method per line kind, dispatched through _DIRECTIVES --
 

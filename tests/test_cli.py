@@ -6,9 +6,11 @@ storage problems. Provisioning output may show credentials once; session,
 attack and invoice output must never contain key material."""
 
 import json
+import pathlib
 
 import pytest
 
+import evabs
 from evabs.cli import main
 from evabs.registry import Registry
 
@@ -271,6 +273,14 @@ class TestAttack:
         assert code == 2
         assert "line 2" in err
 
+    def test_malformed_sweep_expect_exits_2_before_any_sweep(self, cli, tmp_path):
+        path = tmp_path / "bad.scn"
+        path.write_text("expect sweep bogus\n")
+        code, out, err = cli("attack", "--scenario", str(path), "--seed", "9")
+        assert code == 2
+        assert "line 1" in err
+        assert "BREACHED" not in out
+
     def test_registry_without_vehicles_rejected(self, cli, tmp_path):
         path = str(tmp_path / "empty.json")
         cli("init", "--registry", path, "--tariff", "2", "--seed", "5")
@@ -370,5 +380,11 @@ class TestVersion:
             main(["--version"])
         assert err.value.code == 0
         out = capsys.readouterr().out
-        assert "evabs 0.1.0" in out
-        assert "kernel backend" in out
+        assert f"evabs {evabs.__version__}" in out
+        assert f"kernel backend: {evabs.BACKEND}" in out
+
+    def test_package_version_is_the_pyproject_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == evabs.__version__

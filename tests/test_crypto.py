@@ -5,7 +5,7 @@ Three layers of evidence, none of which shares code with the implementation:
 * frozen known-answer vectors from FIPS-197 appendix C.3 and RFC 4231,
 * cross-checks against OpenSSL (via the cryptography package) and against a
   from-definition HMAC built out of hashlib alone,
-* property tests over both kernel backends (compiled and pure Python).
+* property tests over the kernel module, called directly and through crypto.
 """
 
 import hashlib
@@ -18,15 +18,6 @@ from hypothesis import strategies as st
 from evabs import crypto
 from evabs import _pykernels
 from evabs.errors import InvalidInput, InvalidSeed
-
-try:
-    from evabs import _kernels as _ckernels
-except ImportError:  # pragma: no cover - compiled extension not built
-    _ckernels = None
-
-BACKENDS = [pytest.param(_pykernels, id="pure-python")]
-if _ckernels is not None:
-    BACKENDS.append(pytest.param(_ckernels, id="compiled"))
 
 block = st.binary(min_size=16, max_size=16)
 key256 = st.binary(min_size=32, max_size=32)
@@ -88,10 +79,9 @@ class TestBlockCipherVectors:
     def test_fips_197_c3_decrypt(self):
         assert crypto.decrypt_block(FIPS_CIPHER, FIPS_KEY) == FIPS_PLAIN
 
-    @pytest.mark.parametrize("kernels", BACKENDS)
-    def test_fips_197_c3_per_backend(self, kernels):
-        assert kernels.aes256_encrypt_block(FIPS_KEY, FIPS_PLAIN) == FIPS_CIPHER
-        assert kernels.aes256_decrypt_block(FIPS_KEY, FIPS_CIPHER) == FIPS_PLAIN
+    def test_fips_197_c3_kernels(self):
+        assert _pykernels.aes256_encrypt_block(FIPS_KEY, FIPS_PLAIN) == FIPS_CIPHER
+        assert _pykernels.aes256_decrypt_block(FIPS_KEY, FIPS_CIPHER) == FIPS_PLAIN
 
     def test_matches_openssl_on_random_inputs(self):
         cryptography = pytest.importorskip("cryptography")
@@ -110,26 +100,12 @@ class TestBlockCipherVectors:
             assert crypto.encrypt_block(pt, key) == expected
             assert crypto.decrypt_block(expected, key) == pt
 
-    @pytest.mark.parametrize("kernels", BACKENDS)
     @settings(max_examples=50)
     @given(key=key256, pt=block)
-    def test_roundtrip(self, kernels, key, pt):
-        ct = kernels.aes256_encrypt_block(key, pt)
-        assert len(ct) == 16
-        assert kernels.aes256_decrypt_block(key, ct) == pt
-
-    @settings(max_examples=50)
-    @given(key=key256, pt=block)
-    def test_backends_agree(self, key, pt):
-        if _ckernels is None:
-            pytest.skip("compiled extension not built")
-        assert _ckernels.aes256_encrypt_block(key, pt) == (
-            _pykernels.aes256_encrypt_block(key, pt)
-        )
+    def test_roundtrip(self, key, pt):
         ct = _pykernels.aes256_encrypt_block(key, pt)
-        assert _ckernels.aes256_decrypt_block(key, ct) == (
-            _pykernels.aes256_decrypt_block(key, ct)
-        )
+        assert len(ct) == 16
+        assert _pykernels.aes256_decrypt_block(key, ct) == pt
 
     def test_deterministic(self):
         a = crypto.encrypt_block(FIPS_PLAIN, FIPS_KEY)
@@ -230,24 +206,12 @@ class TestNonceSource:
         src = crypto.NonceSource.from_seed(1)
         assert [src.next_nonce().hex() for _ in range(2)] == XS_SEED1_NONCES
 
-    @pytest.mark.parametrize("kernels", BACKENDS)
-    def test_step_function_per_backend(self, kernels):
+    def test_step_function_kernel(self):
         s0, s1 = XS_SEED1_STATE
-        out, s0, s1 = kernels.xorshift128p_next(s0, s1)
+        out, s0, s1 = _pykernels.xorshift128p_next(s0, s1)
         assert out == XS_SEED1_WORDS[0]
-        out, _, _ = kernels.xorshift128p_next(s0, s1)
+        out, _, _ = _pykernels.xorshift128p_next(s0, s1)
         assert out == XS_SEED1_WORDS[1]
-
-    @settings(max_examples=50)
-    @given(s0=word64, s1=word64)
-    def test_backends_step_identically(self, s0, s1):
-        if _ckernels is None:
-            pytest.skip("compiled extension not built")
-        if s0 == 0 and s1 == 0:
-            return
-        assert _ckernels.xorshift128p_next(s0, s1) == (
-            _pykernels.xorshift128p_next(s0, s1)
-        )
 
     @given(seed=word64)
     def test_same_seed_same_stream(self, seed):

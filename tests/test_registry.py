@@ -3,6 +3,8 @@ consumption (including under 64-way contention), whole-second billing, and
 crash-safe persistence with an integrity check on load."""
 
 import json
+import os
+import stat
 import threading
 
 import pytest
@@ -294,6 +296,46 @@ class TestPersistence:
         after = path.read_text()
         assert before != after
         assert json.loads(after)  # never a torn file
+        leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".registry-")]
+        assert leftovers == []
+
+    def test_save_fsyncs_file_before_replace_and_directory_after(
+        self, registry, tmp_path, monkeypatch
+    ):
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            events.append("fsync-dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync-file")
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            events.append("replace")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        path = tmp_path / "registry.json"
+        registry.save(path)
+        assert events == ["fsync-file", "replace", "fsync-dir"]
+        assert Registry.load(path).snapshot() == registry.snapshot()
+
+    @pytest.mark.parametrize("failing_call", [1, 2], ids=["file", "directory"])
+    def test_failed_fsync_is_a_storage_error_and_leaves_no_temp_file(
+        self, registry, tmp_path, monkeypatch, failing_call
+    ):
+        calls = []
+        fsync = os.fsync
+
+        def flaky_fsync(fd):
+            calls.append(fd)
+            if len(calls) == failing_call:
+                raise OSError(5, "Input/output error")
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", flaky_fsync)
+        with pytest.raises(StorageError):
+            registry.save(tmp_path / "registry.json")
         leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".registry-")]
         assert leftovers == []
 

@@ -5,6 +5,7 @@ statuses are INFO (measurements) and EXPECTED-WEAKNESS (the documented
 missing freshness check on the terminal nonce)."""
 
 import hashlib
+import logging
 
 import pytest
 
@@ -100,10 +101,17 @@ class TestParsing:
             "expect rejected 1 reason=bogus\n",
             "expect invoices\n",
             "expect invoices 1 total=lots\n",
+            "expect sweep bogus\n",
+            "expect sweep\n",
+            "sweep start_charge\nexpect sweep\n",
+            "expect no-secrets bogus\n",
+            "expect energy-off x\n",
+            "expect registry-unchanged x\n",
+            "expect fresh-frames x\n",
         ],
     )
     def test_bad_directives_raise(self, text):
-        with pytest.raises(ScriptError):
+        with pytest.raises(ScriptError, match=r"^line \d+: "):
             _runner().execute(parse_scenario(text))
 
     def test_action_grammar(self):
@@ -178,6 +186,18 @@ class TestRunnerSessions:
         assert outcome.amount == 180
         assert runner.server.accepted == 1
         assert not runner.terminal.energy_on
+
+    def test_logs_hold_no_id_or_key(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="evabs")
+        runner = _runner()
+        outcome = runner.run_session(runner.registry.vehicles[0], duration=90_000)
+        assert outcome.phase == "completed"
+        assert caplog.messages
+        vehicles = runner.registry.vehicles
+        secrets = [rec.id_a.hex() for rec in vehicles] + [rec.k_a.hex() for rec in vehicles]
+        secrets.append(runner.registry.group_key.hex())
+        for message in caplog.messages:
+            assert not any(secret in message.lower() for secret in secrets), message
 
     def test_budget_stops_the_session_early(self):
         runner = _runner()
