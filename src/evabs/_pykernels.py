@@ -1,8 +1,10 @@
-"""The hot kernels, in pure Python.
+"""The hot kernels, in pure Python: the reference kernel.
 
 AES-256 on a single 16-byte block, plus one step of the xorshift128+
-generator. This is the only kernel module; evabs.crypto validates sizes and
-calls it, and everything above crypto reaches the kernels through crypto.
+generator. evabs.crypto validates sizes and calls whichever kernel module
+it bound (evabs._osslkernels when the host's libcrypto serves, this one
+otherwise), and everything above crypto reaches the kernels through crypto.
+The tests check the libcrypto kernel against this one.
 
 The block functions are raw codebook operation on one block: deterministic
 by design, because the server indexes vehicle records by E(id, key) and an

@@ -325,6 +325,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "duration", None) is not None and args.duration < 0:
         parser.error("--duration must be non-negative")
+    if getattr(args, "budget", None) is not None and args.budget < 0:
+        parser.error("--budget must be non-negative")
     try:
         return args.func(args)
     except (ConfigError, ScriptError, InvalidInput, InvalidSeed) as exc:

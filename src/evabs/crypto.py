@@ -15,14 +15,20 @@ Four operations and a nonce source:
     construction so a run seed reproduces every frame byte.
 
 All sizes are fixed: 16-byte blocks and nonces, 32-byte keys and tags.
-The block cipher and the xorshift128+ step run in evabs._pykernels, bound
-here as `kernels`; BACKEND names it.
+The block cipher and the xorshift128+ step run in a kernel module bound
+here as `kernels`; BACKEND names it. That is evabs._osslkernels, AES from
+the libcrypto hashlib already loaded, when it imports and passes its
+known-answer check, and otherwise evabs._pykernels, the reference kernel.
+The choice depends only on the host; both give the same bytes.
 """
 
 import hashlib
 import hmac as _hmac
 
-from evabs import _pykernels as kernels
+try:
+    from evabs import _osslkernels as kernels
+except (ImportError, OSError, AttributeError):
+    from evabs import _pykernels as kernels
 from evabs.errors import InvalidInput, InvalidSeed
 
 __all__ = [
@@ -78,7 +84,7 @@ def xor_blocks(a, b):
     """Bytewise XOR of two 16-byte blocks."""
     a = _checked("a", a, BLOCK_SIZE)
     b = _checked("b", b, BLOCK_SIZE)
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(BLOCK_SIZE, "big")
 
 
 def compute_mac(key, data):

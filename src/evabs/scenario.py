@@ -66,7 +66,7 @@ from evabs.channel import (
     Tamper,
     Transcript,
 )
-from evabs.errors import ConfigError, FrameError, ScriptError
+from evabs.errors import ConfigError, FrameError, InvalidInput, ScriptError
 from evabs.protocol import (
     HandshakeTrace,
     Phase,
@@ -75,7 +75,7 @@ from evabs.protocol import (
     VehicleCredentials,
     VehicleSession,
 )
-from evabs.wire import AuthRequest, Reason, StartCharge, decode_frame
+from evabs.wire import TS_MAX, AuthRequest, Reason, StartCharge, decode_frame
 
 __all__ = [
     "Scenario",
@@ -472,15 +472,24 @@ class ScenarioRunner:
         return 1000 * -(-budget // tariff)
 
     def run_session(self, record, duration, budget=None, record_outcome=True):
-        """One charge attempt, end to end, through the adversary."""
+        """One charge attempt, end to end, through the adversary.
+
+        The charge time is checked before anything happens: charging starts
+        1000 ms from now, and a session whose end t5 would not fit a 64-bit
+        timestamp must not consume a nonce it can never bill for."""
+        effective = duration
+        cutoff = self.budget_cutoff_ms(budget, self.registry.tariff_per_second)
+        if cutoff is not None:
+            effective = min(effective, cutoff)
+        if not 0 <= effective <= TS_MAX - self.clock.now - 1000:
+            raise InvalidInput(
+                "charge time must be non-negative and end within the 64-bit millisecond"
+                f" timestamp range, got {effective} ms"
+            )
         self._advance(1000)
         invoices_before = len(self.registry.invoices)
         vehicle = self._begin_session(record)
         if vehicle.phase is Phase.CHARGING:
-            effective = duration
-            cutoff = self.budget_cutoff_ms(budget, self.registry.tariff_per_second)
-            if cutoff is not None:
-                effective = min(effective, cutoff)
             self._advance(effective)
             report = self.terminal.stop_charge(self.clock.now)
             vehicle.unplug(self.clock.now)

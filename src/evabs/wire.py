@@ -36,7 +36,7 @@ TAG_START_CHARGE = 0x04
 TAG_CHARGE_REPORT = 0x05
 TAG_FAILURE_NOTICE = 0x06
 
-_TS_MAX = (1 << 64) - 1
+TS_MAX = (1 << 64) - 1
 
 
 class Reason(enum.IntEnum):
@@ -69,7 +69,7 @@ def _want(name, value, size):
 
 
 def _want_ts(name, value):
-    if not isinstance(value, int) or not 0 <= value <= _TS_MAX:
+    if not isinstance(value, int) or not 0 <= value <= TS_MAX:
         raise FrameError(f"{name} must be an unsigned 64-bit millisecond count")
 
 

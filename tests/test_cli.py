@@ -143,6 +143,36 @@ class TestSession:
         assert obj["t4"] == 2000
         assert obj["invoice"]["amount"] == 4
 
+    @pytest.mark.parametrize(
+        "bad",
+        [("--budget", "-5"), ("--duration", str(2**64 - 1)), ("--duration", str(2**64 - 1000))],
+        ids=["negative-budget", "duration-u64-max", "t5-past-u64"],
+    )
+    def test_bad_session_arguments_exit_2_and_leave_the_registry_alone(
+        self, cli, registry_path, bad
+    ):
+        # argparse rejects with SystemExit(2), a later check returns 2
+        before = pathlib.Path(registry_path).read_bytes()
+        argv = ["session", "--registry", registry_path, "--duration", "1000", "--seed", "11"]
+        try:
+            code, _, _ = cli(*argv, *bad)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert pathlib.Path(registry_path).read_bytes() == before
+
+    def test_longest_duration_that_fits_is_billed(self, cli, registry_path):
+        # a fresh run starts charging at t1 = 1000 ms, so t5 reaches 2**64 - 1
+        duration = 2**64 - 1 - 1000
+        code, out, err = cli(
+            "session", "--registry", registry_path, "--duration", str(duration),
+            "--seed", "11", "--json",
+        )
+        assert code == 0, err
+        obj = json.loads(out.splitlines()[-1])
+        assert obj["t5"] == 2**64 - 1
+        assert obj["invoice"]["duration_ms"] == duration
+
     def test_sessions_persist_nonces_across_runs(self, cli, registry_path):
         for seed in ("11", "12"):
             code, _, _ = cli(

@@ -10,7 +10,7 @@ import logging
 import pytest
 
 from evabs.channel import INSECURE
-from evabs.errors import ConfigError, ScriptError
+from evabs.errors import ConfigError, InvalidInput, ScriptError
 from evabs.registry import Registry
 from evabs.scenario import (
     SCENARIO_ALIASES,
@@ -206,6 +206,16 @@ class TestRunnerSessions:
         assert outcome.phase == "completed"
         assert outcome.t4 == 2000
         assert outcome.amount == 4
+
+    @pytest.mark.parametrize("duration", [-1, 2**64 - 1000])
+    def test_charge_time_is_checked_before_the_session_starts(self, duration):
+        runner = _runner()
+        before = runner.registry.snapshot()
+        with pytest.raises(InvalidInput):
+            runner.run_session(runner.registry.vehicles[0], duration=duration)
+        assert runner.registry.snapshot() == before
+        assert runner.clock.now == 0
+        assert len(runner.transcript) == 0
 
     def test_budget_larger_than_session_is_inert(self):
         runner = _runner()
