@@ -7,16 +7,24 @@ compiling anything or searching the file system. Same contract as
 evabs._pykernels, the reference kernel: raw codebook operation on one
 block, no padding, no IV, no mode.
 
-Every call builds, uses and frees its own EVP context. ctypes releases the
-GIL around foreign calls, so a context shared between calls would be shared
-between threads; this module keeps no mutable state. The xorshift128+ step
-stays in Python: one foreign call costs more than the step itself.
+Each thread keeps one EVP context and one output buffer in a
+threading.local. A thread's first call makes the context and sets it up
+once, for AES-256-ECB with padding off; every call after that makes two
+foreign calls, a re-key with the cipher left as it is and one update.
+ctypes releases the GIL around foreign calls, so a context is never shared
+between threads. A context is freed by a weakref.finalize when its
+thread's storage goes away; that finalizer does not run at interpreter
+exit, where a daemon thread may still be using its context and the
+process releases the memory anyway. The xorshift128+ step stays in Python:
+one foreign call costs more than the step itself.
 
 Importing runs the FIPS-197 C.3 vector both ways and raises ImportError on
 a mismatch, so evabs.crypto falls back to the reference kernel.
 """
 
 import ctypes
+import threading
+import weakref
 
 import _hashlib
 
@@ -48,29 +56,45 @@ _AES_256_ECB = _bind("EVP_aes_256_ecb", _ptr)()
 if not _AES_256_ECB:
     raise ImportError("libcrypto has no AES-256-ECB")
 
+_local = threading.local()
+
+
+def _thread_state():
+    """This thread's (context, output buffer, output length), made and set
+    up for AES-256-ECB without padding on the thread's first call."""
+    ctx = _ctx_new()
+    if not ctx:
+        raise MemoryError("EVP_CIPHER_CTX_new failed")
+    if _init(ctx, _AES_256_ECB, None, None, None, 1) != 1 or _set_padding(ctx, 0) != 1:
+        _ctx_free(ctx)
+        raise OSError("libcrypto AES-256-ECB set-up failed")
+    out = ctypes.create_string_buffer(32)  # room for a block more than the input
+    weakref.finalize(out, _ctx_free, ctx).atexit = False
+    _local.state = state = (ctx, out, _int(0))
+    return state
+
 
 def _cipher(key, block, enc):
-    key, block = bytes(key), bytes(block)
+    if type(key) is not bytes:
+        key = bytes(key)
+    if type(block) is not bytes:
+        block = bytes(block)
     if len(key) != 32:
         raise ValueError("aes256: key must be 32 bytes")
     if len(block) != 16:
         raise ValueError("aes256: block must be 16 bytes")
-    out = ctypes.create_string_buffer(32)  # room for a block more than the input
-    outl = _int(0)
-    ctx = _ctx_new()
-    if not ctx:
-        raise MemoryError("EVP_CIPHER_CTX_new failed")
     try:
-        if (
-            _init(ctx, _AES_256_ECB, None, key, None, enc) != 1
-            or _set_padding(ctx, 0) != 1
-            or _update(ctx, out, ctypes.byref(outl), block, 16) != 1
-            or outl.value != 16
-        ):
-            raise OSError("libcrypto AES-256-ECB call failed")
-    finally:
-        _ctx_free(ctx)
-    return out.raw[:16]
+        ctx, out, outl = _local.state
+    except AttributeError:
+        ctx, out, outl = _thread_state()
+    if (
+        _init(ctx, None, None, key, None, enc) != 1
+        or _update(ctx, out, outl, block, 16) != 1
+        or outl.value != 16
+    ):
+        del _local.state  # the next call on this thread starts from a new context
+        raise OSError("libcrypto AES-256-ECB call failed")
+    return out[:16]
 
 
 def aes256_encrypt_block(key, block):

@@ -12,6 +12,10 @@ The registry path comes from --registry or the EVABS_REGISTRY environment
 variable. All randomness funnels through --seed, so any run can be
 reproduced bit for bit; commands that generate a seed print it.
 
+init, register, revoke and session hold an exclusive lock on the sidecar
+`<registry>.lock` from load to the last save (registry.lock_file), so
+concurrent commands on one registry file do not lose each other's changes.
+
 Exit codes: 0 success (or: every scenario defense held), 1 protocol or
 domain failure, 2 usage/configuration error, 3 storage error.
 
@@ -34,7 +38,7 @@ from evabs.errors import (
     ScriptError,
     StorageError,
 )
-from evabs.registry import Registry
+from evabs.registry import Registry, lock_file
 from evabs.scenario import (
     SCENARIO_ALIASES,
     ScenarioRunner,
@@ -89,12 +93,13 @@ def _rng(seed):
 
 def cmd_init(args):
     path = _registry_path(args)
-    if os.path.exists(path) and not args.force:
-        raise ConfigError(f"{path} exists; use --force to overwrite")
-    seed = _fresh_seed(args)
-    group_key = _rng(seed).next_bytes(32)
-    registry = Registry(group_key=group_key, tariff_per_second=args.tariff)
-    registry.save(path)
+    with lock_file(path):
+        if os.path.exists(path) and not args.force:
+            raise ConfigError(f"{path} exists; use --force to overwrite")
+        seed = _fresh_seed(args)
+        group_key = _rng(seed).next_bytes(32)
+        registry = Registry(group_key=group_key, tariff_per_second=args.tariff)
+        registry.save(path)
     print(f"registry: {path}")
     print(f"tariff_per_second: {args.tariff}")
     # shown once so the operator can provision terminals; never logged again
@@ -104,15 +109,16 @@ def cmd_init(args):
 
 def cmd_register(args):
     path = _registry_path(args)
-    registry = Registry.load(path)
-    id_a, k_a = args.vehicle, args.key
-    if id_a is None or k_a is None:
-        # only draw (and announce) a seed when credentials need generating
-        rng = _rng(_fresh_seed(args))
-        id_a = id_a if id_a is not None else rng.next_bytes(16)
-        k_a = k_a if k_a is not None else rng.next_bytes(32)
-    record = registry.register(id_a, k_a, balance=args.balance, owner=args.owner)
-    registry.save(path)
+    with lock_file(path):
+        registry = Registry.load(path)
+        id_a, k_a = args.vehicle, args.key
+        if id_a is None or k_a is None:
+            # only draw (and announce) a seed when credentials need generating
+            rng = _rng(_fresh_seed(args))
+            id_a = id_a if id_a is not None else rng.next_bytes(16)
+            k_a = k_a if k_a is not None else rng.next_bytes(32)
+        record = registry.register(id_a, k_a, balance=args.balance, owner=args.owner)
+        registry.save(path)
     print(f"vehicle: {record.id_a.hex()}")
     print(f"key: {record.k_a.hex()}")
     print(f"lookup_key: {record.lookup_key.hex()}")
@@ -122,9 +128,10 @@ def cmd_register(args):
 
 def cmd_revoke(args):
     path = _registry_path(args)
-    registry = Registry.load(path)
-    record = registry.revoke(args.vehicle)
-    registry.save(path)
+    with lock_file(path):
+        registry = Registry.load(path)
+        record = registry.revoke(args.vehicle)
+        registry.save(path)
     print(f"revoked: {record.id_a.hex()}")
     return 0
 
@@ -143,13 +150,14 @@ def _pick_vehicle(registry, wanted):
 
 def cmd_session(args):
     path = _registry_path(args)
-    registry = Registry.load(path)
-    record = _pick_vehicle(registry, args.vehicle)
-    seed = _fresh_seed(args)
-    runner = ScenarioRunner(registry, seed=seed, persist=lambda: registry.save(path))
-    # the persist hook saves the file as soon as the nonce is consumed and
-    # again when the invoice is issued; nothing else in a session changes it
-    outcome = runner.run_session(record, duration=args.duration, budget=args.budget)
+    with lock_file(path):
+        registry = Registry.load(path)
+        record = _pick_vehicle(registry, args.vehicle)
+        seed = _fresh_seed(args)
+        runner = ScenarioRunner(registry, seed=seed, persist=lambda: registry.save(path))
+        # the persist hook saves the file as soon as the nonce is consumed and
+        # again when the invoice is issued; nothing else in a session changes it
+        outcome = runner.run_session(record, duration=args.duration, budget=args.budget)
     if args.transcript:
         runner.transcript.write(args.transcript)
     if outcome.phase != "completed":

@@ -22,7 +22,6 @@ known-answer check, and otherwise evabs._pykernels, the reference kernel.
 The choice depends only on the host; both give the same bytes.
 """
 
-import hashlib
 import hmac as _hmac
 
 try:
@@ -58,6 +57,8 @@ _MASK64 = (1 << 64) - 1
 
 
 def _checked(name, value, size):
+    if type(value) is bytes and len(value) == size:
+        return value
     if not isinstance(value, (bytes, bytearray, memoryview)):
         raise InvalidInput(f"{name} must be bytes-like, got {type(value).__name__}")
     value = bytes(value)
@@ -91,17 +92,19 @@ def compute_mac(key, data):
     """HMAC-SHA-256 tag over data. Protocol keys are 32 bytes, but the
     construction pads or hashes any non-empty key itself, and the public
     test vectors use shorter keys, so only emptiness is rejected here."""
-    if not isinstance(key, (bytes, bytearray, memoryview)):
-        raise InvalidInput(f"key must be bytes-like, got {type(key).__name__}")
-    key = bytes(key)
+    if type(key) is not bytes:
+        if not isinstance(key, (bytes, bytearray, memoryview)):
+            raise InvalidInput(f"key must be bytes-like, got {type(key).__name__}")
+        key = bytes(key)
     if not key:
         raise InvalidInput("MAC key must be non-empty")
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise InvalidInput(f"data must be bytes-like, got {type(data).__name__}")
-    data = bytes(data)
+    if type(data) is not bytes:
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            raise InvalidInput(f"data must be bytes-like, got {type(data).__name__}")
+        data = bytes(data)
     if not data:
         raise InvalidInput("MAC input must be non-empty")
-    return _hmac.new(key, data, hashlib.sha256).digest()
+    return _hmac.digest(key, data, "sha256")
 
 
 def verify_mac(key, data, tag):

@@ -15,14 +15,19 @@ Concurrency and durability rules:
 On-disk form is a single JSON document (hex lowercase, nonces sorted, so
 files diff cleanly); saving writes and fsyncs a temp file, renames it over
 the target and fsyncs the directory. Loading re-derives every lookup_key
-and refuses records that do not match their stored one.
+and refuses records that do not match their stored one. Processes that
+load, change and save one file serialize on lock_file(path), an exclusive
+flock on the sidecar `<path>.lock`; the registry's own lock covers threads
+of one process only.
 """
 
+import fcntl
 import json
 import logging
 import os
 import tempfile
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from evabs import crypto
@@ -35,7 +40,7 @@ from evabs.errors import (
 )
 from evabs.wire import Reason
 
-__all__ = ["VehicleRecord", "Invoice", "Registry"]
+__all__ = ["VehicleRecord", "Invoice", "Registry", "lock_file"]
 
 log = logging.getLogger(__name__)
 
@@ -81,6 +86,26 @@ class Invoice:
             "amount": self.amount,
             "issued_at": self.issued_at,
         }
+
+
+@contextmanager
+def lock_file(path):
+    """Hold an exclusive flock on `<path>.lock` for the block, so one whole
+    load -> change -> save of the registry at `path` runs at a time across
+    processes. The sidecar file is created if missing and left in place;
+    closing it releases the lock, also when the process dies."""
+    try:
+        fd = os.open(f"{path}.lock", os.O_RDWR | os.O_CREAT, 0o644)
+    except OSError as exc:
+        raise StorageError(f"cannot open lock file for registry {path}: {exc}") from exc
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        except OSError as exc:
+            raise StorageError(f"cannot lock registry {path}: {exc}") from exc
+        yield
+    finally:
+        os.close(fd)
 
 
 def _hex_field(obj, key, size, where):

@@ -226,6 +226,14 @@ def _parse_int(value, lineno, what, base=10):
         raise ScriptError(f"line {lineno}: {what} must be an integer, got {value!r}") from None
 
 
+def _parse_count(value, lineno, what):
+    """_parse_int for counts and millisecond values, which are never negative."""
+    number = _parse_int(value, lineno, what)
+    if number < 0:
+        raise ScriptError(f"line {lineno}: {what} must not be negative, got {number}")
+    return number
+
+
 # counted expect forms, `expect WHAT N [KEY=VALUE]`: WHAT -> the one KEY it takes
 _COUNTED = {
     "completed": "reason",
@@ -778,24 +786,24 @@ class ScenarioRunner:
         budget = options.get("budget")
         self.run_session(
             record,
-            duration=_parse_int(options.get("duration", 5000), lineno, "duration"),
-            budget=None if budget is None else _parse_int(budget, lineno, "budget"),
+            duration=_parse_count(options.get("duration", 5000), lineno, "duration"),
+            budget=None if budget is None else _parse_count(budget, lineno, "budget"),
         )
 
     def _do_sessions(self, tokens, lineno):
         if len(tokens) < 3:
             raise ScriptError(f"line {lineno}: sessions needs a count and a vehicle")
-        count = _parse_int(tokens[1], lineno, "session count")
+        count = _parse_count(tokens[1], lineno, "session count")
         record = self._resolve_vehicle(tokens[2], lineno)
         options = _parse_options(tokens[3:], {"duration"}, lineno)
-        duration = _parse_int(options.get("duration", 5000), lineno, "duration")
+        duration = _parse_count(options.get("duration", 5000), lineno, "duration")
         for _ in range(count):
             self.run_session(record, duration=duration)
 
     def _do_advance(self, tokens, lineno):
         if len(tokens) != 2:
             raise ScriptError(f"line {lineno}: advance takes a millisecond count")
-        self._advance(_parse_int(tokens[1], lineno, "advance"))
+        self._advance(_parse_count(tokens[1], lineno, "advance"))
 
     def _do_revoke(self, tokens, lineno):
         if len(tokens) != 2:
@@ -825,7 +833,7 @@ class ScenarioRunner:
     def _do_flood(self, tokens, lineno):
         if len(tokens) < 2:
             raise ScriptError(f"line {lineno}: flood needs a frame count")
-        count = _parse_int(tokens[1], lineno, "flood count")
+        count = _parse_count(tokens[1], lineno, "flood count")
         options = _parse_options(tokens[2:], {"style"}, lineno)
         style = options.get("style", "wellformed")
         if style not in ("wellformed", "garbage", "mixed"):

@@ -62,6 +62,8 @@ class Reason(enum.IntEnum):
 
 
 def _want(name, value, size):
+    if type(value) is bytes and len(value) == size:
+        return
     if not isinstance(value, (bytes, bytearray)):
         raise FrameError(f"{name} must be bytes, got {type(value).__name__}")
     if len(value) != size:

@@ -5,14 +5,20 @@ Exit code contract: 0 success / defense held, 1 protocol or billing failure
 storage problems. Provisioning output may show credentials once; session,
 attack and invoice output must never contain key material."""
 
+import fcntl
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import evabs
 from evabs.cli import main
 from evabs.registry import Registry
+
+from conftest import seeded_registry
 
 VEHICLE = "a1" * 16
 KEY = "b2" * 32
@@ -93,13 +99,13 @@ class TestRegister:
         assert len(Registry.load(registry_path).vehicles) == 2
 
     def test_duplicate_leaves_file_untouched(self, cli, registry_path, tmp_path):
-        before = open(registry_path).read()
+        before = pathlib.Path(registry_path).read_text()
         code, out, err = cli(
             "register", "--registry", registry_path, "--vehicle", VEHICLE, "--key", KEY
         )
         assert code == 1
         assert "already enrolled" in err
-        assert open(registry_path).read() == before
+        assert pathlib.Path(registry_path).read_text() == before
         # no seed hint: nothing was generated, so there is nothing to reproduce
         assert "seed" not in out
 
@@ -244,6 +250,83 @@ class TestRevoke:
         assert cli("revoke", "--registry", registry_path, "--vehicle", VEHICLE)[0] == 0
 
 
+class TestRegistryLock:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("init", "--tariff", "2", "--seed", "5", "--force"),
+            ("register", "--vehicle", OTHER_VEHICLE, "--key", OTHER_KEY),
+            ("revoke", "--vehicle", VEHICLE),
+            ("session", "--duration", "1000", "--seed", "11"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_writing_commands_save_under_the_lock_file(
+        self, cli, registry_path, monkeypatch, argv
+    ):
+        held = []
+        save = Registry.save
+
+        def probing_save(registry, path):
+            # flock conflicts between two open files, even in one process
+            fd = os.open(f"{path}.lock", os.O_RDWR)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                held.append(False)
+            except BlockingIOError:
+                held.append(True)
+            finally:
+                os.close(fd)
+            save(registry, path)
+
+        monkeypatch.setattr(Registry, "save", probing_save)
+        code, _, _ = cli(argv[0], "--registry", registry_path, *argv[1:])
+        assert code == 0
+        assert held and all(held)
+
+    def test_lock_file_that_cannot_be_made_is_a_storage_error(self, cli, tmp_path):
+        path = str(tmp_path / "missing-dir" / "registry.json")
+        code, _, err = cli("init", "--registry", path, "--tariff", "2", "--seed", "5")
+        assert code == 3
+        assert "storage error" in err
+
+    def test_concurrent_session_processes_keep_every_invoice_and_nonce(self, tmp_path):
+        processes = 8
+        path = str(tmp_path / "registry.json")
+        registry = seeded_registry(vehicles=processes)
+        registry.save(path)
+        src = pathlib.Path(evabs.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        procs = [
+            subprocess.Popen(
+                [
+                    sys.executable, "-m", "evabs.cli", "session", "--registry", path,
+                    "--vehicle", record.id_a.hex(), "--duration", "1000",
+                    "--seed", str(index + 1), "--json",
+                ],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for index, record in enumerate(registry.vehicles)
+        ]
+        results = []
+        try:
+            for proc in procs:
+                out, err = proc.communicate(timeout=120)
+                results.append((proc.returncode, out, err))
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate()
+        assert [code for code, _, _ in results] == [0] * processes, results
+        loaded = Registry.load(path)
+        assert len(loaded.invoices) == processes
+        assert sum(len(record.used_nonces) for record in loaded.vehicles) == processes
+        assert sorted(inv.id_a for inv in loaded.invoices) == sorted(
+            record.id_a for record in registry.vehicles
+        )
+
+
 class TestAttack:
     def test_replay_scenario_holds(self, cli):
         code, out, _ = cli("attack", "--scenario", "replay", "--seed", "9")
@@ -289,12 +372,12 @@ class TestAttack:
         assert (tmp_path / "frames-tamper-m8.jsonl").exists()
 
     def test_attack_never_modifies_the_registry_file(self, cli, registry_path):
-        before = open(registry_path).read()
+        before = pathlib.Path(registry_path).read_text()
         code, _, _ = cli(
             "attack", "--scenario", "desync", "--registry", registry_path, "--seed", "9"
         )
         assert code == 0
-        assert open(registry_path).read() == before
+        assert pathlib.Path(registry_path).read_text() == before
 
     def test_malformed_scenario_line_exits_2(self, cli, tmp_path):
         path = tmp_path / "bad.scn"

@@ -2,8 +2,10 @@
 
 evabs._pykernels is the reference. evabs._osslkernels must agree with it
 byte for byte, refuse wrong sizes before any pointer reaches native code,
-stay correct when threads share it, and, when it cannot be imported, leave
-evabs on the reference kernel with identical output.
+stay correct when threads share it and when one thread's context is re-keyed
+call after call, free a thread's context when the thread ends, and, when it
+cannot be imported, leave evabs on the reference kernel with identical
+output.
 """
 
 import hashlib
@@ -128,6 +130,112 @@ def test_threads_with_distinct_keys_get_the_reference_bytes():
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
+
+
+@needs_openssl
+@settings(max_examples=100)
+@given(
+    keys=st.lists(key256, min_size=4, max_size=4),
+    calls=st.lists(st.tuples(st.booleans(), st.integers(0, 3), block), min_size=1, max_size=24),
+)
+def test_call_sequences_with_changing_keys_match_the_reference(keys, calls):
+    # one thread, one reused context: each call re-keys it and may flip
+    # its direction, and no call may see state left by the one before
+    for encrypt, index, data in calls:
+        if encrypt:
+            got = _osslkernels.aes256_encrypt_block(keys[index], data)
+            want = _pykernels.aes256_encrypt_block(keys[index], data)
+        else:
+            got = _osslkernels.aes256_decrypt_block(keys[index], data)
+            want = _pykernels.aes256_decrypt_block(keys[index], data)
+        assert got == want
+
+
+@needs_openssl
+@pytest.mark.parametrize(
+    "bad_key,bad_block",
+    [(bytes(31), FIPS_CIPHER), (bytes(33), FIPS_CIPHER), (FIPS_KEY, bytes(15)), (FIPS_KEY, bytes(17))],
+    ids=["key-31", "key-33", "block-15", "block-17"],
+)
+def test_call_rejected_for_size_leaves_the_next_result_alone(bad_key, bad_block):
+    other_key = seeded_bytes(5, 32)
+    first = _osslkernels.aes256_decrypt_block(other_key, FIPS_PLAIN)
+    assert first == _pykernels.aes256_decrypt_block(other_key, FIPS_PLAIN)
+    with pytest.raises(ValueError):
+        _osslkernels.aes256_decrypt_block(bad_key, bad_block)
+    assert _osslkernels.aes256_encrypt_block(FIPS_KEY, FIPS_PLAIN) == FIPS_CIPHER
+
+
+@needs_openssl
+def test_failed_foreign_call_gives_the_thread_a_new_context(monkeypatch):
+    assert _osslkernels.aes256_encrypt_block(FIPS_KEY, FIPS_PLAIN) == FIPS_CIPHER
+    monkeypatch.setattr(_osslkernels, "_update", lambda *args: 0)
+    with pytest.raises(OSError):
+        _osslkernels.aes256_encrypt_block(FIPS_KEY, FIPS_PLAIN)
+    assert not hasattr(_osslkernels._local, "state")
+    monkeypatch.undo()
+    assert _osslkernels.aes256_decrypt_block(FIPS_KEY, FIPS_CIPHER) == FIPS_PLAIN
+
+
+@needs_openssl
+def test_context_is_freed_when_its_thread_ends(monkeypatch):
+    freed = []
+    free = _osslkernels._ctx_free
+
+    def recording_free(ctx):
+        freed.append(ctx)
+        free(ctx)
+
+    monkeypatch.setattr(_osslkernels, "_ctx_free", recording_free)
+    made = []
+
+    def work():
+        assert _osslkernels.aes256_encrypt_block(FIPS_KEY, FIPS_PLAIN) == FIPS_CIPHER
+        made.append(_osslkernels._local.state[0])
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert made and freed == made
+
+
+THREAD_EXIT_SCRIPT = """
+import threading
+from evabs import _osslkernels
+
+key = bytes(range(32))
+plain = bytes.fromhex("00112233445566778899aabbccddeeff")
+cipher = bytes.fromhex("8ea2b7ca516745bfeafc49904b496089")
+results = []
+worker = threading.Thread(target=lambda: results.append(_osslkernels.aes256_encrypt_block(key, plain)))
+worker.start()
+worker.join()
+results.append(_osslkernels.aes256_encrypt_block(key, plain))
+# a daemon thread that still holds its context when the interpreter exits
+ready, never = threading.Event(), threading.Event()
+
+def linger():
+    results.append(_osslkernels.aes256_encrypt_block(key, plain))
+    ready.set()
+    never.wait()
+
+threading.Thread(target=linger, daemon=True).start()
+ready.wait(60)
+assert results == [cipher] * 3, results
+"""
+
+
+@needs_openssl
+def test_process_using_contexts_on_several_threads_exits_cleanly():
+    src = pathlib.Path(evabs.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", THREAD_EXIT_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def _replay_digest():

@@ -108,6 +108,12 @@ class TestParsing:
             "expect energy-off x\n",
             "expect registry-unchanged x\n",
             "expect fresh-frames x\n",
+            "session * duration=-1\n",
+            "session * budget=-5\n",
+            "sessions -3 *\n",
+            "sessions 2 * duration=-1\n",
+            "advance -5\n",
+            "flood -1\n",
         ],
     )
     def test_bad_directives_raise(self, text):
