@@ -53,6 +53,22 @@ GOLDEN = {
     "traceability": "2bd620707eaace388ed2dc486e9d202e016084161d5182c3a1d3f584adb26227",
 }
 
+# SHA-256 of transcript.to_jsonl(redact_secure=False) for the same runs: the
+# protected line keeps messages and encodes them only on export, and these
+# pin the bytes that export produces
+GOLDEN_UNREDACTED = {
+    "cloning": "a92530a3de3d526657a9c27c16d88ecbf7669445f0a7965f242b6463f938e8a6",
+    "desync": "f5e6412fc75dddcf67ad66fb93f584ecb4a60a9f272ebfef3d8b7b59baa83698",
+    "dos": "9ed618fbd330cc85255b1ac607583c3509cc5107bb6e304d5ab4ef53619aacd9",
+    "eavesdrop": "bbfa8b58223924951d6661696565c03606f8456f9669ac83557ceaaab63501f0",
+    "impersonation": "6b01dccb8f3f13552b4daf709aca284cfa30c9ed563e2e30a5fa18fc5896b2bb",
+    "physical-disclosure": "e4b4acedea31e0cfde6c558edec78db3032d2c2cb09e693add5e731fbc574074",
+    "replay": "c9e2222ea9839619e3b87f41b3697659ca81b7e577eb9a34a1ef04848aecdeaf",
+    "tamper-m3": "2c1b54e0baf56185030fee2fffeb1c79d655825a75e52d2f08bac98642fa13d7",
+    "tamper-m8": "0c332fd46818a27e90097be014d2f88d67fbb074c1b578422c36f86ea8f3f47e",
+    "traceability": "51e6900087568a5980be2ee198967ebe3f01cdb5d7cc8468154253a996fdb8f4",
+}
+
 
 def _runner(seed=3, **kwargs):
     return ScenarioRunner(seeded_registry(**kwargs), seed=seed)
@@ -387,6 +403,12 @@ class TestShippedScenarios:
         [report] = run_named_scenario(lambda: seeded_registry(), name, seed=11)
         text = report.transcript.to_jsonl() + report.to_text()
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_unredacted_transcript_matches_golden_digest(self, name):
+        [report] = run_named_scenario(lambda: seeded_registry(), name, seed=11)
+        text = report.transcript.to_jsonl(redact_secure=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_UNREDACTED[name]
 
     def test_replay_scenario_documents_the_weakness(self):
         [report] = run_named_scenario(lambda: seeded_registry(), "replay", seed=11)
