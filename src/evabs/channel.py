@@ -2,11 +2,17 @@
 
 Two links exist: the open radio link between vehicle and terminal
 ("insecure") and the protected line between terminal and server ("secure").
-Every frame that crosses either link lands in one transcript with a
-strictly increasing sequence number. The adversary owns the insecure link:
-a script of trigger -> action rules can drop, delay, tamper, inject or
-replay frames there. The secure line is ideal; scripts never touch it and
-its transcript entries always show no adversary action.
+The open link carries frames (bytes), because the adversary acts on bytes.
+The secure line is ideal: it carries the typed wire messages themselves,
+scripts never touch it, and its transcript entries always show no adversary
+action. Every frame or message that crosses either link lands in one
+transcript with a strictly increasing sequence number. A secure-line entry
+keeps its message and encodes it only when its bytes are asked for: through
+`entry.frame`, or an unredacted export (`to_jsonl(redact_secure=False)`,
+`write(..., redact_secure=False)`). The redacted export needs only the
+message's variant and frame length, so it encodes nothing. The adversary
+owns the insecure link: a script of trigger -> action rules can drop, delay,
+tamper, inject or replay frames there.
 
 Triggers match on observable bytes only (channel, frame variant, nth
 occurrence), never on agent state, so the adversary cannot cheat by reading
@@ -127,32 +133,48 @@ class AdversaryScript:
                 return rule.action
         return None
 
+    def unfired(self):
+        """Indices of listed rules that have not fired yet, in list order."""
+        return [i for i in range(len(self.rules)) if i not in self._fired]
 
-@dataclass
+
+@dataclass(slots=True)
 class TranscriptEntry:
     seq: int
     time: int
     channel: str
     direction: str
-    frame: bytes  # the exact bytes delivered (or recorded, for drops)
+    # open link: the exact bytes delivered (or recorded, for drops);
+    # protected line: the message delivered
+    payload: object
     adversary_action: dict | None
 
+    @property
+    def frame(self):
+        """The entry's bytes; a protected-line message is encoded here."""
+        if self.channel == SECURE:
+            return self.payload.encode()
+        return self.payload
+
     def to_obj(self, redact_secure=True):
-        obj = {
+        payload = self.payload
+        if self.channel == SECURE:
+            variant, size = payload.variant, payload.frame_len
+            # the protected line carries key material; exported artifacts
+            # must never contain it
+            frame = None if redact_secure else payload.encode().hex()
+        else:
+            variant, size, frame = frame_variant(payload) or "unknown", len(payload), payload.hex()
+        return {
             "seq": self.seq,
             "time": self.time,
             "channel": self.channel,
             "direction": self.direction,
-            "variant": frame_variant(self.frame) or "unknown",
-            "len": len(self.frame),
-            "frame": self.frame.hex(),
+            "variant": variant,
+            "len": size,
+            "frame": frame,
             "adversary_action": self.adversary_action,
         }
-        if redact_secure and self.channel == SECURE:
-            # the protected line carries key material; exported artifacts
-            # must never contain it
-            obj["frame"] = None
-        return obj
 
 
 class Transcript:
@@ -161,14 +183,16 @@ class Transcript:
     def __init__(self):
         self.entries = []
 
-    def append(self, time, channel, direction, frame, action=None):
+    def append(self, time, channel, direction, payload, action=None):
+        """Record one crossing: a frame on the open link, a message on the
+        protected line."""
         entry = TranscriptEntry(
-            seq=len(self.entries),
-            time=time,
-            channel=channel,
-            direction=direction,
-            frame=bytes(frame),
-            adversary_action=action,
+            len(self.entries),
+            time,
+            channel,
+            direction,
+            payload if channel == SECURE else bytes(payload),
+            action,
         )
         self.entries.append(entry)
         return entry
@@ -197,9 +221,10 @@ class Transcript:
 class Network:
     """Both links plus the adversary seated on the insecure one.
 
-    send() returns the frames that actually reach a receiver right now, as
-    (direction, frame) pairs: possibly none (drop/delay), possibly several
-    (inject/replay). Delayed frames surface later through due().
+    send() returns what actually reaches a receiver right now, as
+    (direction, payload) pairs: on the open link possibly no frame
+    (drop/delay), possibly several (inject/replay); on the protected line
+    always the one message sent. Delayed frames surface later through due().
     """
 
     def __init__(self, clock, script=None, transcript=None):
@@ -209,13 +234,16 @@ class Network:
         self._deferred = []
 
     def send(self, channel, direction, frame):
-        frame = bytes(frame)
+        """Put a frame on the open link, or a message on the protected line."""
         if channel == SECURE:
             # ideal line: confidential, authentic, never touched by scripts
+            if isinstance(frame, (bytes, bytearray, memoryview)):
+                raise InvalidInput("the protected line carries messages, not bytes")
             self.transcript.append(self.clock.now, channel, direction, frame)
             return [(direction, frame)]
         if channel != INSECURE:
             raise InvalidInput(f"unknown channel {channel!r}")
+        frame = bytes(frame)
         variant = frame_variant(frame) or "unknown"
         action = self.script.match(channel, variant) if self.script else None
         if action is None:

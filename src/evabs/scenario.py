@@ -26,7 +26,12 @@ Grammar (# starts a comment unless a digit follows, blank lines ignored):
 VEHICLE is `*` (first enrolled), `#K` (K-th enrolled, 1-based) or a 32-hex
 id. ACTION is drop | delay=MS | tamper=IDX:MASKHEX | inject=HEXBYTES |
 replay[=SEQ]. Rules fire once, on the nth occurrence of their frame variant
-(counted from run start); the secure channel ignores all rules.
+(counted from run start). A rule that could never fire as written is a
+ScriptError: the secure channel (it carries messages, not frames), a
+variant not in wire.VARIANTS, nth below 1, a negative delay or replay seq,
+a tamper index past the variant's frame or a mask outside 01..ff. A rule
+still unfired when the run ends adds a FAIL check naming its line. A sweep
+takes auth_request or start_charge and the same 01..ff mask.
 
 expect forms:
     expect completed N | aborted N | failed N [reason=LABEL]
@@ -75,7 +80,7 @@ from evabs.protocol import (
     VehicleCredentials,
     VehicleSession,
 )
-from evabs.wire import TS_MAX, AuthRequest, Reason, StartCharge, decode_frame
+from evabs.wire import FRAME_LENGTHS, TS_MAX, AuthRequest, Reason, StartCharge, decode_frame
 
 __all__ = [
     "Scenario",
@@ -96,6 +101,7 @@ S2T = "server->terminal"
 
 # the two open-link request/response frames share one shape: tag + 16 + 32 + 16
 SWEEP_FRAME_LEN = 65
+SWEEP_VARIANTS = ("auth_request", "start_charge")
 
 SCENARIO_ALIASES = {"mitm": ("tamper-m3", "tamper-m8")}
 
@@ -191,20 +197,67 @@ def _parse_action(token, lineno):
         return Replay(None)
     if "=" in token:
         key, _, value = token.partition("=")
-        try:
-            if key == "delay":
-                return Delay(int(value))
-            if key == "replay":
-                return Replay(int(value))
-            if key == "inject":
+        if key == "delay":
+            return Delay(_parse_count(value, lineno, "delay"))
+        if key == "replay":
+            return Replay(_parse_count(value, lineno, "replay seq"))
+        if key == "tamper":
+            index, _, mask = value.partition(":")
+            return Tamper(
+                _parse_count(index, lineno, "tamper index"),
+                _parse_mask(mask, lineno) if mask else 0xFF,
+            )
+        if key == "inject":
+            try:
                 return Inject(bytes.fromhex(value))
-            if key == "tamper":
-                index, _, mask = value.partition(":")
-                mask = int(mask, 16) if mask else 0xFF
-                return Tamper(int(index), mask)
-        except ValueError:
-            raise ScriptError(f"line {lineno}: bad action value in {token!r}") from None
+            except ValueError:
+                raise ScriptError(f"line {lineno}: bad action value in {token!r}") from None
     raise ScriptError(f"line {lineno}: unknown action {token!r}")
+
+
+def _parse_rule(tokens, lineno):
+    """The Rule on a `rule CHANNEL VARIANT [nth=K] ACTION` line. A rule that
+    could never fire as written is refused here, so a typo cannot pass for
+    an attack that ran and was stopped."""
+    if len(tokens) < 4:
+        raise ScriptError(f"line {lineno}: rule CHANNEL VARIANT [nth=K] ACTION")
+    channel, variant = tokens[1], tokens[2]
+    if channel == SECURE:
+        raise ScriptError(
+            f"line {lineno}: the secure line carries messages, not frames; no rule matches there"
+        )
+    if channel != INSECURE:
+        raise ScriptError(f"line {lineno}: unknown channel {channel!r}")
+    if variant not in FRAME_LENGTHS:
+        raise ScriptError(f"line {lineno}: unknown frame variant {variant!r}")
+    nth, rest = 1, tokens[3:]
+    if rest[0].startswith("nth="):
+        nth = _parse_int(rest[0][4:], lineno, "nth")
+        if nth < 1:
+            raise ScriptError(f"line {lineno}: nth counts from 1, got {nth}")
+        rest = rest[1:]
+    if len(rest) != 1:
+        raise ScriptError(f"line {lineno}: rule takes exactly one action, got {' '.join(rest)!r}")
+    action = _parse_action(rest[0], lineno)
+    if isinstance(action, Tamper) and action.index >= FRAME_LENGTHS[variant]:
+        raise ScriptError(
+            f"line {lineno}: tamper index {action.index} is past the"
+            f" {FRAME_LENGTHS[variant]}-byte {variant} frame"
+        )
+    return Rule(channel, variant, nth, action)
+
+
+def _parse_sweep(tokens, lineno):
+    """(VARIANT, mask) on a `sweep VARIANT [mask=HH]` line."""
+    if len(tokens) < 2:
+        raise ScriptError(f"line {lineno}: sweep needs a frame variant")
+    variant = tokens[1]
+    if variant not in SWEEP_VARIANTS:
+        raise ScriptError(
+            f"line {lineno}: sweep takes {' or '.join(SWEEP_VARIANTS)}, got {variant!r}"
+        )
+    options = _parse_options(tokens[2:], {"mask"}, lineno)
+    return variant, _parse_mask(options.get("mask", "01"), lineno)
 
 
 def _parse_options(tokens, allowed, lineno):
@@ -232,6 +285,14 @@ def _parse_count(value, lineno, what):
     if number < 0:
         raise ScriptError(f"line {lineno}: {what} must not be negative, got {number}")
     return number
+
+
+def _parse_mask(value, lineno):
+    """A tamper mask: hex, flipping at least one bit of one byte."""
+    mask = _parse_int(value, lineno, "mask", base=16)
+    if not 1 <= mask <= 0xFF:
+        raise ScriptError(f"line {lineno}: mask must be 01..ff, got {value!r}")
+    return mask
 
 
 # counted expect forms, `expect WHAT N [KEY=VALUE]`: WHAT -> the one KEY it takes
@@ -289,9 +350,15 @@ def _parse_uncounted(what, args, lineno):
 _COMMENT = re.compile(r"#(?!\d)")
 
 
+# lines that need no registry or run state to check, and are checked when
+# the scenario is parsed, before any line runs
+_STATIC_PARSERS = {"rule": _parse_rule, "sweep": _parse_sweep}
+
+
 def parse_scenario(text, default_name="scenario"):
-    """Parse scenario text into directives. Validation that needs registry
-    context (vehicle references) happens at execution time."""
+    """Parse scenario text into directives. `rule` and `sweep` lines are
+    checked in full here; validation that needs registry context (vehicle
+    references) happens at execution time."""
     name = default_name
     steps = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -305,6 +372,8 @@ def parse_scenario(text, default_name="scenario"):
             name = tokens[1]
             continue
         _directive(tokens, lineno)
+        if tokens[0] in _STATIC_PARSERS:
+            _STATIC_PARSERS[tokens[0]](tokens, lineno)
         steps.append((lineno, tokens))
     return Scenario(name=name, steps=steps)
 
@@ -372,6 +441,7 @@ class ScenarioRunner:
         self.sweeps = {}
         self.malformed = Counter()
         self._snapshot = None
+        self._rule_lines = []  # (lineno, line) of each script rule, in script order
         self._vehicle = None
         self._session_trace = None
         self._session_auth_frame = None
@@ -393,56 +463,63 @@ class ScenarioRunner:
         for delivery in self.network.due():
             self._deliver(INSECURE, [delivery])
 
-    def _send(self, channel, direction, frame):
-        """Put an agent's own frame on its link and deliver until quiet."""
-        self._deliver(channel, self.network.send(channel, direction, frame))
+    def _send(self, channel, direction, payload):
+        """Put an agent's own frame or message on its link and deliver until
+        quiet."""
+        self._deliver(channel, self.network.send(channel, direction, payload))
 
     def _deliver(self, channel, deliveries):
-        """Hand frames the network already transcribed and rule-matched to
-        their receivers, then send what the agents answer, until quiet.
-        Frames are handled in arrival order and answers go on the link in
-        the order they were made, matching store-and-forward agents."""
-        queue = deque((channel, direction, frame) for direction, frame in deliveries)
+        """Hand what the network already transcribed and rule-matched to
+        its receivers, then send what the agents answer, until quiet.
+        Deliveries are handled in arrival order and answers go on the link
+        in the order they were made, matching store-and-forward agents."""
+        queue = deque((channel, direction, payload) for direction, payload in deliveries)
         while queue:
-            for out_channel, out_direction, out_frame in self._handle(*queue.popleft()):
-                for direction, frame in self.network.send(out_channel, out_direction, out_frame):
-                    queue.append((out_channel, direction, frame))
+            for out_channel, out_direction, out in self._handle(*queue.popleft()):
+                for direction, payload in self.network.send(out_channel, out_direction, out):
+                    queue.append((out_channel, direction, payload))
 
-    def _handle(self, channel, direction, frame):
+    def _handle(self, channel, direction, payload):
+        """Give one delivery to its receiver; returns the receiver's answers
+        as (channel, direction, payload) triples."""
+        return _RECEIVERS[channel, direction](self, payload)
+
+    def _decode(self, direction, frame):
+        """The message in an open-link frame, or None for a malformed one."""
         try:
-            msg = decode_frame(frame)
+            return decode_frame(frame)
         except FrameError:
             self.malformed[direction] += 1
+            return None
+
+    def _terminal_hears_vehicle(self, frame):
+        msg = self._decode(V2T, frame)
+        if msg is None:
             return []
-        if channel == INSECURE and direction == V2T:
-            if isinstance(msg, AuthRequest):
-                raw = bytes(frame)
-                trace = (
-                    self._session_trace
-                    if raw == self._session_auth_frame and self._session_trace is not None
-                    else HandshakeTrace()
-                )
-                lookup = self.terminal.handle_auth(msg, trace)
-                return [(SECURE, T2S, lookup.encode())]
+        if not isinstance(msg, AuthRequest):
             self.terminal.ignored[type(msg).__name__] += 1
             return []
-        if channel == INSECURE and direction == T2V:
-            if self._vehicle is not None:
-                self._vehicle.receive(msg)
-            return []
-        if channel == SECURE and direction == T2S:
-            reply = self.server.handle(msg, self.clock.now)
-            if reply is not None:
-                return [(SECURE, S2T, reply.encode())]
-            return []
-        if channel == SECURE and direction == S2T:
-            out = self.terminal.handle_reply(msg, self.clock.now)
-            if out is None:
-                return []
-            if isinstance(out, StartCharge) and self._vehicle is not None:
-                self._session_frames.setdefault("start_charge", out.encode())
-            return [(INSECURE, T2V, out.encode())]
+        trace = self._session_trace if frame == self._session_auth_frame else HandshakeTrace()
+        return [(SECURE, T2S, self.terminal.handle_auth(msg, trace))]
+
+    def _vehicle_hears_terminal(self, frame):
+        msg = self._decode(T2V, frame)
+        if msg is not None and self._vehicle is not None:
+            self._vehicle.receive(msg)
         return []
+
+    def _server_hears_terminal(self, msg):
+        reply = self.server.handle(msg, self.clock.now)
+        return [] if reply is None else [(SECURE, S2T, reply)]
+
+    def _terminal_hears_server(self, reply):
+        out = self.terminal.handle_reply(reply, self.clock.now)
+        if out is None:
+            return []
+        frame = out.encode()
+        if isinstance(out, StartCharge) and self._vehicle is not None:
+            self._session_frames.setdefault("start_charge", frame)
+        return [(INSECURE, T2V, frame)]
 
     def _begin_session(self, record):
         """A fresh vehicle session whose auth request has been sent and
@@ -465,7 +542,7 @@ class ScenarioRunner:
         vehicle.abort()
         while self.terminal.energy_on:
             report = self.terminal.stop_charge(self.clock.now)
-            self._send(SECURE, T2S, report.encode())
+            self._send(SECURE, T2S, report)
         self.terminal.pending.clear()
         self._vehicle = None
         self._session_trace = None
@@ -502,7 +579,7 @@ class ScenarioRunner:
             report = self.terminal.stop_charge(self.clock.now)
             vehicle.unplug(self.clock.now)
             if report is not None:
-                self._send(SECURE, T2S, report.encode())
+                self._send(SECURE, T2S, report)
         self._teardown(vehicle)
         new_invoices = self.registry.invoices[invoices_before:]
         invoice = new_invoices[0] if new_invoices else None
@@ -815,20 +892,8 @@ class ScenarioRunner:
         self._snapshot = self.registry.snapshot()
 
     def _do_rule(self, tokens, lineno):
-        if len(tokens) < 4:
-            raise ScriptError(f"line {lineno}: rule CHANNEL VARIANT [nth=K] ACTION")
-        channel = tokens[1]
-        if channel not in (INSECURE, SECURE):
-            raise ScriptError(f"line {lineno}: unknown channel {channel!r}")
-        variant = tokens[2]
-        nth = 1
-        action_token = tokens[3]
-        if action_token.startswith("nth="):
-            nth = _parse_int(action_token.split("=", 1)[1], lineno, "nth")
-            if len(tokens) < 5:
-                raise ScriptError(f"line {lineno}: rule is missing its action")
-            action_token = tokens[4]
-        self.script.add_rule(Rule(channel, variant, nth, _parse_action(action_token, lineno)))
+        self.script.add_rule(_parse_rule(tokens, lineno))
+        self._rule_lines.append((lineno, " ".join(tokens)))
 
     def _do_flood(self, tokens, lineno):
         if len(tokens) < 2:
@@ -841,11 +906,7 @@ class ScenarioRunner:
         self.flood(count, style)
 
     def _do_sweep(self, tokens, lineno):
-        if len(tokens) < 2:
-            raise ScriptError(f"line {lineno}: sweep needs a frame variant")
-        variant = tokens[1]
-        options = _parse_options(tokens[2:], {"mask"}, lineno)
-        mask = _parse_int(options.get("mask", "01"), lineno, "mask", base=16)
+        variant, mask = _parse_sweep(tokens, lineno)
         record = self._resolve_vehicle("*", lineno)
         self.run_sweep(record, variant, mask)
 
@@ -879,6 +940,11 @@ class ScenarioRunner:
     def execute(self, scenario):
         for lineno, tokens in scenario.steps:
             _directive(tokens, lineno)(self, tokens, lineno)
+        # a rule that never fired tested nothing; its line must not read as
+        # a defense that held
+        for index in self.script.unfired():
+            lineno, line = self._rule_lines[index]
+            self._check(line, False, f"line {lineno}: rule never fired")
         return ScenarioReport(
             name=scenario.name,
             seed=self.seed,
@@ -909,6 +975,15 @@ _DIRECTIVES = {
     "probe": ScenarioRunner._do_probe,
     "report": ScenarioRunner._do_report,
     "expect": ScenarioRunner._expect,
+}
+
+# the receiver of each delivery, by (channel, direction): open-link receivers
+# get a frame and decode it, protected-line receivers get the message itself
+_RECEIVERS = {
+    (INSECURE, V2T): ScenarioRunner._terminal_hears_vehicle,
+    (INSECURE, T2V): ScenarioRunner._vehicle_hears_terminal,
+    (SECURE, T2S): ScenarioRunner._server_hears_terminal,
+    (SECURE, S2T): ScenarioRunner._terminal_hears_server,
 }
 
 

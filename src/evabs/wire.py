@@ -5,13 +5,16 @@ fields in declaration order. Field widths are fixed (16-byte blocks and
 nonces, 32-byte tags and keys, 8-byte big-endian millisecond timestamps),
 so a frame's length identifies its shape and the adversary can address any
 byte by position. Frames are the only thing the open link carries; they
-are what gets dropped, tampered, injected and replayed.
+are what gets dropped, tampered, injected and replayed. The protected line
+carries the messages themselves; each message names its variant and its
+frame length, so a transcript can describe it without encoding it.
 
 Round trip: decode_frame(msg.encode()) == msg for every message type.
 """
 
 import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 from evabs.crypto import BLOCK_SIZE, KEY_SIZE, NONCE_SIZE, TAG_SIZE
 from evabs.errors import FrameError
@@ -27,6 +30,7 @@ __all__ = [
     "decode_frame",
     "frame_variant",
     "VARIANTS",
+    "FRAME_LENGTHS",
 ]
 
 TAG_AUTH_REQUEST = 0x01
@@ -37,6 +41,15 @@ TAG_CHARGE_REPORT = 0x05
 TAG_FAILURE_NOTICE = 0x06
 
 TS_MAX = (1 << 64) - 1
+
+# frame lengths: tag byte plus fixed-width fields
+_AUTH_LEN = 1 + BLOCK_SIZE + TAG_SIZE + NONCE_SIZE
+_LOOKUP_LEN = 1 + BLOCK_SIZE + NONCE_SIZE
+_ACCEPTED_REPLY_LEN = 2 + BLOCK_SIZE + KEY_SIZE
+_REJECTED_REPLY_LEN = 3
+_START_LEN = 1 + BLOCK_SIZE + TAG_SIZE + NONCE_SIZE
+_REPORT_LEN = 1 + BLOCK_SIZE + 16
+_NOTICE_LEN = 2
 
 
 class Reason(enum.IntEnum):
@@ -79,6 +92,9 @@ def _want_ts(name, value):
 class AuthRequest:
     """Vehicle -> terminal: double-encrypted identity, tag, challenge nonce."""
 
+    variant: ClassVar[str] = "auth_request"
+    frame_len: ClassVar[int] = _AUTH_LEN
+
     m3: bytes
     mac: bytes
     n_a: bytes
@@ -96,6 +112,9 @@ class AuthRequest:
 class LookupRequest:
     """Terminal -> server: nonce-stripped lookup key plus the nonce itself."""
 
+    variant: ClassVar[str] = "lookup_request"
+    frame_len: ClassVar[int] = _LOOKUP_LEN
+
     m5: bytes
     n_a: bytes
 
@@ -110,6 +129,8 @@ class LookupRequest:
 @dataclass(frozen=True)
 class LookupReply:
     """Server -> terminal: the vehicle record, or a rejection reason."""
+
+    variant: ClassVar[str] = "lookup_reply"
 
     accepted: bool
     id_a: bytes | None = None
@@ -126,6 +147,10 @@ class LookupReply:
             if self.reason is None or self.id_a is not None or self.k_a is not None:
                 raise FrameError("rejected reply carries a reason only")
 
+    @property
+    def frame_len(self):
+        return _ACCEPTED_REPLY_LEN if self.accepted else _REJECTED_REPLY_LEN
+
     def encode(self):
         if self.accepted:
             return bytes([TAG_LOOKUP_REPLY, 0x01]) + self.id_a + self.k_a
@@ -135,6 +160,9 @@ class LookupReply:
 @dataclass(frozen=True)
 class StartCharge:
     """Terminal -> vehicle: double-encrypted start time, tag, terminal nonce."""
+
+    variant: ClassVar[str] = "start_charge"
+    frame_len: ClassVar[int] = _START_LEN
 
     m8: bytes
     mac: bytes
@@ -153,6 +181,9 @@ class StartCharge:
 class ChargeReport:
     """Terminal -> server: start/end times for billing, in the clear on the
     protected line only."""
+
+    variant: ClassVar[str] = "charge_report"
+    frame_len: ClassVar[int] = _REPORT_LEN
 
     id_a: bytes
     t1: int
@@ -176,6 +207,9 @@ class ChargeReport:
 class FailureNotice:
     """Terminal -> vehicle: the session is over and why."""
 
+    variant: ClassVar[str] = "failure_notice"
+    frame_len: ClassVar[int] = _NOTICE_LEN
+
     reason: Reason
 
     def __post_init__(self):
@@ -193,6 +227,16 @@ VARIANTS = {
     TAG_START_CHARGE: "start_charge",
     TAG_CHARGE_REPORT: "charge_report",
     TAG_FAILURE_NOTICE: "failure_notice",
+}
+
+# the longest frame of each variant: every byte index a tamper can address
+FRAME_LENGTHS = {
+    "auth_request": _AUTH_LEN,
+    "lookup_request": _LOOKUP_LEN,
+    "lookup_reply": _ACCEPTED_REPLY_LEN,
+    "start_charge": _START_LEN,
+    "charge_report": _REPORT_LEN,
+    "failure_notice": _NOTICE_LEN,
 }
 
 
@@ -216,7 +260,7 @@ def decode_frame(frame):
         raise FrameError("empty frame")
     tag = frame[0]
     if tag == TAG_AUTH_REQUEST:
-        if len(frame) != 1 + BLOCK_SIZE + TAG_SIZE + NONCE_SIZE:
+        if len(frame) != _AUTH_LEN:
             raise FrameError(f"auth_request must be 65 bytes, got {len(frame)}")
         return AuthRequest(
             m3=_cut(frame, 1, BLOCK_SIZE),
@@ -224,20 +268,20 @@ def decode_frame(frame):
             n_a=_cut(frame, 49, NONCE_SIZE),
         )
     if tag == TAG_LOOKUP_REQUEST:
-        if len(frame) != 1 + BLOCK_SIZE + NONCE_SIZE:
+        if len(frame) != _LOOKUP_LEN:
             raise FrameError(f"lookup_request must be 33 bytes, got {len(frame)}")
         return LookupRequest(m5=_cut(frame, 1, BLOCK_SIZE), n_a=_cut(frame, 17, NONCE_SIZE))
     if tag == TAG_LOOKUP_REPLY:
         if len(frame) < 2:
             raise FrameError("truncated lookup_reply")
         if frame[1] == 0x01:
-            if len(frame) != 2 + BLOCK_SIZE + KEY_SIZE:
+            if len(frame) != _ACCEPTED_REPLY_LEN:
                 raise FrameError(f"accepted lookup_reply must be 50 bytes, got {len(frame)}")
             return LookupReply(
                 accepted=True, id_a=_cut(frame, 2, BLOCK_SIZE), k_a=_cut(frame, 18, KEY_SIZE)
             )
         if frame[1] == 0x00:
-            if len(frame) != 3:
+            if len(frame) != _REJECTED_REPLY_LEN:
                 raise FrameError(f"rejected lookup_reply must be 3 bytes, got {len(frame)}")
             try:
                 reason = Reason(frame[2])
@@ -246,7 +290,7 @@ def decode_frame(frame):
             return LookupReply(accepted=False, reason=reason)
         raise FrameError(f"unknown lookup_reply status {frame[1]:#04x}")
     if tag == TAG_START_CHARGE:
-        if len(frame) != 1 + BLOCK_SIZE + TAG_SIZE + NONCE_SIZE:
+        if len(frame) != _START_LEN:
             raise FrameError(f"start_charge must be 65 bytes, got {len(frame)}")
         return StartCharge(
             m8=_cut(frame, 1, BLOCK_SIZE),
@@ -254,7 +298,7 @@ def decode_frame(frame):
             n_t=_cut(frame, 49, NONCE_SIZE),
         )
     if tag == TAG_CHARGE_REPORT:
-        if len(frame) != 1 + BLOCK_SIZE + 16:
+        if len(frame) != _REPORT_LEN:
             raise FrameError(f"charge_report must be 33 bytes, got {len(frame)}")
         return ChargeReport(
             id_a=_cut(frame, 1, BLOCK_SIZE),
@@ -262,7 +306,7 @@ def decode_frame(frame):
             t5=int.from_bytes(frame[25:33], "big"),
         )
     if tag == TAG_FAILURE_NOTICE:
-        if len(frame) != 2:
+        if len(frame) != _NOTICE_LEN:
             raise FrameError(f"failure_notice must be 2 bytes, got {len(frame)}")
         try:
             reason = Reason(frame[1])

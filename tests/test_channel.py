@@ -1,6 +1,7 @@
 """Link simulation tests: clock, adversary rule matching, each action's
-observable effect, protected-line immunity, transcript redaction, and
-byte-for-byte determinism."""
+observable effect, protected-line immunity, the protected line's messages
+and their encoding on export, transcript redaction, and byte-for-byte
+determinism."""
 
 import json
 
@@ -22,10 +23,13 @@ from evabs.channel import (
     Transcript,
 )
 from evabs.errors import InvalidInput, ScriptError
+from evabs.wire import LookupReply, LookupRequest, Reason
 
 AUTH = bytes([0x01]) + bytes(range(64))
 START = bytes([0x04]) + bytes(range(64))
 LOOKUP = bytes([0x02]) + bytes(32)
+# the protected line carries messages; this one encodes to LOOKUP
+LOOKUP_MSG = LookupRequest(m5=bytes(16), n_a=bytes(16))
 
 
 def _network(rules=(), start=0):
@@ -59,8 +63,29 @@ class TestDelivery:
     def test_secure_line_delivers_and_ignores_script(self):
         rules = [Rule(SECURE, "lookup_request", 1, Drop())]
         net = _network(rules)
-        assert net.send(SECURE, "to_server", LOOKUP) == [("to_server", LOOKUP)]
+        assert net.send(SECURE, "to_server", LOOKUP_MSG) == [("to_server", LOOKUP_MSG)]
         assert net.transcript.get(0).adversary_action is None
+
+    @pytest.mark.parametrize("raw", [LOOKUP, bytearray(LOOKUP), memoryview(LOOKUP)])
+    def test_secure_line_refuses_bytes(self, raw):
+        net = _network()
+        with pytest.raises(InvalidInput, match="messages, not bytes"):
+            net.send(SECURE, "to_server", raw)
+        assert len(net.transcript) == 0
+
+    def test_secure_line_keeps_the_message_and_encodes_on_demand(self, monkeypatch):
+        net = _network()
+        [(_, delivered)] = net.send(SECURE, "to_server", LOOKUP_MSG)
+        entry = net.transcript.get(0)
+        assert delivered is LOOKUP_MSG and entry.payload is LOOKUP_MSG
+        assert entry.frame == LOOKUP
+        # the redacted export names the variant and length without encoding
+        def refuse(msg):
+            raise AssertionError("redacted export encoded a protected-line message")
+
+        monkeypatch.setattr(LookupRequest, "encode", refuse)
+        [line] = [json.loads(l) for l in net.transcript.to_jsonl().splitlines()]
+        assert (line["variant"], line["len"], line["frame"]) == ("lookup_request", 33, None)
 
     def test_unknown_channel_rejected(self):
         net = _network()
@@ -106,6 +131,20 @@ class TestRuleMatching:
         script.arm_ephemeral(Rule(INSECURE, "auth_request", None, Drop()))
         assert net.send(INSECURE, "to_terminal", AUTH) == []
         assert net.send(INSECURE, "to_terminal", AUTH) != []
+
+    def test_unfired_lists_rules_that_never_matched(self):
+        script = AdversaryScript(
+            [
+                Rule(INSECURE, "auth_request", 1, Drop()),
+                Rule(INSECURE, "auth_request", 3, Drop()),
+                Rule(INSECURE, "start_charge", 1, Drop()),
+            ]
+        )
+        net = Network(SimClock(), script)
+        assert script.unfired() == [0, 1, 2]
+        net.send(INSECURE, "to_terminal", AUTH)
+        net.send(INSECURE, "to_terminal", AUTH)
+        assert script.unfired() == [1, 2]
 
     def test_ephemeral_takes_priority_over_listed_rules(self):
         script = AdversaryScript([Rule(INSECURE, "auth_request", 1, Drop())])
@@ -184,7 +223,7 @@ class TestActions:
 
     def test_replay_of_secure_entry_is_a_script_error(self):
         net = _network([Rule(INSECURE, "auth_request", 1, Replay(of_seq=0))])
-        net.send(SECURE, "to_server", LOOKUP)
+        net.send(SECURE, "to_server", LOOKUP_MSG)
         with pytest.raises(ScriptError):
             net.send(INSECURE, "to_terminal", AUTH)
         with pytest.raises(ScriptError):
@@ -216,7 +255,7 @@ class TestTranscript:
     def test_jsonl_redacts_secure_frames_only(self):
         net = _network()
         net.send(INSECURE, "to_terminal", AUTH)
-        net.send(SECURE, "to_server", LOOKUP)
+        net.send(SECURE, "to_server", LOOKUP_MSG)
         lines = [json.loads(l) for l in net.transcript.to_jsonl().splitlines()]
         assert lines[0]["frame"] == AUTH.hex()
         assert lines[1]["frame"] is None
@@ -226,9 +265,27 @@ class TestTranscript:
 
     def test_unredacted_export_is_explicit(self):
         net = _network()
-        net.send(SECURE, "to_server", LOOKUP)
+        net.send(SECURE, "to_server", LOOKUP_MSG)
         lines = [json.loads(l) for l in net.transcript.to_jsonl(redact_secure=False).splitlines()]
         assert lines[0]["frame"] == LOOKUP.hex()
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            LookupReply(accepted=True, id_a=bytes(range(16)), k_a=bytes(range(32))),
+            LookupReply(accepted=False, reason=Reason.REPLAY_DETECTED),
+        ],
+        ids=["accepted", "rejected"],
+    )
+    def test_reply_export_matches_its_encoding(self, reply, tmp_path):
+        net = _network()
+        net.send(SECURE, "to_terminal", reply)
+        [redacted] = [json.loads(l) for l in net.transcript.to_jsonl().splitlines()]
+        assert (redacted["variant"], redacted["len"]) == ("lookup_reply", len(reply.encode()))
+        path = tmp_path / "transcript.jsonl"
+        net.transcript.write(path, redact_secure=False)
+        [full] = [json.loads(l) for l in path.read_text().splitlines()]
+        assert full == {**redacted, "frame": reply.encode().hex()}
 
     def test_write_round_trips(self, tmp_path):
         net = _network()
@@ -243,7 +300,7 @@ class TestTranscript:
             net.send(INSECURE, "to_terminal", AUTH)
             net.clock.advance(100)
             net.send(INSECURE, "to_terminal", AUTH)
-            net.send(SECURE, "to_server", LOOKUP)
+            net.send(SECURE, "to_server", LOOKUP_MSG)
             return net.transcript.to_jsonl()
 
         assert run() == run()

@@ -394,6 +394,36 @@ class TestAttack:
         assert "line 1" in err
         assert "BREACHED" not in out
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "rule insecure auth_request nth=0 drop",
+            "rule insecure auth_request nth=-2 drop",
+            "rule insecure auth_request nth=1 delay=-50",
+            "rule insecure auth_reqest drop",
+            "rule secure lookup_reply drop",
+            "rule insecure auth_request tamper=2:00",
+            "rule insecure auth_request tamper=65:01",
+            "sweep auth_request mask=-1",
+            "sweep auth_request mask=00",
+        ],
+    )
+    def test_rule_or_sweep_that_cannot_act_exits_2(self, cli, tmp_path, line):
+        path = tmp_path / "bad.scn"
+        path.write_text(f"session *\n{line}\nexpect completed 1\n")
+        code, out, err = cli("attack", "--scenario", str(path), "--seed", "9")
+        assert code == 2
+        assert "line 2:" in err
+        assert "verdict" not in out
+
+    def test_rule_that_never_fires_exits_1(self, cli, tmp_path):
+        path = tmp_path / "vacuous.scn"
+        path.write_text("rule insecure auth_request nth=5 drop\nsession *\nexpect completed 1\n")
+        code, out, _ = cli("attack", "--scenario", str(path), "--seed", "9")
+        assert code == 1
+        assert "line 1: rule never fired" in out
+        assert "DEFENSE BREACHED" in out
+
     def test_registry_without_vehicles_rejected(self, cli, tmp_path):
         path = str(tmp_path / "empty.json")
         cli("init", "--registry", path, "--tariff", "2", "--seed", "5")

@@ -9,7 +9,8 @@ import logging
 
 import pytest
 
-from evabs.channel import INSECURE
+from evabs import scenario, wire
+from evabs.channel import INSECURE, SECURE
 from evabs.errors import ConfigError, InvalidInput, ScriptError
 from evabs.registry import Registry
 from evabs.scenario import (
@@ -130,6 +131,30 @@ class TestParsing:
             "sessions 2 * duration=-1\n",
             "advance -5\n",
             "flood -1\n",
+            # rules that could never fire as written
+            "rule insecure auth_request nth=0 drop\n",
+            "rule insecure auth_request nth=-2 drop\n",
+            "rule insecure auth_request delay=-50\n",
+            "rule insecure auth_reqest drop\n",
+            "rule secure lookup_reply drop\n",
+            "rule secure lookup_request nth=1 drop\n",
+            "rule insecure auth_request tamper=3:00\n",
+            "rule insecure auth_request tamper=3:100\n",
+            "rule insecure auth_request tamper=3:-1\n",
+            "rule insecure auth_request tamper=65:01\n",
+            "rule insecure start_charge tamper=65\n",
+            "rule insecure failure_notice tamper=2\n",
+            "rule insecure auth_request tamper=-1:01\n",
+            "rule insecure auth_request replay=-1\n",
+            "rule insecure auth_request nth=1\n",
+            "rule insecure auth_request drop drop\n",
+            "rule insecure auth_request inject=xyz\n",
+            "sweep auth_request mask=-1\n",
+            "sweep auth_request mask=00\n",
+            "sweep auth_request mask=100\n",
+            "sweep auth_request mask=zz\n",
+            "sweep auth_reqest\n",
+            "sweep lookup_reply\n",
         ],
     )
     def test_bad_directives_raise(self, text):
@@ -149,6 +174,122 @@ class TestParsing:
         runner = _runner()
         runner.execute(parse_scenario(text))
         assert len(runner.script.rules) == 7
+
+    def test_highest_tamper_index_and_mask_are_accepted(self):
+        runner = _runner()
+        runner.execute(
+            parse_scenario(
+                "rule insecure start_charge tamper=64:ff\n"
+                "rule insecure failure_notice tamper=1:01\n"
+            )
+        )
+        assert [rule.action.index for rule in runner.script.rules] == [64, 1]
+
+    @pytest.mark.parametrize(
+        "line",
+        ["rule insecure auth_request nth=0 drop", "sweep auth_request mask=00"],
+    )
+    def test_bad_rule_or_sweep_is_refused_at_parse_time(self, line):
+        # the session on line 1 would consume a nonce; a line that can never
+        # act as written must stop the scenario before any line runs
+        with pytest.raises(ScriptError, match=r"^line 2: "):
+            parse_scenario(f"session *\n{line}\n")
+
+
+class TestUnfiredRules:
+    def test_rule_that_never_fires_breaches(self):
+        report = _runner().execute(
+            parse_scenario(
+                "rule insecure auth_request nth=5 drop\n"
+                "session *\n"
+                "expect completed 1\n"
+            )
+        )
+        assert report.verdict == "DEFENSE BREACHED"
+        [failed] = [c for c in report.checks if c.status == "FAIL"]
+        assert failed.name == "rule insecure auth_request nth=5 drop"
+        assert failed.detail == "line 1: rule never fired"
+        # the expectation itself held: only the vacuous rule fails the run
+        assert [c.status for c in report.checks] == ["PASS", "FAIL"]
+
+    def test_rule_armed_after_its_occurrence_breaches(self):
+        # nth counts from run start, so a first-occurrence rule armed after
+        # the first session can never match
+        report = _runner().execute(
+            parse_scenario("session *\nrule insecure auth_request drop\nsession *\n")
+        )
+        assert [(c.name, c.detail) for c in report.checks] == [
+            ("rule insecure auth_request drop", "line 2: rule never fired")
+        ]
+
+    def test_fired_rules_add_no_check(self):
+        report = _runner().execute(
+            parse_scenario(
+                "rule insecure auth_request nth=1 drop\n"
+                "rule insecure start_charge nth=1 tamper=2:ff\n"
+                "session *\nsession *\nexpect aborted 1\nexpect failed 1\n"
+            )
+        )
+        assert report.held
+        assert [c.name for c in report.checks] == ["expect aborted 1", "expect failed 1"]
+
+    @pytest.mark.parametrize("name", ["desync", "replay"])
+    def test_every_shipped_rule_fires(self, name):
+        [report] = run_named_scenario(lambda: seeded_registry(), name, seed=11)
+        assert not any(c.name.startswith("rule ") for c in report.checks)
+
+
+class TestSecureLineCarriesMessages:
+    """The protected line passes wire messages; only the open link's frames
+    are encoded and decoded on the way."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"decode": 0, "encode": 0}
+        decode = scenario.decode_frame
+
+        def counted_decode(frame):
+            counts["decode"] += 1
+            return decode(frame)
+
+        monkeypatch.setattr(scenario, "decode_frame", counted_decode)
+        monkeypatch.setattr(wire, "decode_frame", counted_decode)
+        for cls in (
+            wire.AuthRequest, wire.LookupRequest, wire.LookupReply,
+            wire.StartCharge, wire.ChargeReport, wire.FailureNotice,
+        ):
+            def counted_encode(msg, encode=cls.encode):
+                counts["encode"] += 1
+                return encode(msg)
+
+            monkeypatch.setattr(cls, "encode", counted_encode)
+        return counts
+
+    def test_honest_session_codec_calls(self, calls):
+        runner = _runner()
+        outcome = runner.run_session(runner.registry.vehicles[0], duration=90_000)
+        assert outcome.phase == "completed"
+        # decoded: auth_request at the terminal, start_charge at the vehicle;
+        # encoded: the same two frames, each once
+        assert calls == {"decode": 2, "encode": 2}
+
+    def test_forged_flood_codec_calls(self, calls):
+        runner = _runner()
+        runner.flood(2, "mixed")
+        assert sum(runner.server.rejected.values()) == 1
+        # decoded: the forged auth_request, the garbage frame and the
+        # failure_notice; encoded: the forged frame and the failure_notice
+        assert calls == {"decode": 3, "encode": 2}
+
+    def test_secure_entries_hold_messages(self):
+        runner = _runner()
+        runner.run_session(runner.registry.vehicles[0], duration=2000)
+        secure = [e for e in runner.transcript if e.channel == SECURE]
+        assert [type(e.payload) for e in secure] == [
+            wire.LookupRequest, wire.LookupReply, wire.ChargeReport,
+        ]
+        for entry in secure:
+            assert wire.decode_frame(entry.frame) == entry.payload
 
 
 class TestLoading:

@@ -37,6 +37,16 @@ class TestRoundTrip:
         frame = msg.encode()
         assert wire.frame_variant(frame) == wire.VARIANTS[frame[0]]
 
+    @given(msg=messages)
+    def test_message_names_its_variant_and_length(self, msg):
+        # the transcript describes protected-line messages from these alone
+        frame = msg.encode()
+        assert msg.variant == wire.frame_variant(frame)
+        assert msg.frame_len == len(frame) <= wire.FRAME_LENGTHS[msg.variant]
+
+    def test_frame_lengths_cover_every_variant(self):
+        assert set(wire.FRAME_LENGTHS) == set(wire.VARIANTS.values())
+
     def test_fixed_sizes(self):
         auth = wire.AuthRequest(m3=b"\x01" * 16, mac=b"\x02" * 32, n_a=b"\x03" * 16)
         assert len(auth.encode()) == 65
