@@ -20,7 +20,7 @@ Exit codes: 0 success (or: every scenario defense held), 1 protocol or
 domain failure, 2 usage/configuration error, 3 storage error.
 
 Secrecy rule: generated keys are printed once, here, to the operator; no
-transcript, report or log ever contains key material (secure-line frames
+transcript, report or log ever contains key material (secure-line messages
 are redacted on export).
 """
 

@@ -99,8 +99,8 @@ T2V = "terminal->vehicle"
 T2S = "terminal->server"
 S2T = "server->terminal"
 
-# the two open-link request/response frames share one shape: tag + 16 + 32 + 16
-SWEEP_FRAME_LEN = 65
+# the two frames every honest session puts on the open link; a sweep flips
+# each of their byte positions in turn
 SWEEP_VARIANTS = ("auth_request", "start_charge")
 
 SCENARIO_ALIASES = {"mitm": ("tamper-m3", "tamper-m8")}
@@ -620,7 +620,7 @@ class ScenarioRunner:
         """One session per byte position of the chosen frame, with that
         position XOR-flipped in flight."""
         results = []
-        for position in range(SWEEP_FRAME_LEN):
+        for position in range(FRAME_LENGTHS[variant]):
             self.script.arm_ephemeral(Rule(INSECURE, variant, None, Tamper(position, mask)))
             outcome = self.run_session(record, duration=2000, record_outcome=False)
             results.append(
