@@ -117,6 +117,11 @@ class AdversaryScript:
         """One-shot rule matching the next occurrence of its variant."""
         self._ephemeral.append(rule)
 
+    def disarm_ephemeral(self):
+        """Drop one-shot rules that never matched, so a rule armed for one
+        session cannot act on a later one."""
+        self._ephemeral.clear()
+
     def match(self, channel, variant):
         key = (channel, variant)
         self._counts[key] = self._counts.get(key, 0) + 1

@@ -261,7 +261,69 @@ def cmd_invoices(args):
 # -- argument plumbing ----------------------------------------------------
 
 
-def build_parser():
+def _init_options(p):
+    p.add_argument("--tariff", type=int, required=True, help="price per started second")
+    p.add_argument("--force", action="store_true", help="overwrite an existing file")
+
+
+def _register_options(p):
+    p.add_argument("--vehicle", type=_hex_bytes(16), help="vehicle id (32 hex); generated if absent")
+    p.add_argument("--key", type=_hex_bytes(32), help="vehicle key (64 hex); generated if absent")
+    p.add_argument("--balance", type=int, default=0, help="opening balance in minor units")
+    p.add_argument("--owner", default="", help="free-form owner label")
+
+
+def _revoke_options(p):
+    p.add_argument("--vehicle", type=_hex_bytes(16), required=True)
+
+
+def _session_options(p):
+    p.add_argument("--vehicle", type=_hex_bytes(16), help="defaults to the only active vehicle")
+    p.add_argument("--duration", type=int, required=True, help="planned charge time in ms")
+    p.add_argument("--budget", type=int, help="cut charging once accrued cost reaches this")
+    p.add_argument("--transcript", help="write the frame transcript (JSON lines)")
+    p.add_argument("--json", action="store_true", help="machine-readable result")
+
+
+def _attack_options(p):
+    p.add_argument(
+        "--scenario",
+        required=True,
+        help="shipped name, alias, or path to a scenario file (shipped: "
+        + ", ".join(builtin_scenarios() + sorted(SCENARIO_ALIASES)) + ")",
+    )
+    p.add_argument("--transcript", help="write the frame transcript (JSON lines)")
+    p.add_argument("--report", help="write the verdict report to a file")
+    p.add_argument("--json", action="store_true", help="machine-readable report")
+
+
+def _invoices_options(p):
+    p.add_argument("--vehicle", type=_hex_bytes(16), help="filter by vehicle id")
+    p.add_argument("--json", action="store_true", help="one JSON object per line")
+
+
+_SEED_HELP = "seed for all randomness (64-bit)"
+
+# name -> (help, --seed help, options, handler), in the order help lists them
+_COMMANDS = {
+    "init": ("create a registry file", "seed for group key generation",
+             _init_options, cmd_init),
+    "register": ("enroll a vehicle", "seed for credential generation",
+                 _register_options, cmd_register),
+    "revoke": ("disable a vehicle", _SEED_HELP, _revoke_options, cmd_revoke),
+    "session": ("run one honest charge session", _SEED_HELP, _session_options, cmd_session),
+    "attack": ("run an adversary scenario", _SEED_HELP, _attack_options, cmd_attack),
+    "invoices": ("list issued invoices", _SEED_HELP, _invoices_options, cmd_invoices),
+}
+_COMMAND_CHOICES = "{" + ",".join(_COMMANDS) + "}"
+
+
+def build_parser(command=None):
+    """The `evabs` parser. When `command` names a subcommand, only its
+    subparser is built: the top-level options are just -h and --version,
+    so a first argument that names a command always selects it, and the
+    metavar keeps every command in the top-level usage line. Otherwise
+    (help, --version, no argument, an unknown name) all are built."""
     parser = argparse.ArgumentParser(
         prog="evabs",
         description="authenticated street-charging simulator: provisioning, "
@@ -272,64 +334,23 @@ def build_parser():
         action="version",
         version=f"%(prog)s {__version__} (kernel backend: {crypto.BACKEND})",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, seed_help="seed for all randomness (64-bit)"):
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=_COMMAND_CHOICES if len(names) == 1 else None
+    )
+    for name in names:
+        help_text, seed_help, add_options, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--registry", help="registry file (default: $EVABS_REGISTRY)")
         p.add_argument("--seed", type=_seed_value, help=seed_help)
-
-    p = sub.add_parser("init", help="create a registry file")
-    common(p, "seed for group key generation")
-    p.add_argument("--tariff", type=int, required=True, help="price per started second")
-    p.add_argument("--force", action="store_true", help="overwrite an existing file")
-    p.set_defaults(func=cmd_init)
-
-    p = sub.add_parser("register", help="enroll a vehicle")
-    common(p, "seed for credential generation")
-    p.add_argument("--vehicle", type=_hex_bytes(16), help="vehicle id (32 hex); generated if absent")
-    p.add_argument("--key", type=_hex_bytes(32), help="vehicle key (64 hex); generated if absent")
-    p.add_argument("--balance", type=int, default=0, help="opening balance in minor units")
-    p.add_argument("--owner", default="", help="free-form owner label")
-    p.set_defaults(func=cmd_register)
-
-    p = sub.add_parser("revoke", help="disable a vehicle")
-    common(p)
-    p.add_argument("--vehicle", type=_hex_bytes(16), required=True)
-    p.set_defaults(func=cmd_revoke)
-
-    p = sub.add_parser("session", help="run one honest charge session")
-    common(p)
-    p.add_argument("--vehicle", type=_hex_bytes(16), help="defaults to the only active vehicle")
-    p.add_argument("--duration", type=int, required=True, help="planned charge time in ms")
-    p.add_argument("--budget", type=int, help="cut charging once accrued cost reaches this")
-    p.add_argument("--transcript", help="write the frame transcript (JSON lines)")
-    p.add_argument("--json", action="store_true", help="machine-readable result")
-    p.set_defaults(func=cmd_session)
-
-    p = sub.add_parser("attack", help="run an adversary scenario")
-    common(p)
-    p.add_argument(
-        "--scenario",
-        required=True,
-        help="shipped name, alias, or path to a scenario file (shipped: "
-        + ", ".join(builtin_scenarios() + sorted(SCENARIO_ALIASES)) + ")",
-    )
-    p.add_argument("--transcript", help="write the frame transcript (JSON lines)")
-    p.add_argument("--report", help="write the verdict report to a file")
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.set_defaults(func=cmd_attack)
-
-    p = sub.add_parser("invoices", help="list issued invoices")
-    common(p)
-    p.add_argument("--vehicle", type=_hex_bytes(16), help="filter by vehicle id")
-    p.add_argument("--json", action="store_true", help="one JSON object per line")
-    p.set_defaults(func=cmd_invoices)
-
+        add_options(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if getattr(args, "duration", None) is not None and args.duration < 0:
         parser.error("--duration must be non-negative")

@@ -12,13 +12,16 @@ Concurrency and durability rules:
     StorageError, so a crashy disk cannot open a replay window.
   * a revoked vehicle is indistinguishable from an unknown one.
 
-On-disk form is a single JSON document (hex lowercase, nonces sorted, so
-files diff cleanly); saving writes and fsyncs a temp file, renames it over
-the target and fsyncs the directory. Loading re-derives every lookup_key
-and refuses records that do not match their stored one. Processes that
-load, change and save one file serialize on lock_file(path), an exclusive
-flock on the sidecar `<path>.lock`; the registry's own lock covers threads
-of one process only.
+On-disk form is a single JSON document: 2-space indentation, a fixed key
+order, hex lowercase, ASCII-escaped owners and nonces sorted, so files diff
+cleanly. The bytes are exactly json.dumps(obj, indent=2) + "\n" of that
+document (pinned by tests/test_registry.py); Registry._document() builds
+them straight from the fields. Saving writes and fsyncs a temp file,
+renames it over the target and fsyncs the directory. Loading re-derives
+every lookup_key and refuses records that do not match their stored one.
+Processes that load, change and save one file serialize on lock_file(path),
+an exclusive flock on the sidecar `<path>.lock`; the registry's own lock
+covers threads of one process only.
 """
 
 import fcntl
@@ -29,6 +32,7 @@ import tempfile
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from evabs import crypto
 from evabs.errors import (
@@ -54,17 +58,6 @@ class VehicleRecord:
     owner: str = ""
     revoked: bool = False
     used_nonces: set = field(default_factory=set)
-
-    def to_obj(self):
-        return {
-            "id_a": self.id_a.hex(),
-            "k_a": self.k_a.hex(),
-            "lookup_key": self.lookup_key.hex(),
-            "balance": self.balance,
-            "owner": self.owner,
-            "revoked": self.revoked,
-            "used_nonces": sorted(n.hex() for n in self.used_nonces),
-        }
 
 
 @dataclass(frozen=True)
@@ -118,13 +111,22 @@ def _hex_field(obj, key, size, where):
     return value
 
 
+def _json_array(items, pad):
+    """Already-encoded items laid out as json.dumps(..., indent=2) lays out
+    an array whose members sit `pad` spaces in."""
+    if not items:
+        return "[]"
+    indent = " " * pad
+    return f"[\n{indent}" + f",\n{indent}".join(items) + f"\n{indent[2:]}]"
+
+
 class Registry:
     """All enrolled vehicles plus issued invoices, with a coarse lock."""
 
     def __init__(self, group_key, tariff_per_second):
         if len(group_key) != crypto.KEY_SIZE:
             raise InvalidInput("group key must be 32 bytes")
-        if not isinstance(tariff_per_second, int) or tariff_per_second < 0:
+        if type(tariff_per_second) is not int or tariff_per_second < 0:
             raise InvalidInput("tariff must be a non-negative integer")
         self.group_key = bytes(group_key)
         self.tariff_per_second = tariff_per_second
@@ -142,8 +144,10 @@ class Registry:
             raise InvalidInput("vehicle id must be 16 bytes")
         if len(k_a) != crypto.KEY_SIZE:
             raise InvalidInput("vehicle key must be 32 bytes")
-        if not isinstance(balance, int) or balance < 0:
+        if type(balance) is not int or balance < 0:
             raise InvalidInput("opening balance must be a non-negative integer")
+        if type(owner) is not str:
+            raise InvalidInput("owner must be a string")
         lookup_key = crypto.encrypt_block(id_a, k_a)
         with self._lock:
             if id_a in self._by_id:
@@ -257,19 +261,51 @@ class Registry:
 
     # -- persistence -----------------------------------------------------
 
-    def to_obj(self):
-        return {
-            "group_key": self.group_key.hex(),
-            "tariff_per_second": self.tariff_per_second,
-            "vehicles": [rec.to_obj() for rec in self._by_id.values()],
-            "invoices": [inv.to_obj() for inv in self.invoices],
-        }
+    def _document(self):
+        """The file's bytes: json.dumps(obj, indent=2) + "\n" of the
+        {group_key, tariff_per_second, vehicles, invoices} object, built
+        straight from the fields. With an indent, json.dumps runs its
+        pure-Python encoder, which is several times slower than this."""
+        vehicles = []
+        for rec in self._by_id.values():
+            nonces = _json_array([f'"{n.hex()}"' for n in sorted(rec.used_nonces)], 8)
+            vehicles.append(
+                "{\n"
+                f'      "id_a": "{rec.id_a.hex()}",\n'
+                f'      "k_a": "{rec.k_a.hex()}",\n'
+                f'      "lookup_key": "{rec.lookup_key.hex()}",\n'
+                f'      "balance": {int.__repr__(rec.balance)},\n'
+                f'      "owner": {encode_basestring_ascii(rec.owner)},\n'
+                f'      "revoked": {"true" if rec.revoked else "false"},\n'
+                f'      "used_nonces": {nonces}\n'
+                "    }"
+            )
+        # the keys of Invoice.to_obj, in its order
+        invoices = [
+            "{\n"
+            f'      "id_a": "{inv.id_a.hex()}",\n'
+            f'      "t1": {int.__repr__(inv.t1)},\n'
+            f'      "t5": {int.__repr__(inv.t5)},\n'
+            f'      "duration_ms": {int.__repr__(inv.duration_ms)},\n'
+            f'      "amount": {int.__repr__(inv.amount)},\n'
+            f'      "issued_at": {int.__repr__(inv.issued_at)}\n'
+            "    }"
+            for inv in self.invoices
+        ]
+        return (
+            "{\n"
+            f'  "group_key": "{self.group_key.hex()}",\n'
+            f'  "tariff_per_second": {int.__repr__(self.tariff_per_second)},\n'
+            f'  "vehicles": {_json_array(vehicles, 4)},\n'
+            f'  "invoices": {_json_array(invoices, 4)}\n'
+            "}\n"
+        )
 
     def save(self, path):
         """Write atomically and durably: temp file in the same directory,
         fsync, rename, then fsync the directory so the rename survives a
         crash."""
-        payload = json.dumps(self.to_obj(), indent=2) + "\n"
+        payload = self._document()
         directory = os.path.dirname(os.path.abspath(path))
         try:
             fd, tmp = tempfile.mkstemp(prefix=".registry-", dir=directory)
@@ -303,7 +339,7 @@ class Registry:
             raise StorageError(f"registry {path} must be a JSON object")
         group_key = _hex_field(obj, "group_key", crypto.KEY_SIZE, path)
         tariff = obj.get("tariff_per_second")
-        if not isinstance(tariff, int) or tariff < 0:
+        if type(tariff) is not int or tariff < 0:
             raise StorageError(f"{path}: tariff_per_second must be a non-negative integer")
         reg = cls(group_key, tariff)
         for i, vobj in enumerate(obj.get("vehicles", [])):
@@ -312,10 +348,13 @@ class Registry:
             k_a = _hex_field(vobj, "k_a", crypto.KEY_SIZE, where)
             stored_lookup = _hex_field(vobj, "lookup_key", crypto.BLOCK_SIZE, where)
             balance = vobj.get("balance", 0)
-            if not isinstance(balance, int):
+            if type(balance) is not int:
                 raise StorageError(f"{where}: balance must be an integer")
+            owner = vobj.get("owner", "")
+            if type(owner) is not str:
+                raise StorageError(f"{where}: owner must be a string")
             try:
-                record = reg.register(id_a, k_a, owner=str(vobj.get("owner", "")))
+                record = reg.register(id_a, k_a, owner=owner)
             except DuplicateVehicle as exc:
                 raise StorageError(f"{where}: {exc}") from exc
             if record.lookup_key != stored_lookup:

@@ -538,12 +538,15 @@ class ScenarioRunner:
         return vehicle
 
     def _teardown(self, vehicle):
-        """Stop any energy still flowing and bill it; abort a stuck vehicle."""
+        """Stop any energy still flowing and bill it; abort a stuck vehicle;
+        disarm the adversary's one-shot rules that this session left unused
+        (an earlier drop can starve a sweep's tamper of its frame)."""
         vehicle.abort()
         while self.terminal.energy_on:
             report = self.terminal.stop_charge(self.clock.now)
             self._send(SECURE, T2S, report)
         self.terminal.pending.clear()
+        self.script.disarm_ephemeral()
         self._vehicle = None
         self._session_trace = None
         self._session_auth_frame = None

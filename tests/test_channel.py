@@ -132,6 +132,13 @@ class TestRuleMatching:
         assert net.send(INSECURE, "to_terminal", AUTH) == []
         assert net.send(INSECURE, "to_terminal", AUTH) != []
 
+    def test_disarmed_ephemeral_rule_no_longer_matches(self):
+        script = AdversaryScript()
+        net = Network(SimClock(), script)
+        script.arm_ephemeral(Rule(INSECURE, "auth_request", None, Drop()))
+        script.disarm_ephemeral()
+        assert net.send(INSECURE, "to_terminal", AUTH) != []
+
     def test_unfired_lists_rules_that_never_matched(self):
         script = AdversaryScript(
             [

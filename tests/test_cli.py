@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import evabs
-from evabs.cli import main
+from evabs.cli import build_parser, main
 from evabs.registry import Registry
 
 from conftest import seeded_registry
@@ -424,6 +424,26 @@ class TestAttack:
         assert "line 1: rule never fired" in out
         assert "DEFENSE BREACHED" in out
 
+    @pytest.mark.parametrize(
+        "script",
+        [
+            "rule insecure auth_request nth=1 drop\nsweep start_charge\n",
+            "rule insecure auth_request nth=2 drop\nprobe replay-start-charge\n",
+        ],
+        ids=["sweep", "probe"],
+    )
+    def test_one_shot_rule_left_unused_does_not_reach_a_later_session(
+        self, cli, tmp_path, script
+    ):
+        # the drop starves the sweep's tamper (or the probe's drop) of the
+        # frame it was armed for; the honest session after it must complete
+        path = tmp_path / "leftover.scn"
+        path.write_text(script + "session *\nexpect completed 1\n")
+        code, out, _ = cli("attack", "--scenario", str(path), "--seed", "3")
+        assert code == 0
+        assert "PASS               expect completed 1  expected 1, got 1" in out
+        assert "DEFENSE HELD" in out
+
     def test_registry_without_vehicles_rejected(self, cli, tmp_path):
         path = str(tmp_path / "empty.json")
         cli("init", "--registry", path, "--tariff", "2", "--seed", "5")
@@ -531,3 +551,128 @@ class TestVersion:
         pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
         with open(pyproject, "rb") as fh:
             assert tomllib.load(fh)["project"]["version"] == evabs.__version__
+
+
+# Help and usage-error output, recorded at 80 columns before the parser was
+# built per command; the per-command build must not change a byte of it.
+_TOP_USAGE = (
+    "usage: evabs [-h] [--version]\n"
+    "             {init,register,revoke,session,attack,invoices} ...\n"
+)
+_SESSION_USAGE = (
+    "usage: evabs session [-h] [--registry REGISTRY] [--seed SEED]\n"
+    "                     [--vehicle VEHICLE] --duration DURATION [--budget BUDGET]\n"
+    "                     [--transcript TRANSCRIPT] [--json]\n"
+)
+_PINNED_OUTPUT = {
+    (): (2, "", _TOP_USAGE + "evabs: error: the following arguments are required: command\n"),
+    ("--help",): (
+        0,
+        _TOP_USAGE
+        + "\n"
+        "authenticated street-charging simulator: provisioning, sessions, attack\n"
+        "scenarios, invoices\n"
+        "\n"
+        "positional arguments:\n"
+        "  {init,register,revoke,session,attack,invoices}\n"
+        "    init                create a registry file\n"
+        "    register            enroll a vehicle\n"
+        "    revoke              disable a vehicle\n"
+        "    session             run one honest charge session\n"
+        "    attack              run an adversary scenario\n"
+        "    invoices            list issued invoices\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --version             show program's version number and exit\n",
+        "",
+    ),
+    ("--version",): (0, f"evabs {evabs.__version__} (kernel backend: {evabs.BACKEND})\n", ""),
+    ("bogus",): (
+        2,
+        "",
+        _TOP_USAGE
+        + "evabs: error: argument command: invalid choice: 'bogus' (choose from 'init', "
+        "'register', 'revoke', 'session', 'attack', 'invoices')\n",
+    ),
+    ("session", "--help"): (
+        0,
+        _SESSION_USAGE
+        + "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --registry REGISTRY   registry file (default: $EVABS_REGISTRY)\n"
+        "  --seed SEED           seed for all randomness (64-bit)\n"
+        "  --vehicle VEHICLE     defaults to the only active vehicle\n"
+        "  --duration DURATION   planned charge time in ms\n"
+        "  --budget BUDGET       cut charging once accrued cost reaches this\n"
+        "  --transcript TRANSCRIPT\n"
+        "                        write the frame transcript (JSON lines)\n"
+        "  --json                machine-readable result\n",
+        "",
+    ),
+    ("attack", "--help"): (
+        0,
+        "usage: evabs attack [-h] [--registry REGISTRY] [--seed SEED] --scenario\n"
+        "                    SCENARIO [--transcript TRANSCRIPT] [--report REPORT]\n"
+        "                    [--json]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --registry REGISTRY   registry file (default: $EVABS_REGISTRY)\n"
+        "  --seed SEED           seed for all randomness (64-bit)\n"
+        "  --scenario SCENARIO   shipped name, alias, or path to a scenario file\n"
+        "                        (shipped: cloning, desync, dos, eavesdrop,\n"
+        "                        impersonation, physical-disclosure, replay, tamper-m3,\n"
+        "                        tamper-m8, traceability, mitm)\n"
+        "  --transcript TRANSCRIPT\n"
+        "                        write the frame transcript (JSON lines)\n"
+        "  --report REPORT       write the verdict report to a file\n"
+        "  --json                machine-readable report\n",
+        "",
+    ),
+    ("session",): (
+        2,
+        "",
+        _SESSION_USAGE
+        + "evabs session: error: the following arguments are required: --duration\n",
+    ),
+    # errors the top-level parser raises after a command was selected
+    ("session", "--duration", "-5", "--registry", "x"): (
+        2,
+        "",
+        _TOP_USAGE + "evabs: error: --duration must be non-negative\n",
+    ),
+    ("session", "--duration", "5", "--bogus"): (
+        2,
+        "",
+        _TOP_USAGE + "evabs: error: unrecognized arguments: --bogus\n",
+    ),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", list(_PINNED_OUTPUT), ids=" ".join)
+    def test_help_and_usage_errors_are_unchanged(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert (exit_.value.code, captured.out, captured.err) == _PINNED_OUTPUT[argv]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["init", "--registry", "r.json", "--tariff", "3", "--seed", "0x10", "--force"],
+            ["register", "--registry", "r.json", "--vehicle", VEHICLE, "--key", KEY,
+             "--balance", "7", "--owner", "demo"],
+            ["revoke", "--vehicle", VEHICLE, "--seed", "4"],
+            ["session", "--registry", "r.json", "--vehicle", VEHICLE, "--duration", "1500",
+             "--budget", "9", "--transcript", "t.jsonl", "--json"],
+            ["attack", "--scenario", "mitm", "--report", "r.txt", "--json"],
+            ["invoices", "--vehicle", VEHICLE, "--json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_one_command_parser_gives_the_full_parsers_namespace(self, argv):
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)

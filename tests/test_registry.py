@@ -5,6 +5,7 @@ crash-safe persistence with an integrity check on load."""
 import json
 import os
 import stat
+import tempfile
 import threading
 
 import pytest
@@ -19,7 +20,7 @@ from evabs.errors import (
     NotFound,
     StorageError,
 )
-from evabs.registry import Registry
+from evabs.registry import Invoice, Registry
 from evabs.wire import Reason
 
 from conftest import seeded_bytes, seeded_registry
@@ -48,6 +49,17 @@ class TestEnrollment:
             Registry(group_key=b"\x00" * 16, tariff_per_second=1)
         with pytest.raises(InvalidInput):
             Registry(group_key=b"\x00" * 32, tariff_per_second=-1)
+        # a bool is an int to isinstance, but the file would store true/false
+        for tariff in (True, False, 2.0):
+            with pytest.raises(InvalidInput):
+                Registry(group_key=b"\x00" * 32, tariff_per_second=tariff)
+        for balance in (True, False, 5.0):
+            with pytest.raises(InvalidInput):
+                registry.register(b"\x01" * 16, b"\x02" * 32, balance=balance)
+        for owner in (None, 5, b"demo"):
+            with pytest.raises(InvalidInput):
+                registry.register(b"\x01" * 16, b"\x02" * 32, owner=owner)
+        assert len(registry.vehicles) == 2
 
     def test_find_and_missing(self, registry):
         record = registry.vehicles[0]
@@ -286,6 +298,26 @@ class TestPersistence:
         with pytest.raises(StorageError):
             Registry.load(path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda obj: obj.update(tariff_per_second=True),
+            lambda obj: obj["vehicles"][0].update(balance=True),
+            lambda obj: obj["vehicles"][0].update(balance=False),
+            lambda obj: obj["vehicles"][0].update(owner=None),
+            lambda obj: obj["vehicles"][0].update(owner=7),
+        ],
+        ids=["bool-tariff", "true-balance", "false-balance", "null-owner", "int-owner"],
+    )
+    def test_load_rejects_booleans_and_non_string_owners(self, registry, tmp_path, edit):
+        path = tmp_path / "registry.json"
+        registry.save(path)
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(StorageError):
+            Registry.load(path)
+
     def test_save_is_atomic_replace(self, registry, tmp_path):
         path = tmp_path / "registry.json"
         registry.save(path)
@@ -338,6 +370,75 @@ class TestPersistence:
             registry.save(tmp_path / "registry.json")
         leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".registry-")]
         assert leftovers == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tariff=st.integers(min_value=0, max_value=2**70),
+        vehicles=st.lists(
+            st.tuples(
+                st.binary(min_size=16, max_size=16),
+                st.binary(min_size=32, max_size=32),
+                st.integers(min_value=-(2**80), max_value=2**80),
+                st.one_of(
+                    st.text(max_size=12),
+                    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é\u2028😀", "a\nb\tc"]),
+                ),
+                st.booleans(),
+                st.sets(st.binary(min_size=16, max_size=16), max_size=4),
+            ),
+            max_size=5,
+            unique_by=lambda vehicle: vehicle[0],
+        ),
+        invoices=st.lists(st.tuples(*[st.integers(min_value=-(2**70), max_value=2**70)] * 5),
+                          max_size=4),
+    )
+    def test_saved_bytes_are_indented_json_of_the_fields(self, tariff, vehicles, invoices):
+        registry = Registry(group_key=bytes(range(32)), tariff_per_second=tariff)
+        for id_a, k_a, balance, owner, revoked, nonces in vehicles:
+            record = registry.register(id_a, k_a, owner=owner)
+            record.balance = balance  # as the loader sets it: negative is allowed
+            record.revoked = revoked
+            record.used_nonces = set(nonces)
+        for i, (t1, t5, duration_ms, amount, issued_at) in enumerate(invoices):
+            id_a = vehicles[i % len(vehicles)][0] if vehicles else b"\x07" * 16
+            registry.invoices.append(Invoice(id_a, t1, t5, duration_ms, amount, issued_at))
+        ref = {
+            "group_key": registry.group_key.hex(),
+            "tariff_per_second": registry.tariff_per_second,
+            "vehicles": [
+                {
+                    "id_a": rec.id_a.hex(),
+                    "k_a": rec.k_a.hex(),
+                    "lookup_key": rec.lookup_key.hex(),
+                    "balance": rec.balance,
+                    "owner": rec.owner,
+                    "revoked": rec.revoked,
+                    "used_nonces": sorted(n.hex() for n in rec.used_nonces),
+                }
+                for rec in registry.vehicles
+            ],
+            "invoices": [
+                {
+                    "id_a": inv.id_a.hex(),
+                    "t1": inv.t1,
+                    "t5": inv.t5,
+                    "duration_ms": inv.duration_ms,
+                    "amount": inv.amount,
+                    "issued_at": inv.issued_at,
+                }
+                for inv in registry.invoices
+            ],
+        }
+        expected = (json.dumps(ref, indent=2) + "\n").encode()
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "registry.json")
+            registry.save(path)
+            with open(path, "rb") as fh:
+                assert fh.read() == expected
+            # whatever the loader reads back saves to the same bytes
+            Registry.load(path).save(path)
+            with open(path, "rb") as fh:
+                assert fh.read() == expected
 
     def test_snapshot_detects_any_change(self, registry):
         base = registry.snapshot()
