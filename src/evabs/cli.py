@@ -196,7 +196,7 @@ def _ephemeral_registry(seed):
     return registry
 
 
-def _transcript_path(base, index, count, name):
+def _transcript_path(base, count, name):
     if count == 1:
         return base
     root, ext = os.path.splitext(base)
@@ -228,10 +228,8 @@ def cmd_attack(args):
         with open(args.report, "w") as fh:
             fh.write(text)
     if args.transcript:
-        for index, report in enumerate(reports):
-            report.transcript.write(
-                _transcript_path(args.transcript, index, len(reports), report.name)
-            )
+        for report in reports:
+            report.transcript.write(_transcript_path(args.transcript, len(reports), report.name))
     return 0 if all(report.held for report in reports) else 1
 
 

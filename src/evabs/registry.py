@@ -111,6 +111,10 @@ def _hex_field(obj, key, size, where):
     return value
 
 
+# the integer fields of an invoice, in Invoice's order, after id_a
+_INVOICE_INTS = ("t1", "t5", "duration_ms", "amount", "issued_at")
+
+
 def _json_array(items, pad):
     """Already-encoded items laid out as json.dumps(..., indent=2) lays out
     an array whose members sit `pad` spaces in."""
@@ -362,27 +366,24 @@ class Registry:
                     f"{where}: lookup_key does not match E(id_a, k_a) for {id_a.hex()}"
                 )
             record.balance = balance  # negative balances survive a round trip
-            record.revoked = bool(vobj.get("revoked", False))
+            record.revoked = vobj.get("revoked", False)
+            if type(record.revoked) is not bool:
+                raise StorageError(f"{where}: revoked must be true or false")
             nonces = vobj.get("used_nonces", [])
             if not isinstance(nonces, list):
                 raise StorageError(f"{where}: used_nonces must be a list")
-            record.used_nonces = {
-                _hex_field({"n": n}, "n", crypto.NONCE_SIZE, where) for n in nonces
-            }
+            try:
+                record.used_nonces = {bytes.fromhex(n) for n in nonces}
+            except (TypeError, ValueError):
+                raise StorageError(f"{where}: used_nonces must be hex strings") from None
+            if any(len(n) != crypto.NONCE_SIZE for n in record.used_nonces):
+                raise StorageError(f"{where}: used_nonces must be {crypto.NONCE_SIZE} bytes each")
         for i, iobj in enumerate(obj.get("invoices", [])):
             where = f"{path} invoices[{i}]"
             id_a = _hex_field(iobj, "id_a", crypto.BLOCK_SIZE, where)
-            try:
-                reg.invoices.append(
-                    Invoice(
-                        id_a=id_a,
-                        t1=int(iobj["t1"]),
-                        t5=int(iobj["t5"]),
-                        duration_ms=int(iobj["duration_ms"]),
-                        amount=int(iobj["amount"]),
-                        issued_at=int(iobj["issued_at"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError):
-                raise StorageError(f"{where}: malformed invoice") from None
+            values = [iobj.get(key) for key in _INVOICE_INTS]
+            for key, value in zip(_INVOICE_INTS, values):
+                if type(value) is not int:
+                    raise StorageError(f"{where}: {key} must be an integer")
+            reg.invoices.append(Invoice(id_a, *values))
         return reg

@@ -47,7 +47,8 @@ expect forms:
 Failed expectations never raise; they mark the report FAIL and the run
 carries on, so one broken defense does not hide another. A malformed line
 (unknown word, missing or non-integer count, unknown reason label, unknown
-or extra argument) raises ScriptError instead.
+or extra argument) raises ScriptError in parse_scenario, before any line
+runs; only vehicle references, which need the registry, wait for the run.
 """
 
 import os
@@ -55,8 +56,9 @@ import re
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import accumulate
 
-from evabs import crypto
+from evabs import crypto, wire
 from evabs.channel import (
     INSECURE,
     SECURE,
@@ -109,7 +111,7 @@ SCENARIO_ALIASES = {"mitm": ("tamper-m3", "tamper-m8")}
 @dataclass
 class Scenario:
     name: str
-    steps: list  # (lineno, tokens)
+    steps: list  # (lineno, tokens, runner method, its checked arguments)
 
 
 @dataclass
@@ -216,9 +218,9 @@ def _parse_action(token, lineno):
 
 
 def _parse_rule(tokens, lineno):
-    """The Rule on a `rule CHANNEL VARIANT [nth=K] ACTION` line. A rule that
-    could never fire as written is refused here, so a typo cannot pass for
-    an attack that ran and was stopped."""
+    """`rule CHANNEL VARIANT [nth=K] ACTION`. A rule that could never fire
+    as written is refused here, so a typo cannot pass for an attack that ran
+    and was stopped."""
     if len(tokens) < 4:
         raise ScriptError(f"line {lineno}: rule CHANNEL VARIANT [nth=K] ACTION")
     channel, variant = tokens[1], tokens[2]
@@ -244,11 +246,11 @@ def _parse_rule(tokens, lineno):
             f"line {lineno}: tamper index {action.index} is past the"
             f" {FRAME_LENGTHS[variant]}-byte {variant} frame"
         )
-    return Rule(channel, variant, nth, action)
+    return ScenarioRunner._add_rule, (Rule(channel, variant, nth, action), lineno, " ".join(tokens))
 
 
 def _parse_sweep(tokens, lineno):
-    """(VARIANT, mask) on a `sweep VARIANT [mask=HH]` line."""
+    """`sweep VARIANT [mask=HH]`, run on the first enrolled vehicle."""
     if len(tokens) < 2:
         raise ScriptError(f"line {lineno}: sweep needs a frame variant")
     variant = tokens[1]
@@ -257,7 +259,81 @@ def _parse_sweep(tokens, lineno):
             f"line {lineno}: sweep takes {' or '.join(SWEEP_VARIANTS)}, got {variant!r}"
         )
     options = _parse_options(tokens[2:], {"mask"}, lineno)
-    return variant, _parse_mask(options.get("mask", "01"), lineno)
+    mask = _parse_mask(options.get("mask", "01"), lineno)
+    return ScenarioRunner._with_vehicle, ("*", lineno, ScenarioRunner.run_sweep, variant, mask)
+
+
+def _parse_session(tokens, lineno):
+    """`session VEHICLE [duration=MS] [budget=N]`: `sessions` with a count of 1."""
+    if len(tokens) < 2:
+        raise ScriptError(f"line {lineno}: session needs a vehicle")
+    options = _parse_options(tokens[2:], {"duration", "budget"}, lineno)
+    duration = _parse_count(options.get("duration", "5000"), lineno, "duration")
+    budget = _parse_count(options["budget"], lineno, "budget") if "budget" in options else None
+    return ScenarioRunner._with_vehicle, (
+        tokens[1], lineno, ScenarioRunner._sessions, 1, duration, budget
+    )
+
+
+def _parse_sessions(tokens, lineno):
+    """`sessions COUNT VEHICLE [duration=MS]`."""
+    if len(tokens) < 3:
+        raise ScriptError(f"line {lineno}: sessions needs a count and a vehicle")
+    count = _parse_count(tokens[1], lineno, "session count")
+    options = _parse_options(tokens[3:], {"duration"}, lineno)
+    duration = _parse_count(options.get("duration", "5000"), lineno, "duration")
+    return ScenarioRunner._with_vehicle, (
+        tokens[2], lineno, ScenarioRunner._sessions, count, duration, None
+    )
+
+
+def _parse_advance(tokens, lineno):
+    if len(tokens) != 2:
+        raise ScriptError(f"line {lineno}: advance takes a millisecond count")
+    return ScenarioRunner._advance, (_parse_count(tokens[1], lineno, "advance"),)
+
+
+def _parse_revoke(tokens, lineno):
+    if len(tokens) != 2:
+        raise ScriptError(f"line {lineno}: revoke takes a vehicle reference")
+    return ScenarioRunner._with_vehicle, (tokens[1], lineno, ScenarioRunner._revoke)
+
+
+def _parse_snapshot(tokens, lineno):
+    if len(tokens) != 1:
+        raise ScriptError(f"line {lineno}: snapshot takes no argument")
+    return ScenarioRunner._take_snapshot, ()
+
+
+def _parse_flood(tokens, lineno):
+    if len(tokens) < 2:
+        raise ScriptError(f"line {lineno}: flood needs a frame count")
+    count = _parse_count(tokens[1], lineno, "flood count")
+    style = _parse_options(tokens[2:], {"style"}, lineno).get("style", "wellformed")
+    if style not in ("wellformed", "garbage", "mixed"):
+        raise ScriptError(f"line {lineno}: unknown flood style {style!r}")
+    return ScenarioRunner.flood, (count, style)
+
+
+def _parse_probe(tokens, lineno):
+    """`probe NAME`, run on the first enrolled vehicle."""
+    if len(tokens) != 2:
+        raise ScriptError(f"line {lineno}: probe takes exactly one probe name")
+    probes = {
+        "replay-start-charge": ScenarioRunner.probe_replay_start_charge,
+        "splice-auth": ScenarioRunner.probe_splice_auth,
+    }
+    if tokens[1] not in probes:
+        raise ScriptError(f"line {lineno}: unknown probe {tokens[1]!r}")
+    return ScenarioRunner._with_vehicle, ("*", lineno, probes[tokens[1]])
+
+
+def _parse_report(tokens, lineno):
+    if len(tokens) != 2:
+        raise ScriptError(f"line {lineno}: report takes exactly one report name")
+    if tokens[1] != "nonce-store":
+        raise ScriptError(f"line {lineno}: unknown report {tokens[1]!r}")
+    return ScenarioRunner._report_nonce_store, ()
 
 
 def _parse_options(tokens, allowed, lineno):
@@ -271,11 +347,9 @@ def _parse_options(tokens, allowed, lineno):
 
 
 def _parse_int(value, lineno, what, base=10):
-    if isinstance(value, int):
-        return value
     try:
         return int(value, base)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ScriptError(f"line {lineno}: {what} must be an integer, got {value!r}") from None
 
 
@@ -324,41 +398,48 @@ def _parse_counted(what, args, lineno):
         raise ScriptError(f"line {lineno}: unknown reason {value!r}") from None
 
 
-# the other expect forms, `expect WHAT [ARG]`: WHAT -> the ARG values it
-# accepts, None standing for an absent ARG
-_UNCOUNTED = {
-    "no-secrets": (None, "ids", "keys", "all"),
-    "fresh-frames": (None,),
-    "registry-unchanged": (None,),
-    "energy-off": (None,),
-    "sweep": ("no-charging", "mac-invalid"),
-}
-
-
-def _parse_uncounted(what, args, lineno):
-    """The one optional ARG of an uncounted expect form, or None."""
-    choices = _UNCOUNTED[what]
+def _parse_expect(tokens, lineno):
+    """`expect WHAT ...`: the form's check method, whose first argument is
+    the check's name, the line itself."""
+    name, what, args = " ".join(tokens), tokens[1] if len(tokens) > 1 else "", tokens[2:]
+    if what in _COUNTED:
+        return ScenarioRunner._expect_count, (name, what, *_parse_counted(what, args, lineno))
+    if what not in _UNCOUNTED:
+        raise ScriptError(f"line {lineno}: unknown expectation {what!r}")
+    check, choices = _UNCOUNTED[what]
     arg = args[0] if args else None
     if len(args) > 1 or arg not in choices:
         allowed = "|".join(c for c in choices if c) or "no argument"
         raise ScriptError(f"line {lineno}: expect {what} takes {allowed}, got {' '.join(args)!r}")
-    return arg
+    return check, (name, *args)
 
+
+# every directive a scenario line may start with (besides `scenario NAME`,
+# which only names the run), mapped to its parser: it checks every token of
+# the line and returns the step's runner method and arguments
+_DIRECTIVES = {
+    "session": _parse_session,
+    "sessions": _parse_sessions,
+    "advance": _parse_advance,
+    "revoke": _parse_revoke,
+    "snapshot": _parse_snapshot,
+    "rule": _parse_rule,
+    "flood": _parse_flood,
+    "sweep": _parse_sweep,
+    "probe": _parse_probe,
+    "report": _parse_report,
+    "expect": _parse_expect,
+}
 
 # a `#` opens a comment unless a digit follows: `#K` is an ordinal vehicle
 # reference, so `session #2  # second car` keeps the ref and drops the note
 _COMMENT = re.compile(r"#(?!\d)")
 
 
-# lines that need no registry or run state to check, and are checked when
-# the scenario is parsed, before any line runs
-_STATIC_PARSERS = {"rule": _parse_rule, "sweep": _parse_sweep}
-
-
 def parse_scenario(text, default_name="scenario"):
-    """Parse scenario text into directives. `rule` and `sweep` lines are
-    checked in full here; validation that needs registry context (vehicle
-    references) happens at execution time."""
+    """Parse scenario text into steps, checking every token: a malformed
+    line is a ScriptError before any line runs. Vehicle references, which
+    need the registry, are resolved when their step runs."""
     name = default_name
     steps = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -371,19 +452,10 @@ def parse_scenario(text, default_name="scenario"):
                 raise ScriptError(f"line {lineno}: scenario takes exactly one name")
             name = tokens[1]
             continue
-        _directive(tokens, lineno)
-        if tokens[0] in _STATIC_PARSERS:
-            _STATIC_PARSERS[tokens[0]](tokens, lineno)
-        steps.append((lineno, tokens))
+        if tokens[0] not in _DIRECTIVES:
+            raise ScriptError(f"line {lineno}: unknown directive {tokens[0]!r}")
+        steps.append((lineno, tokens, *_DIRECTIVES[tokens[0]](tokens, lineno)))
     return Scenario(name=name, steps=steps)
-
-
-def _directive(tokens, lineno):
-    """The runner method that executes one scenario line."""
-    try:
-        return _DIRECTIVES[tokens[0]]
-    except KeyError:
-        raise ScriptError(f"line {lineno}: unknown directive {tokens[0]!r}") from None
 
 
 def builtin_scenarios():
@@ -711,6 +783,11 @@ class ScenarioRunner:
                 return record
         raise ConfigError(f"line {lineno}: no vehicle {ref}")
 
+    def _with_vehicle(self, ref, lineno, act, *args):
+        """act(self, record, *args) on the vehicle `ref` names: the one part
+        of a step resolved when it runs, since it needs the registry."""
+        act(self, self._resolve_vehicle(ref, lineno), *args)
+
     # -- expectations ------------------------------------------------------
 
     def _phase_count(self, phase, reason=None):
@@ -722,55 +799,39 @@ class ScenarioRunner:
     def _check(self, name, ok, detail):
         self.checks.append(CheckResult(name, "PASS" if ok else "FAIL", detail))
 
-    def _expect(self, tokens, lineno):
-        name = " ".join(tokens)
-        what = tokens[1] if len(tokens) > 1 else ""
-        args = tokens[2:]
+    def _expect_count(self, name, what, want, value):
+        """A counted expect form; value is its reason or total, or None."""
+        ok, detail = True, ""
+        if what == "accepted":
+            got = self.server.accepted
+        elif what == "rejected":
+            rejected = self.server.rejected
+            got = sum(rejected.values()) if value is None else rejected.get(value, 0)
+        elif what == "invoices":
+            issued = self.registry.invoices[self._invoices_start:]
+            got = len(issued)
+            if value is not None:
+                amount = sum(inv.amount for inv in issued)
+                ok = amount == value
+                detail = f"; total expected {value}, got {amount}"
+        else:
+            got = self._phase_count(what, value)
+        self._check(name, ok and got == want, f"expected {want}, got {got}{detail}")
 
-        if what in _COUNTED:
-            want, value = _parse_counted(what, args, lineno)
-            ok, detail = True, ""
-            if what == "accepted":
-                got = self.server.accepted
-            elif what == "rejected":
-                rejected = self.server.rejected
-                got = sum(rejected.values()) if value is None else rejected.get(value, 0)
-            elif what == "invoices":
-                issued = self.registry.invoices[self._invoices_start:]
-                got = len(issued)
-                if value is not None:
-                    amount = sum(inv.amount for inv in issued)
-                    ok = amount == value
-                    detail = f"; total expected {value}, got {amount}"
-            else:
-                got = self._phase_count(what, value)
-            self._check(name, ok and got == want, f"expected {want}, got {got}{detail}")
+    def _expect_registry_unchanged(self, name):
+        if self._snapshot is None:
+            self._check(name, False, "no snapshot directive before this expect")
             return
-        if what not in _UNCOUNTED:
-            raise ScriptError(f"line {lineno}: unknown expectation {what!r}")
-        arg = _parse_uncounted(what, args, lineno)
-        if what == "no-secrets":
-            self._expect_no_secrets(name, arg or "all")
-            return
-        if what == "fresh-frames":
-            self._expect_fresh_frames(name)
-            return
-        if what == "registry-unchanged":
-            if self._snapshot is None:
-                self._check(name, False, "no snapshot directive before this expect")
-                return
-            same = self.registry.snapshot() == self._snapshot
-            self._check(name, same, "registry state matches snapshot" if same else "state drifted")
-            return
-        if what == "energy-off":
-            self._check(
-                name, not self.terminal.energy_on,
-                f"active charges: {len(self.terminal.active)}",
-            )
-            return
-        self._expect_sweep(name, arg)
+        same = self.registry.snapshot() == self._snapshot
+        self._check(name, same, "registry state matches snapshot" if same else "state drifted")
 
-    def _expect_no_secrets(self, name, scope):
+    def _expect_energy_off(self, name):
+        self._check(
+            name, not self.terminal.energy_on,
+            f"active charges: {len(self.terminal.active)}",
+        )
+
+    def _expect_no_secrets(self, name, scope="all"):
         needles = []
         if scope in ("ids", "all"):
             needles += [("id", rec.id_a) for rec in self.registry.vehicles]
@@ -796,11 +857,10 @@ class ScenarioRunner:
         start = [o.frames.get("start_charge") for o in self.outcomes]
         start = [f for f in start if f]
         problems = []
-        for label, frames, fields in (
-            ("auth_request", auth, ((1, 17), (17, 49), (49, 65))),
-            ("start_charge", start, ((1, 17), (17, 49), (49, 65))),
-        ):
-            for lo, hi in fields:
+        # both frames: a tag byte, then a block, a MAC tag and a nonce
+        edges = list(accumulate((1, wire.BLOCK_SIZE, wire.TAG_SIZE, wire.NONCE_SIZE)))
+        for label, frames in (("auth_request", auth), ("start_charge", start)):
+            for lo, hi in zip(edges, edges[1:]):
                 parts = [f[lo:hi] for f in frames]
                 if len(set(parts)) != len(parts):
                     problems.append(f"{label} bytes {lo}:{hi} repeat across sessions")
@@ -810,7 +870,8 @@ class ScenarioRunner:
                     same = sum(a == b for a, b in zip(frames[i][1:], frames[j][1:]))
                     if same > 5:
                         problems.append(
-                            f"{label} sessions {i} and {j} share {same}/64 byte positions"
+                            f"{label} sessions {i} and {j} share {same}/{FRAME_LENGTHS[label] - 1}"
+                            " byte positions"
                         )
         self._check(
             name,
@@ -856,79 +917,23 @@ class ScenarioRunner:
                 else f"positions {bad[:5]} did not fail as mac_invalid",
             )
 
-    # -- directives: one method per line kind, dispatched through _DIRECTIVES --
+    # -- what the other directives do ---------------------------------------
 
-    def _do_session(self, tokens, lineno):
-        if len(tokens) < 2:
-            raise ScriptError(f"line {lineno}: session needs a vehicle")
-        record = self._resolve_vehicle(tokens[1], lineno)
-        options = _parse_options(tokens[2:], {"duration", "budget"}, lineno)
-        budget = options.get("budget")
-        self.run_session(
-            record,
-            duration=_parse_count(options.get("duration", 5000), lineno, "duration"),
-            budget=None if budget is None else _parse_count(budget, lineno, "budget"),
-        )
-
-    def _do_sessions(self, tokens, lineno):
-        if len(tokens) < 3:
-            raise ScriptError(f"line {lineno}: sessions needs a count and a vehicle")
-        count = _parse_count(tokens[1], lineno, "session count")
-        record = self._resolve_vehicle(tokens[2], lineno)
-        options = _parse_options(tokens[3:], {"duration"}, lineno)
-        duration = _parse_count(options.get("duration", 5000), lineno, "duration")
+    def _sessions(self, record, count, duration, budget):
         for _ in range(count):
-            self.run_session(record, duration=duration)
+            self.run_session(record, duration=duration, budget=budget)
 
-    def _do_advance(self, tokens, lineno):
-        if len(tokens) != 2:
-            raise ScriptError(f"line {lineno}: advance takes a millisecond count")
-        self._advance(_parse_count(tokens[1], lineno, "advance"))
-
-    def _do_revoke(self, tokens, lineno):
-        if len(tokens) != 2:
-            raise ScriptError(f"line {lineno}: revoke takes a vehicle reference")
-        record = self._resolve_vehicle(tokens[1], lineno)
+    def _revoke(self, record):
         self.registry.revoke(record.id_a)
 
-    def _do_snapshot(self, tokens, lineno):
+    def _take_snapshot(self):
         self._snapshot = self.registry.snapshot()
 
-    def _do_rule(self, tokens, lineno):
-        self.script.add_rule(_parse_rule(tokens, lineno))
-        self._rule_lines.append((lineno, " ".join(tokens)))
+    def _add_rule(self, rule, lineno, line):
+        self.script.add_rule(rule)
+        self._rule_lines.append((lineno, line))
 
-    def _do_flood(self, tokens, lineno):
-        if len(tokens) < 2:
-            raise ScriptError(f"line {lineno}: flood needs a frame count")
-        count = _parse_count(tokens[1], lineno, "flood count")
-        options = _parse_options(tokens[2:], {"style"}, lineno)
-        style = options.get("style", "wellformed")
-        if style not in ("wellformed", "garbage", "mixed"):
-            raise ScriptError(f"line {lineno}: unknown flood style {style!r}")
-        self.flood(count, style)
-
-    def _do_sweep(self, tokens, lineno):
-        variant, mask = _parse_sweep(tokens, lineno)
-        record = self._resolve_vehicle("*", lineno)
-        self.run_sweep(record, variant, mask)
-
-    def _do_probe(self, tokens, lineno):
-        if len(tokens) != 2:
-            raise ScriptError(f"line {lineno}: probe takes exactly one probe name")
-        record = self._resolve_vehicle("*", lineno)
-        if tokens[1] == "replay-start-charge":
-            self.probe_replay_start_charge(record)
-        elif tokens[1] == "splice-auth":
-            self.probe_splice_auth(record)
-        else:
-            raise ScriptError(f"line {lineno}: unknown probe {tokens[1]!r}")
-
-    def _do_report(self, tokens, lineno):
-        if len(tokens) != 2:
-            raise ScriptError(f"line {lineno}: report takes exactly one report name")
-        if tokens[1] != "nonce-store":
-            raise ScriptError(f"line {lineno}: unknown report {tokens[1]!r}")
+    def _report_nonce_store(self):
         sizes = ", ".join(
             f"{rec.id_a.hex()[:8]}..={len(rec.used_nonces)}" for rec in self.registry.vehicles
         )
@@ -941,8 +946,8 @@ class ScenarioRunner:
         )
 
     def execute(self, scenario):
-        for lineno, tokens in scenario.steps:
-            _directive(tokens, lineno)(self, tokens, lineno)
+        for _, _, method, args in scenario.steps:
+            method(self, *args)
         # a rule that never fired tested nothing; its line must not read as
         # a defense that held
         for index in self.script.unfired():
@@ -964,20 +969,14 @@ class ScenarioRunner:
         )
 
 
-# every directive a scenario line may start with (besides `scenario NAME`,
-# which only names the run), mapped to the runner method that executes it
-_DIRECTIVES = {
-    "session": ScenarioRunner._do_session,
-    "sessions": ScenarioRunner._do_sessions,
-    "advance": ScenarioRunner._do_advance,
-    "revoke": ScenarioRunner._do_revoke,
-    "snapshot": ScenarioRunner._do_snapshot,
-    "rule": ScenarioRunner._do_rule,
-    "flood": ScenarioRunner._do_flood,
-    "sweep": ScenarioRunner._do_sweep,
-    "probe": ScenarioRunner._do_probe,
-    "report": ScenarioRunner._do_report,
-    "expect": ScenarioRunner._expect,
+# the other expect forms, `expect WHAT [ARG]`: WHAT -> the check method and
+# the ARG values it accepts, None standing for an absent ARG
+_UNCOUNTED = {
+    "no-secrets": (ScenarioRunner._expect_no_secrets, (None, "ids", "keys", "all")),
+    "fresh-frames": (ScenarioRunner._expect_fresh_frames, (None,)),
+    "registry-unchanged": (ScenarioRunner._expect_registry_unchanged, (None,)),
+    "energy-off": (ScenarioRunner._expect_energy_off, (None,)),
+    "sweep": (ScenarioRunner._expect_sweep, ("no-charging", "mac-invalid")),
 }
 
 # the receiver of each delivery, by (channel, direction): open-link receivers

@@ -4,6 +4,7 @@ crash-safe persistence with an integrity check on load."""
 
 import json
 import os
+import re
 import stat
 import tempfile
 import threading
@@ -299,23 +300,48 @@ class TestPersistence:
             Registry.load(path)
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, where",
         [
-            lambda obj: obj.update(tariff_per_second=True),
-            lambda obj: obj["vehicles"][0].update(balance=True),
-            lambda obj: obj["vehicles"][0].update(balance=False),
-            lambda obj: obj["vehicles"][0].update(owner=None),
-            lambda obj: obj["vehicles"][0].update(owner=7),
+            (lambda obj: obj.update(tariff_per_second=True), ""),
+            (lambda obj: obj["vehicles"][0].update(balance=True), " vehicles[0]"),
+            (lambda obj: obj["vehicles"][0].update(balance=False), " vehicles[0]"),
+            (lambda obj: obj["vehicles"][0].update(owner=None), " vehicles[0]"),
+            (lambda obj: obj["vehicles"][0].update(owner=7), " vehicles[0]"),
+            (lambda obj: obj["vehicles"][0].update(revoked="no"), " vehicles[0]"),
+            (lambda obj: obj["vehicles"][0].update(revoked=0), " vehicles[0]"),
+            (lambda obj: obj["invoices"][0].update(t1=1.9), " invoices[0]"),
+            (lambda obj: obj["invoices"][0].update(t5="1500"), " invoices[0]"),
+            (lambda obj: obj["invoices"][0].update(duration_ms=None), " invoices[0]"),
+            (lambda obj: obj["invoices"][0].update(amount=True), " invoices[0]"),
+            (lambda obj: obj["invoices"][0].pop("issued_at"), " invoices[0]"),
         ],
-        ids=["bool-tariff", "true-balance", "false-balance", "null-owner", "int-owner"],
+        ids=[
+            "bool-tariff", "true-balance", "false-balance", "null-owner", "int-owner",
+            "string-revoked", "int-revoked", "float-t1", "string-t5", "null-duration",
+            "bool-amount", "missing-issued-at",
+        ],
     )
-    def test_load_rejects_booleans_and_non_string_owners(self, registry, tmp_path, edit):
+    def test_load_rejects_booleans_and_non_string_owners(self, registry, tmp_path, edit, where):
+        # a field of the wrong JSON type is refused, never coerced, so the
+        # next save cannot silently rewrite it
+        registry.bill(registry.vehicles[0].id_a, t1=0, t5=1500, issued_at=1500)
         path = tmp_path / "registry.json"
         registry.save(path)
         obj = json.loads(path.read_text())
         edit(obj)
         path.write_text(json.dumps(obj))
-        with pytest.raises(StorageError):
+        with pytest.raises(StorageError, match=re.escape(f"{path}{where}: ")):
+            Registry.load(path)
+
+    @pytest.mark.parametrize("nonce", ["zz" * 16, "ab" * 15, 7], ids=["bad-hex", "15-bytes", "int"])
+    def test_load_rejects_bad_used_nonces(self, registry, tmp_path, nonce):
+        registry.authenticate(registry.vehicles[1].lookup_key, b"\x01" * 16)
+        path = tmp_path / "registry.json"
+        registry.save(path)
+        obj = json.loads(path.read_text())
+        obj["vehicles"][1]["used_nonces"].append(nonce)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(StorageError, match=re.escape(f"{path} vehicles[1]: used")):
             Registry.load(path)
 
     def test_save_is_atomic_replace(self, registry, tmp_path):

@@ -71,6 +71,73 @@ GOLDEN_UNREDACTED = {
 }
 
 
+# one malformed line each (the last line, where a case has two); every one
+# is a ScriptError naming its line
+BAD_LINES = [
+    "teleport *\n",
+    "scenario a b\n",
+    "rule insecure auth_request nth=1 explode\n",
+    "rule insecure auth_request nth=x drop\n",
+    "rule carrier auth_request nth=1 drop\n",
+    "session * venom=1\n",
+    "session * duration=later\n",
+    "sessions many *\n",
+    "advance soon\n",
+    "revoke\n",
+    "flood 10 style=sideways\n",
+    "flood lots\n",
+    "sweep\n",
+    "probe unknown-probe\n",
+    "probe\n",
+    "report unknown-report\n",
+    "snapshot now\n",
+    "expect completed\n",
+    "expect completed abc\n",
+    "expect accepted\n",
+    "expect rejected x\n",
+    "expect rejected 1 reason=bogus\n",
+    "expect invoices\n",
+    "expect invoices 1 total=lots\n",
+    "expect sweep bogus\n",
+    "expect sweep\n",
+    "sweep start_charge\nexpect sweep\n",
+    "expect no-secrets bogus\n",
+    "expect energy-off x\n",
+    "expect registry-unchanged x\n",
+    "expect fresh-frames x\n",
+    "session * duration=-1\n",
+    "session * budget=-5\n",
+    "sessions -3 *\n",
+    "sessions 2 * duration=-1\n",
+    "advance -5\n",
+    "flood -1\n",
+    # rules that could never fire as written
+    "rule insecure auth_request nth=0 drop\n",
+    "rule insecure auth_request nth=-2 drop\n",
+    "rule insecure auth_request delay=-50\n",
+    "rule insecure auth_reqest drop\n",
+    "rule secure lookup_reply drop\n",
+    "rule secure lookup_request nth=1 drop\n",
+    "rule insecure auth_request tamper=3:00\n",
+    "rule insecure auth_request tamper=3:100\n",
+    "rule insecure auth_request tamper=3:-1\n",
+    "rule insecure auth_request tamper=65:01\n",
+    "rule insecure start_charge tamper=65\n",
+    "rule insecure failure_notice tamper=2\n",
+    "rule insecure auth_request tamper=-1:01\n",
+    "rule insecure auth_request replay=-1\n",
+    "rule insecure auth_request nth=1\n",
+    "rule insecure auth_request drop drop\n",
+    "rule insecure auth_request inject=xyz\n",
+    "sweep auth_request mask=-1\n",
+    "sweep auth_request mask=00\n",
+    "sweep auth_request mask=100\n",
+    "sweep auth_request mask=zz\n",
+    "sweep auth_reqest\n",
+    "sweep lookup_reply\n",
+]
+
+
 def _runner(seed=3, **kwargs):
     return ScenarioRunner(seeded_registry(**kwargs), seed=seed)
 
@@ -78,7 +145,7 @@ def _runner(seed=3, **kwargs):
 class TestParsing:
     def test_comments_and_blanks_skipped(self):
         scenario = parse_scenario("# nothing\n\n  # indented comment\nsession *\n")
-        assert [tokens for _, tokens in scenario.steps] == [["session", "*"]]
+        assert [tokens for _, tokens, _, _ in scenario.steps] == [["session", "*"]]
 
     def test_scenario_names_itself(self):
         assert parse_scenario("scenario my-run\n").name == "my-run"
@@ -92,71 +159,7 @@ class TestParsing:
         scenario = parse_scenario("session #2 duration=1000  # second car\n")
         assert scenario.steps[0][1] == ["session", "#2", "duration=1000"]
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "teleport *\n",
-            "scenario a b\n",
-            "rule insecure auth_request nth=1 explode\n",
-            "rule insecure auth_request nth=x drop\n",
-            "rule carrier auth_request nth=1 drop\n",
-            "session * venom=1\n",
-            "session * duration=later\n",
-            "sessions many *\n",
-            "advance soon\n",
-            "revoke\n",
-            "flood 10 style=sideways\n",
-            "flood lots\n",
-            "sweep\n",
-            "probe unknown-probe\n",
-            "probe\n",
-            "report unknown-report\n",
-            "expect completed\n",
-            "expect completed abc\n",
-            "expect accepted\n",
-            "expect rejected x\n",
-            "expect rejected 1 reason=bogus\n",
-            "expect invoices\n",
-            "expect invoices 1 total=lots\n",
-            "expect sweep bogus\n",
-            "expect sweep\n",
-            "sweep start_charge\nexpect sweep\n",
-            "expect no-secrets bogus\n",
-            "expect energy-off x\n",
-            "expect registry-unchanged x\n",
-            "expect fresh-frames x\n",
-            "session * duration=-1\n",
-            "session * budget=-5\n",
-            "sessions -3 *\n",
-            "sessions 2 * duration=-1\n",
-            "advance -5\n",
-            "flood -1\n",
-            # rules that could never fire as written
-            "rule insecure auth_request nth=0 drop\n",
-            "rule insecure auth_request nth=-2 drop\n",
-            "rule insecure auth_request delay=-50\n",
-            "rule insecure auth_reqest drop\n",
-            "rule secure lookup_reply drop\n",
-            "rule secure lookup_request nth=1 drop\n",
-            "rule insecure auth_request tamper=3:00\n",
-            "rule insecure auth_request tamper=3:100\n",
-            "rule insecure auth_request tamper=3:-1\n",
-            "rule insecure auth_request tamper=65:01\n",
-            "rule insecure start_charge tamper=65\n",
-            "rule insecure failure_notice tamper=2\n",
-            "rule insecure auth_request tamper=-1:01\n",
-            "rule insecure auth_request replay=-1\n",
-            "rule insecure auth_request nth=1\n",
-            "rule insecure auth_request drop drop\n",
-            "rule insecure auth_request inject=xyz\n",
-            "sweep auth_request mask=-1\n",
-            "sweep auth_request mask=00\n",
-            "sweep auth_request mask=100\n",
-            "sweep auth_request mask=zz\n",
-            "sweep auth_reqest\n",
-            "sweep lookup_reply\n",
-        ],
-    )
+    @pytest.mark.parametrize("text", BAD_LINES)
     def test_bad_directives_raise(self, text):
         with pytest.raises(ScriptError, match=r"^line \d+: "):
             _runner().execute(parse_scenario(text))
@@ -185,15 +188,13 @@ class TestParsing:
         )
         assert [rule.action.index for rule in runner.script.rules] == [64, 1]
 
-    @pytest.mark.parametrize(
-        "line",
-        ["rule insecure auth_request nth=0 drop", "sweep auth_request mask=00"],
-    )
-    def test_bad_rule_or_sweep_is_refused_at_parse_time(self, line):
+    @pytest.mark.parametrize("text", BAD_LINES)
+    def test_bad_rule_or_sweep_is_refused_at_parse_time(self, text):
         # the session on line 1 would consume a nonce; a line that can never
         # act as written must stop the scenario before any line runs
-        with pytest.raises(ScriptError, match=r"^line 2: "):
-            parse_scenario(f"session *\n{line}\n")
+        lineno = text.count("\n") + 1
+        with pytest.raises(ScriptError, match=rf"^line {lineno}: "):
+            parse_scenario(f"session *\n{text}")
 
 
 class TestUnfiredRules:
