@@ -17,7 +17,9 @@ init, register, revoke and session hold an exclusive lock on the sidecar
 concurrent commands on one registry file do not lose each other's changes.
 
 Exit codes: 0 success (or: every scenario defense held), 1 protocol or
-domain failure, 2 usage/configuration error, 3 storage error.
+domain failure, 2 usage/configuration error, 3 storage error (a registry
+file that cannot be read, written or trusted, or a --transcript or
+--report file that cannot be written).
 
 Secrecy rule: generated keys are printed once, here, to the operator; no
 transcript, report or log ever contains key material (secure-line messages
@@ -28,6 +30,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from evabs import __version__, crypto
 from evabs.errors import (
@@ -86,6 +89,16 @@ def _fresh_seed(args):
 
 def _rng(seed):
     return crypto.NonceSource.from_seed(seed)
+
+
+@contextmanager
+def _writing(what, path, note=""):
+    """Turn an OSError while writing the output file `path` into a
+    StorageError (exit 3) that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise StorageError(f"cannot write {what} {path}: {exc}{note}") from exc
 
 
 # -- subcommands ----------------------------------------------------------
@@ -159,7 +172,10 @@ def cmd_session(args):
         # again when the invoice is issued; nothing else in a session changes it
         outcome = runner.run_session(record, duration=args.duration, budget=args.budget)
     if args.transcript:
-        runner.transcript.write(args.transcript)
+        saved = outcome.phase == "completed"
+        note = "; the invoice is already saved in the registry" if saved else ""
+        with _writing("transcript", args.transcript, note):
+            runner.transcript.write(args.transcript)
     if outcome.phase != "completed":
         print(f"session {outcome.phase}: {outcome.reason or 'no start message received'}",
               file=sys.stderr)
@@ -225,11 +241,13 @@ def cmd_attack(args):
     else:
         print(text, end="")
     if args.report:
-        with open(args.report, "w") as fh:
+        with _writing("report", args.report), open(args.report, "w") as fh:
             fh.write(text)
     if args.transcript:
         for report in reports:
-            report.transcript.write(_transcript_path(args.transcript, len(reports), report.name))
+            path = _transcript_path(args.transcript, len(reports), report.name)
+            with _writing("transcript", path):
+                report.transcript.write(path)
     return 0 if all(report.held for report in reports) else 1
 
 

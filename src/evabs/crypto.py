@@ -44,6 +44,7 @@ __all__ = [
     "NonceSource",
     "next_nonce",
     "splitmix64",
+    "SPLITMIX64_GAMMA",
 ]
 
 BLOCK_SIZE = 16
@@ -54,6 +55,9 @@ TAG_SIZE = 32
 BACKEND = kernels.BACKEND
 
 _MASK64 = (1 << 64) - 1
+# splitmix64's state advances by this odd constant per step, so output k of
+# the stream seeded with x is the mix of x + (k + 1) * SPLITMIX64_GAMMA
+SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
 
 
 def _checked(name, value, size):
@@ -115,7 +119,7 @@ def verify_mac(key, data, tag):
 
 def splitmix64(x):
     """One splitmix64 step: state -> (new_state, output). Seed expander only."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = (x + SPLITMIX64_GAMMA) & _MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64

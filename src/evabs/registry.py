@@ -16,9 +16,10 @@ On-disk form is a single JSON document: 2-space indentation, a fixed key
 order, hex lowercase, ASCII-escaped owners and nonces sorted, so files diff
 cleanly. The bytes are exactly json.dumps(obj, indent=2) + "\n" of that
 document (pinned by tests/test_registry.py); Registry._document() builds
-them straight from the fields. Saving writes and fsyncs a temp file,
-renames it over the target and fsyncs the directory. Loading re-derives
-every lookup_key and refuses records that do not match their stored one.
+them straight from the fields. Saving writes and fsyncs a new temp file of
+mode 0600 (the file holds every vehicle key), renames it over the target
+and fsyncs the directory. Loading checks each field once, re-derives every
+lookup_key and refuses records that do not match their stored one.
 Processes that load, change and save one file serialize on lock_file(path),
 an exclusive flock on the sidecar `<path>.lock`; the registry's own lock
 covers threads of one process only.
@@ -28,7 +29,6 @@ import fcntl
 import json
 import logging
 import os
-import tempfile
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -101,18 +101,86 @@ def lock_file(path):
         os.close(fd)
 
 
-def _hex_field(obj, key, size, where):
+def _hex_field(obj, key, size):
     try:
         value = bytes.fromhex(obj[key])
     except (KeyError, TypeError, ValueError):
-        raise StorageError(f"{where}: field {key!r} is not valid hex") from None
+        raise StorageError(f"field {key!r} is not valid hex") from None
     if len(value) != size:
-        raise StorageError(f"{where}: field {key!r} must be {size} bytes")
+        raise StorageError(f"field {key!r} must be {size} bytes")
     return value
+
+
+def _json_list(obj, key, path):
+    value = obj.get(key, [])
+    if type(value) is not list:
+        raise StorageError(f"{path}: {key} must be a list")
+    return value
+
+
+def _vehicle_record(vobj):
+    """The record a vehicle entry of the file describes, each field checked
+    once and its lookup_key re-derived and compared."""
+    if type(vobj) is not dict:
+        raise StorageError("must be a JSON object")
+    id_a = _hex_field(vobj, "id_a", crypto.BLOCK_SIZE)
+    k_a = _hex_field(vobj, "k_a", crypto.KEY_SIZE)
+    stored_lookup = _hex_field(vobj, "lookup_key", crypto.BLOCK_SIZE)
+    balance = vobj.get("balance", 0)
+    if type(balance) is not int:
+        raise StorageError("balance must be an integer")
+    owner = vobj.get("owner", "")
+    if type(owner) is not str:
+        raise StorageError("owner must be a string")
+    revoked = vobj.get("revoked", False)
+    if type(revoked) is not bool:
+        raise StorageError("revoked must be true or false")
+    nonces = vobj.get("used_nonces", [])
+    if type(nonces) is not list:
+        raise StorageError("used_nonces must be a list")
+    try:
+        used_nonces = {bytes.fromhex(n) for n in nonces}
+    except (TypeError, ValueError):
+        raise StorageError("used_nonces must be hex strings") from None
+    if any(len(n) != crypto.NONCE_SIZE for n in used_nonces):
+        raise StorageError(f"used_nonces must be {crypto.NONCE_SIZE} bytes each")
+    # the fields are checked bytes of the right sizes, so the kernel is
+    # called without encrypt_block's argument checks
+    lookup_key = crypto.kernels.aes256_encrypt_block(k_a, id_a)
+    if lookup_key != stored_lookup:
+        raise StorageError(f"lookup_key does not match E(id_a, k_a) for {id_a.hex()}")
+    # not register(), which refuses the negative balance billing can leave
+    return VehicleRecord(id_a, k_a, lookup_key, balance, owner, revoked, used_nonces)
 
 
 # the integer fields of an invoice, in Invoice's order, after id_a
 _INVOICE_INTS = ("t1", "t5", "duration_ms", "amount", "issued_at")
+
+
+def _invoice(iobj):
+    if type(iobj) is not dict:
+        raise StorageError("must be a JSON object")
+    id_a = _hex_field(iobj, "id_a", crypto.BLOCK_SIZE)
+    values = [iobj.get(key) for key in _INVOICE_INTS]
+    for key, value in zip(_INVOICE_INTS, values):
+        if type(value) is not int:
+            raise StorageError(f"{key} must be an integer")
+    return Invoice(id_a, *values)
+
+
+# O_EXCL with O_NOFOLLOW: never open a file or symlink already at the name
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
+
+
+def _create_temp(directory):
+    """Create a `.registry-<hex>` file in `directory` with mode 0600 and
+    return (descriptor open for writing, path)."""
+    while True:
+        tmp = os.path.join(directory, f".registry-{os.urandom(8).hex()}")
+        try:
+            return os.open(tmp, _TEMP_FLAGS, 0o600), tmp
+        except FileExistsError:
+            continue  # 64 random bits taken already: draw another name
 
 
 def _json_array(items, pad):
@@ -153,16 +221,20 @@ class Registry:
         if type(owner) is not str:
             raise InvalidInput("owner must be a string")
         lookup_key = crypto.encrypt_block(id_a, k_a)
+        return self._enroll(
+            VehicleRecord(id_a=id_a, k_a=k_a, lookup_key=lookup_key, balance=balance, owner=owner)
+        )
+
+    def _enroll(self, record):
+        """Index a record whose fields are checked; both register() and the
+        loader enroll through here."""
         with self._lock:
-            if id_a in self._by_id:
-                raise DuplicateVehicle(f"vehicle {id_a.hex()} already enrolled")
-            if lookup_key in self._by_lookup:
-                raise DuplicateVehicle(f"lookup key collision for {id_a.hex()}")
-            record = VehicleRecord(
-                id_a=id_a, k_a=k_a, lookup_key=lookup_key, balance=balance, owner=owner
-            )
-            self._by_id[id_a] = record
-            self._by_lookup[lookup_key] = record
+            if record.id_a in self._by_id:
+                raise DuplicateVehicle(f"vehicle {record.id_a.hex()} already enrolled")
+            if record.lookup_key in self._by_lookup:
+                raise DuplicateVehicle(f"lookup key collision for {record.id_a.hex()}")
+            self._by_id[record.id_a] = record
+            self._by_lookup[record.lookup_key] = record
         return record
 
     def revoke(self, id_a):
@@ -306,18 +378,22 @@ class Registry:
         )
 
     def save(self, path):
-        """Write atomically and durably: temp file in the same directory,
-        fsync, rename, then fsync the directory so the rename survives a
-        crash."""
-        payload = self._document()
+        """Write atomically and durably: a new temp file of mode 0600 in the
+        same directory, written with raw os.write calls, fsynced and renamed
+        over the target, then fsync the directory so the rename survives a
+        crash. On failure the temp file is removed and StorageError raised."""
+        payload = self._document().encode("ascii")
         directory = os.path.dirname(os.path.abspath(path))
         try:
-            fd, tmp = tempfile.mkstemp(prefix=".registry-", dir=directory)
+            fd, tmp = _create_temp(directory)
             try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(payload)
-                    fh.flush()
-                    os.fsync(fh.fileno())
+                try:
+                    view = memoryview(payload)
+                    while view:
+                        view = view[os.write(fd, view):]
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
                 os.replace(tmp, path)
             except BaseException:
                 os.unlink(tmp)
@@ -332,6 +408,9 @@ class Registry:
 
     @classmethod
     def load(cls, path):
+        """Read a registry file, checking each field once. The file is the
+        trust boundary: every lookup_key is re-derived as E(id_a, k_a) and a
+        record whose stored one differs is refused."""
         try:
             with open(path) as fh:
                 obj = json.load(fh)
@@ -341,49 +420,22 @@ class Registry:
             raise StorageError(f"registry {path} is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise StorageError(f"registry {path} must be a JSON object")
-        group_key = _hex_field(obj, "group_key", crypto.KEY_SIZE, path)
+        try:
+            group_key = _hex_field(obj, "group_key", crypto.KEY_SIZE)
+        except StorageError as exc:
+            raise StorageError(f"{path}: {exc}") from None
         tariff = obj.get("tariff_per_second")
         if type(tariff) is not int or tariff < 0:
             raise StorageError(f"{path}: tariff_per_second must be a non-negative integer")
         reg = cls(group_key, tariff)
-        for i, vobj in enumerate(obj.get("vehicles", [])):
-            where = f"{path} vehicles[{i}]"
-            id_a = _hex_field(vobj, "id_a", crypto.BLOCK_SIZE, where)
-            k_a = _hex_field(vobj, "k_a", crypto.KEY_SIZE, where)
-            stored_lookup = _hex_field(vobj, "lookup_key", crypto.BLOCK_SIZE, where)
-            balance = vobj.get("balance", 0)
-            if type(balance) is not int:
-                raise StorageError(f"{where}: balance must be an integer")
-            owner = vobj.get("owner", "")
-            if type(owner) is not str:
-                raise StorageError(f"{where}: owner must be a string")
+        for i, vobj in enumerate(_json_list(obj, "vehicles", path)):
             try:
-                record = reg.register(id_a, k_a, owner=owner)
-            except DuplicateVehicle as exc:
-                raise StorageError(f"{where}: {exc}") from exc
-            if record.lookup_key != stored_lookup:
-                raise StorageError(
-                    f"{where}: lookup_key does not match E(id_a, k_a) for {id_a.hex()}"
-                )
-            record.balance = balance  # negative balances survive a round trip
-            record.revoked = vobj.get("revoked", False)
-            if type(record.revoked) is not bool:
-                raise StorageError(f"{where}: revoked must be true or false")
-            nonces = vobj.get("used_nonces", [])
-            if not isinstance(nonces, list):
-                raise StorageError(f"{where}: used_nonces must be a list")
+                reg._enroll(_vehicle_record(vobj))
+            except (StorageError, DuplicateVehicle) as exc:
+                raise StorageError(f"{path} vehicles[{i}]: {exc}") from None
+        for i, iobj in enumerate(_json_list(obj, "invoices", path)):
             try:
-                record.used_nonces = {bytes.fromhex(n) for n in nonces}
-            except (TypeError, ValueError):
-                raise StorageError(f"{where}: used_nonces must be hex strings") from None
-            if any(len(n) != crypto.NONCE_SIZE for n in record.used_nonces):
-                raise StorageError(f"{where}: used_nonces must be {crypto.NONCE_SIZE} bytes each")
-        for i, iobj in enumerate(obj.get("invoices", [])):
-            where = f"{path} invoices[{i}]"
-            id_a = _hex_field(iobj, "id_a", crypto.BLOCK_SIZE, where)
-            values = [iobj.get(key) for key in _INVOICE_INTS]
-            for key, value in zip(_INVOICE_INTS, values):
-                if type(value) is not int:
-                    raise StorageError(f"{where}: {key} must be an integer")
-            reg.invoices.append(Invoice(id_a, *values))
+                reg.invoices.append(_invoice(iobj))
+            except StorageError as exc:
+                raise StorageError(f"{path} invoices[{i}]: {exc}") from None
         return reg

@@ -107,6 +107,8 @@ SWEEP_VARIANTS = ("auth_request", "start_charge")
 
 SCENARIO_ALIASES = {"mitm": ("tamper-m3", "tamper-m8")}
 
+_MASK64 = (1 << 64) - 1
+
 
 @dataclass
 class Scenario:
@@ -486,7 +488,15 @@ def load_scenario(name_or_path):
 
 class ScenarioRunner:
     """One registry + one terminal + one server + one adversary, driven by
-    directives. All randomness derives from the single seed."""
+    directives. All randomness derives from the single seed.
+
+    The seed's splitmix64 chain gives, in order, the terminal's stream seed,
+    the adversary's, then one per vehicle enrolled when the runner was made,
+    in enrollment order. A vehicle's stream is derived on its first session:
+    splitmix64 adds a fixed gamma to its state per step, so the seed of the
+    vehicle at position k is one splitmix64 step from base + k * gamma, base
+    being the state after the adversary's seed. A vehicle enrolled later
+    gets a stream seeded from its id and the run seed."""
 
     def __init__(self, registry, seed=1, persist=None):
         self.registry = registry
@@ -499,15 +509,14 @@ class ScenarioRunner:
         self.transcript = Transcript()
         self.network = Network(self.clock, script=self.script, transcript=self.transcript)
         self.server = Server(registry, persist=persist)
-        state = seed & ((1 << 64) - 1)
+        state = seed & _MASK64
         state, terminal_seed = crypto.splitmix64(state)
         state, adversary_seed = crypto.splitmix64(state)
         self.terminal = Terminal(registry.group_key, crypto.NonceSource.from_seed(terminal_seed))
         self.adversary_rng = crypto.NonceSource.from_seed(adversary_seed)
+        self._streams_base = state
+        self._positions = {record.id_a: k for k, record in enumerate(registry.vehicles)}
         self._vehicle_rng = {}
-        for record in registry.vehicles:
-            state, vseed = crypto.splitmix64(state)
-            self._vehicle_rng[record.id_a] = crypto.NonceSource.from_seed(vseed)
         self.outcomes = []
         self.checks = []
         self.sweeps = {}
@@ -522,11 +531,17 @@ class ScenarioRunner:
     # -- plumbing --------------------------------------------------------
 
     def _rng_for(self, record):
-        # vehicles enrolled after runner creation still get a stable stream
-        if record.id_a not in self._vehicle_rng:
-            state, vseed = crypto.splitmix64(int.from_bytes(record.id_a[:8], "big") ^ self.seed)
-            self._vehicle_rng[record.id_a] = crypto.NonceSource.from_seed(vseed)
-        return self._vehicle_rng[record.id_a]
+        rng = self._vehicle_rng.get(record.id_a)
+        if rng is None:
+            k = self._positions.get(record.id_a)
+            if k is None:
+                # enrolled after runner creation: still a stable stream
+                state = int.from_bytes(record.id_a[:8], "big") ^ self.seed
+            else:
+                state = (self._streams_base + k * crypto.SPLITMIX64_GAMMA) & _MASK64
+            rng = crypto.NonceSource.from_seed(crypto.splitmix64(state)[1])
+            self._vehicle_rng[record.id_a] = rng
+        return rng
 
     def _advance(self, ms):
         self.clock.advance(ms)

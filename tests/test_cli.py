@@ -9,6 +9,7 @@ import fcntl
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 
@@ -240,6 +241,21 @@ class TestSession:
         assert "storage error" in err
 
 
+    def test_unwritable_transcript_exits_3_after_the_invoice_is_saved(
+        self, cli, registry_path, tmp_path
+    ):
+        transcript = tmp_path / "missing" / "frames.jsonl"
+        code, out, err = cli(
+            "session", "--registry", registry_path, "--duration", "1000", "--seed", "11",
+            "--transcript", str(transcript),
+        )
+        assert code == 3
+        assert err.startswith(f"storage error: cannot write transcript {transcript}: ")
+        assert "the invoice is already saved" in err
+        assert "Traceback" not in err
+        assert [inv.duration_ms for inv in Registry.load(registry_path).invoices] == [1000]
+
+
 class TestRevoke:
     def test_unknown_vehicle(self, cli, registry_path):
         code, _, err = cli("revoke", "--registry", registry_path, "--vehicle", "ee" * 16)
@@ -371,6 +387,16 @@ class TestAttack:
         assert (tmp_path / "frames-tamper-m3.jsonl").exists()
         assert (tmp_path / "frames-tamper-m8.jsonl").exists()
 
+    @pytest.mark.parametrize("flag", ["--report", "--transcript"])
+    def test_unwritable_output_file_exits_3(self, cli, tmp_path, flag):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = cli("attack", "--scenario", "replay", "--seed", "9", flag, str(target))
+        assert code == 3
+        assert "verdict: DEFENSE HELD" in out
+        kind = flag.lstrip("-")
+        assert err.startswith(f"storage error: cannot write {kind} {target}: ")
+        assert "No such file or directory" in err
+
     def test_attack_never_modifies_the_registry_file(self, cli, registry_path):
         before = pathlib.Path(registry_path).read_text()
         code, _, _ = cli(
@@ -485,6 +511,41 @@ class TestInvoices:
         )
         rows = [json.loads(line) for line in out.splitlines()]
         assert [r["id_a"] for r in rows] == [OTHER_VEHICLE]
+
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda obj: obj.update(invoices=5),
+            lambda obj: obj.update(vehicles=7),
+            lambda obj: obj["vehicles"].append("a1" * 16),
+            lambda obj: obj["invoices"].append(None),
+        ],
+        ids=["int-invoices", "int-vehicles", "string-vehicle", "null-invoice"],
+    )
+    def test_malformed_registry_shape_is_a_storage_error(self, cli, registry_path, edit):
+        with open(registry_path) as fh:
+            obj = json.load(fh)
+        edit(obj)
+        with open(registry_path, "w") as fh:
+            json.dump(obj, fh)
+        code, _, err = cli("invoices", "--registry", registry_path)
+        assert code == 3
+        assert err.startswith(f"storage error: {registry_path}")
+
+
+class TestFileMode:
+    def test_registry_file_stays_owner_only(self, cli, tmp_path):
+        # the file holds the group key and every vehicle key
+        path = str(tmp_path / "registry.json")
+        for argv in [
+            ("init", "--tariff", "2", "--seed", "5"),
+            ("register", "--vehicle", VEHICLE, "--key", KEY),
+            ("session", "--duration", "1000", "--seed", "11"),
+        ]:
+            code, _, _ = cli(*argv, "--registry", path)
+            assert code == 0
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o600, argv[0]
 
 
 class TestSecrecy:

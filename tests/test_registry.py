@@ -344,6 +344,84 @@ class TestPersistence:
         with pytest.raises(StorageError, match=re.escape(f"{path} vehicles[1]: used")):
             Registry.load(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda obj: obj.update(vehicles=7), ": vehicles must be a list"),
+            (lambda obj: obj.update(invoices=5), ": invoices must be a list"),
+            (lambda obj: obj.update(invoices={"id_a": "00"}), ": invoices must be a list"),
+            (lambda obj: obj["vehicles"].append(3), " vehicles[2]: must be a JSON object"),
+            (lambda obj: obj["vehicles"].insert(0, ["a1" * 16]),
+             " vehicles[0]: must be a JSON object"),
+            (lambda obj: obj["invoices"].append("a1" * 16), " invoices[1]: must be a JSON object"),
+        ],
+        ids=["int-vehicles", "int-invoices", "object-invoices", "int-vehicle", "list-vehicle",
+             "string-invoice"],
+    )
+    def test_load_refuses_lists_and_entries_of_the_wrong_shape(
+        self, registry, tmp_path, edit, message
+    ):
+        registry.bill(registry.vehicles[0].id_a, t1=0, t5=1500, issued_at=1500)
+        path = tmp_path / "registry.json"
+        registry.save(path)
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(StorageError, match=re.escape(f"{path}{message}")):
+            Registry.load(path)
+
+    def test_load_refuses_a_duplicated_vehicle(self, registry, tmp_path):
+        path = tmp_path / "registry.json"
+        registry.save(path)
+        obj = json.loads(path.read_text())
+        obj["vehicles"].append(obj["vehicles"][0])
+        path.write_text(json.dumps(obj))
+        with pytest.raises(StorageError, match=re.escape(f"{path} vehicles[2]: vehicle ")):
+            Registry.load(path)
+
+    def test_saved_file_is_readable_by_its_owner_only(self, registry, tmp_path):
+        # the file holds every vehicle key; a save over a wider file narrows it
+        path = tmp_path / "registry.json"
+        path.write_text("{}")
+        path.chmod(0o644)
+        registry.save(path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+    def test_partial_writes_are_resumed(self, registry, tmp_path, monkeypatch):
+        whole = tmp_path / "whole.json"
+        registry.save(whole)
+        write = os.write
+        sizes = []
+
+        def short_write(fd, data):
+            sizes.append(len(data))
+            return write(fd, bytes(data[:100]))
+
+        monkeypatch.setattr(os, "write", short_write)
+        path = tmp_path / "registry.json"
+        registry.save(path)
+        monkeypatch.undo()
+        assert len(sizes) > 2
+        assert path.read_bytes() == whole.read_bytes()
+
+    def test_failed_write_is_a_storage_error_and_leaves_no_temp_file(
+        self, registry, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "registry.json"
+        registry.save(path)
+        before = path.read_bytes()
+        registry.authenticate(registry.vehicles[0].lookup_key, b"\x01" * 16)
+
+        def failing_write(fd, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "write", failing_write)
+        with pytest.raises(StorageError, match="No space left on device"):
+            registry.save(path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["registry.json"]
+        assert path.read_bytes() == before
+
     def test_save_is_atomic_replace(self, registry, tmp_path):
         path = tmp_path / "registry.json"
         registry.save(path)

@@ -6,10 +6,11 @@ missing freshness check on the terminal nonce)."""
 
 import hashlib
 import logging
+from types import SimpleNamespace
 
 import pytest
 
-from evabs import scenario, wire
+from evabs import crypto, scenario, wire
 from evabs.channel import INSECURE, SECURE
 from evabs.errors import ConfigError, InvalidInput, ScriptError
 from evabs.registry import Registry
@@ -530,6 +531,57 @@ class TestRunnerSessions:
         )
         assert not report.held
         assert "total expected 9, got 8" in report.checks[0].detail
+
+
+class TestVehicleStreams:
+    """Vehicle K of the registry (0-based) draws its nonces from the stream
+    seeded by output 2 + K of the runner seed's splitmix64 chain, in
+    whatever order the vehicles are first used; a vehicle enrolled after the
+    runner was made gets a stream derived from its id."""
+
+    @staticmethod
+    def _first_nonces(vseed, count):
+        stream = crypto.NonceSource.from_seed(vseed)
+        return [stream.next_nonce() for _ in range(count)]
+
+    def test_first_use_order_does_not_change_any_stream(self):
+        seed = 2**64 - 5  # the chain's state wraps past 2**64 within a few steps
+        registry = seeded_registry(vehicles=6)
+        runner = ScenarioRunner(registry, seed=seed)
+        late = registry.register(bytes(range(16)), bytes(range(32, 64)))
+        # the eager chain: terminal, adversary, then one seed per vehicle
+        state, chain = seed, []
+        for _ in range(2 + 6):
+            state, out = crypto.splitmix64(state)
+            chain.append(out)
+        expected = {rec.id_a: self._first_nonces(vseed, 2)
+                    for rec, vseed in zip(registry.vehicles, chain[2:])}
+        late_seed = crypto.splitmix64(int.from_bytes(late.id_a[:8], "big") ^ seed)[1]
+        expected[late.id_a] = self._first_nonces(late_seed, 2)
+        vehicles = registry.vehicles
+        order = [vehicles[4], vehicles[0], vehicles[5], vehicles[2], late, vehicles[4], late]
+        for record in order:
+            assert runner.run_session(record, duration=1000).phase == "completed"
+        for record in registry.vehicles:
+            uses = order.count(record)
+            assert record.used_nonces == set(expected[record.id_a][:uses]), record.owner
+
+    def test_runner_construction_derives_no_vehicle_stream(self, monkeypatch):
+        registry = seeded_registry(vehicles=1000)
+        calls = []
+        splitmix64 = crypto.splitmix64
+
+        def counting_splitmix64(state):
+            calls.append(state)
+            return splitmix64(state)
+
+        # count the runner's own calls, not those inside NonceSource.from_seed
+        monkeypatch.setattr(
+            scenario, "crypto", SimpleNamespace(**{**vars(crypto), "splitmix64": counting_splitmix64})
+        )
+        runner = ScenarioRunner(registry, seed=11)
+        assert len(calls) <= 2
+        assert runner.run_session(registry.vehicles[999], duration=1000).phase == "completed"
 
 
 class TestShippedScenarios:
