@@ -12,9 +12,10 @@ The registry path comes from --registry or the EVABS_REGISTRY environment
 variable. All randomness funnels through --seed, so any run can be
 reproduced bit for bit; commands that generate a seed print it.
 
-init, register, revoke and session hold an exclusive lock on the sidecar
-`<registry>.lock` from load to the last save (registry.lock_file), so
-concurrent commands on one registry file do not lose each other's changes.
+init writes the file under an exclusive lock on `<registry>.lock`; register,
+revoke and session run in Registry.open, which holds it from the load on and
+saves each change before the call that made it returns, so concurrent
+commands on one registry file do not lose each other's changes.
 
 Exit codes: 0 success (or: every scenario defense held), 1 protocol or
 domain failure, 2 usage/configuration error, 3 storage error (a registry
@@ -122,8 +123,7 @@ def cmd_init(args):
 
 def cmd_register(args):
     path = _registry_path(args)
-    with lock_file(path):
-        registry = Registry.load(path)
+    with Registry.open(path) as registry:
         id_a, k_a = args.vehicle, args.key
         if id_a is None or k_a is None:
             # only draw (and announce) a seed when credentials need generating
@@ -131,7 +131,6 @@ def cmd_register(args):
             id_a = id_a if id_a is not None else rng.next_bytes(16)
             k_a = k_a if k_a is not None else rng.next_bytes(32)
         record = registry.register(id_a, k_a, balance=args.balance, owner=args.owner)
-        registry.save(path)
     print(f"vehicle: {record.id_a.hex()}")
     print(f"key: {record.k_a.hex()}")
     print(f"lookup_key: {record.lookup_key.hex()}")
@@ -141,10 +140,8 @@ def cmd_register(args):
 
 def cmd_revoke(args):
     path = _registry_path(args)
-    with lock_file(path):
-        registry = Registry.load(path)
+    with Registry.open(path) as registry:
         record = registry.revoke(args.vehicle)
-        registry.save(path)
     print(f"revoked: {record.id_a.hex()}")
     return 0
 
@@ -163,13 +160,12 @@ def _pick_vehicle(registry, wanted):
 
 def cmd_session(args):
     path = _registry_path(args)
-    with lock_file(path):
-        registry = Registry.load(path)
+    with Registry.open(path) as registry:
         record = _pick_vehicle(registry, args.vehicle)
         seed = _fresh_seed(args)
-        runner = ScenarioRunner(registry, seed=seed, persist=lambda: registry.save(path))
-        # the persist hook saves the file as soon as the nonce is consumed and
-        # again when the invoice is issued; nothing else in a session changes it
+        runner = ScenarioRunner(registry, seed=seed)
+        # the file is saved as soon as the nonce is consumed and again when
+        # the invoice is issued; nothing else in a session changes it
         outcome = runner.run_session(record, duration=args.duration, budget=args.budget)
     if args.transcript:
         saved = outcome.phase == "completed"

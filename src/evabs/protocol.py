@@ -312,15 +312,14 @@ class Server:
     """Billing server: owns the registry, answers lookups, turns charge
     reports into invoices. The only agent that mutates the registry."""
 
-    def __init__(self, registry, persist=None):
+    def __init__(self, registry):
         self.registry = registry
-        self.persist = persist
         self.accepted = 0
         self.rejected = Counter()
         self.invoices_issued = 0
 
     def handle_lookup(self, req):
-        record, reason = self.registry.authenticate(req.m5, req.n_a, persist=self.persist)
+        record, reason = self.registry.authenticate(req.m5, req.n_a)
         if record is None:
             self.rejected[reason] += 1
             return LookupReply(accepted=False, reason=reason)
@@ -328,9 +327,7 @@ class Server:
         return LookupReply(accepted=True, id_a=record.id_a, k_a=record.k_a)
 
     def handle_report(self, report, now):
-        invoice = self.registry.bill(
-            report.id_a, report.t1, report.t5, issued_at=now, persist=self.persist
-        )
+        invoice = self.registry.bill(report.id_a, report.t1, report.t5, issued_at=now)
         self.invoices_issued += 1
         return invoice
 

@@ -7,9 +7,10 @@ recovers from an honest auth request, so lookups never see the id itself.
 Concurrency and durability rules:
   * authenticate() is one atomic check-and-consume under a lock; two
     concurrent submissions of the same (lookup_key, nonce) cannot both win.
-  * when a persist callback is given, the nonce is only consumed if
-    persistence succeeds; on failure the registry rolls back and raises
-    StorageError, so a crashy disk cannot open a replay window.
+  * in a registry from Registry.open(path), register, revoke, authenticate
+    and bill save the file in the lock hold of their change, before they
+    return; a failed save undoes the change and raises StorageError, so a
+    crashy disk can neither open a replay window nor lose an invoice.
   * a revoked vehicle is indistinguishable from an unknown one.
 
 On-disk form is a single JSON document: 2-space indentation, a fixed key
@@ -19,9 +20,10 @@ document (pinned by tests/test_registry.py); Registry._document() builds
 them straight from the fields. Saving writes and fsyncs a new temp file of
 mode 0600 (the file holds every vehicle key), renames it over the target
 and fsyncs the directory. Loading checks each field once, re-derives every
-lookup_key and refuses records that do not match their stored one.
-Processes that load, change and save one file serialize on lock_file(path),
-an exclusive flock on the sidecar `<path>.lock`; the registry's own lock
+lookup_key, refuses records that do not match their stored one and takes
+hex only in lowercase of the exact length. Processes that load, change and
+save one file serialize on lock_file(path), an exclusive flock on the
+sidecar `<path>.lock` that Registry.open holds; the registry's own lock
 covers threads of one process only.
 """
 
@@ -101,20 +103,28 @@ def lock_file(path):
         os.close(fd)
 
 
-def _hex_field(obj, key, size):
+def _canonical_hex(text, size):
+    """The `size` bytes that `text` spells in lowercase hex, else None:
+    bytes.fromhex also takes spaces and uppercase, which a save rewrites."""
     try:
-        value = bytes.fromhex(obj[key])
-    except (KeyError, TypeError, ValueError):
-        raise StorageError(f"field {key!r} is not valid hex") from None
-    if len(value) != size:
-        raise StorageError(f"field {key!r} must be {size} bytes")
+        value = bytes.fromhex(text)
+    except (TypeError, ValueError):
+        return None
+    return value if len(value) == size and value.hex() == text else None
+
+
+def _hex_field(obj, key, size):
+    value = _canonical_hex(obj.get(key), size)
+    if value is None:
+        raise StorageError(f"field {key!r} must be {size} bytes of lowercase hex")
     return value
 
 
-def _json_list(obj, key, path):
-    value = obj.get(key, [])
-    if type(value) is not list:
-        raise StorageError(f"{path}: {key} must be a list")
+def _field(obj, key, kind, default, what):
+    """obj[key], or `default` when absent, refused unless exactly a `kind`."""
+    value = obj.get(key, default)
+    if type(value) is not kind:
+        raise StorageError(f"{key} must be {what}")
     return value
 
 
@@ -126,24 +136,13 @@ def _vehicle_record(vobj):
     id_a = _hex_field(vobj, "id_a", crypto.BLOCK_SIZE)
     k_a = _hex_field(vobj, "k_a", crypto.KEY_SIZE)
     stored_lookup = _hex_field(vobj, "lookup_key", crypto.BLOCK_SIZE)
-    balance = vobj.get("balance", 0)
-    if type(balance) is not int:
-        raise StorageError("balance must be an integer")
-    owner = vobj.get("owner", "")
-    if type(owner) is not str:
-        raise StorageError("owner must be a string")
-    revoked = vobj.get("revoked", False)
-    if type(revoked) is not bool:
-        raise StorageError("revoked must be true or false")
-    nonces = vobj.get("used_nonces", [])
-    if type(nonces) is not list:
-        raise StorageError("used_nonces must be a list")
-    try:
-        used_nonces = {bytes.fromhex(n) for n in nonces}
-    except (TypeError, ValueError):
-        raise StorageError("used_nonces must be hex strings") from None
-    if any(len(n) != crypto.NONCE_SIZE for n in used_nonces):
-        raise StorageError(f"used_nonces must be {crypto.NONCE_SIZE} bytes each")
+    balance = _field(vobj, "balance", int, 0, "an integer")
+    owner = _field(vobj, "owner", str, "", "a string")
+    revoked = _field(vobj, "revoked", bool, False, "true or false")
+    nonces = _field(vobj, "used_nonces", list, [], "a list")
+    used_nonces = {_canonical_hex(n, crypto.NONCE_SIZE) for n in nonces}
+    if None in used_nonces:
+        raise StorageError(f"used_nonces must be {crypto.NONCE_SIZE} bytes of lowercase hex each")
     # the fields are checked bytes of the right sizes, so the kernel is
     # called without encrypt_block's argument checks
     lookup_key = crypto.kernels.aes256_encrypt_block(k_a, id_a)
@@ -161,11 +160,7 @@ def _invoice(iobj):
     if type(iobj) is not dict:
         raise StorageError("must be a JSON object")
     id_a = _hex_field(iobj, "id_a", crypto.BLOCK_SIZE)
-    values = [iobj.get(key) for key in _INVOICE_INTS]
-    for key, value in zip(_INVOICE_INTS, values):
-        if type(value) is not int:
-            raise StorageError(f"{key} must be an integer")
-    return Invoice(id_a, *values)
+    return Invoice(id_a, *(_field(iobj, key, int, None, "an integer") for key in _INVOICE_INTS))
 
 
 # O_EXCL with O_NOFOLLOW: never open a file or symlink already at the name
@@ -206,6 +201,33 @@ class Registry:
         self._by_id = {}
         self.invoices = []
         self._lock = threading.Lock()
+        self._path = None  # the file each change is saved to, inside open()
+
+    @classmethod
+    @contextmanager
+    def open(cls, path):
+        """The registry in the file at `path`, under lock_file(path) for the
+        block, each change saved to `path` before the call that made it
+        returns. On exit the path is unbound: no save after the unlock."""
+        with lock_file(path):
+            registry = cls.load(path)
+            registry._path = path
+            try:
+                yield registry
+            finally:
+                with registry._lock:
+                    registry._path = None
+
+    def _commit(self, what, undo, *args):
+        """Save the change just made, in its lock hold, to the bound file;
+        if that fails, undo(*args) it and raise StorageError saying `what`."""
+        if self._path is None:
+            return
+        try:
+            self.save(self._path)
+        except StorageError as exc:
+            undo(*args)
+            raise StorageError(f"persist failed, {what}: {exc}") from exc
 
     # -- enrollment ---------------------------------------------------
 
@@ -220,14 +242,15 @@ class Registry:
             raise InvalidInput("opening balance must be a non-negative integer")
         if type(owner) is not str:
             raise InvalidInput("owner must be a string")
-        lookup_key = crypto.encrypt_block(id_a, k_a)
+        # sizes checked above, so the kernel is called as the loader calls it
+        lookup_key = crypto.kernels.aes256_encrypt_block(k_a, id_a)
         return self._enroll(
             VehicleRecord(id_a=id_a, k_a=k_a, lookup_key=lookup_key, balance=balance, owner=owner)
         )
 
     def _enroll(self, record):
         """Index a record whose fields are checked; both register() and the
-        loader enroll through here."""
+        loader (whose registry is bound to no file yet) enroll through here."""
         with self._lock:
             if record.id_a in self._by_id:
                 raise DuplicateVehicle(f"vehicle {record.id_a.hex()} already enrolled")
@@ -235,16 +258,21 @@ class Registry:
                 raise DuplicateVehicle(f"lookup key collision for {record.id_a.hex()}")
             self._by_id[record.id_a] = record
             self._by_lookup[record.lookup_key] = record
+            self._commit("vehicle not enrolled", self._unindex, record)
         return record
+
+    def _unindex(self, record):
+        del self._by_id[record.id_a]
+        del self._by_lookup[record.lookup_key]
 
     def revoke(self, id_a):
         """Disable a vehicle (stolen/retired). Idempotent; secrets are kept
         so a found vehicle can be re-enabled out of band."""
         with self._lock:
-            record = self._by_id.get(bytes(id_a))
-            if record is None:
-                raise NotFound(f"no vehicle {bytes(id_a).hex()}")
+            record = self.find(id_a)
+            was_revoked = record.revoked
             record.revoked = True
+            self._commit("vehicle not revoked", setattr, record, "revoked", was_revoked)
         return record
 
     @property
@@ -259,10 +287,10 @@ class Registry:
 
     # -- authentication -----------------------------------------------
 
-    def authenticate(self, lookup_key, nonce, persist=None):
+    def authenticate(self, lookup_key, nonce):
         """Atomic check-and-consume. Returns (record, None) on success or
-        (None, reason) on rejection. With a persist callback, the nonce is
-        consumed only if persistence succeeds."""
+        (None, reason) on rejection. In a bound registry the nonce is
+        consumed only if the save succeeds."""
         lookup_key = bytes(lookup_key)
         nonce = bytes(nonce)
         with self._lock:
@@ -272,23 +300,16 @@ class Registry:
             if nonce in record.used_nonces:
                 return None, Reason.REPLAY_DETECTED
             record.used_nonces.add(nonce)
-            if persist is not None:
-                try:
-                    persist()
-                except Exception as exc:
-                    record.used_nonces.discard(nonce)
-                    raise StorageError(f"persist failed, nonce not consumed: {exc}") from exc
+            self._commit("nonce not consumed", record.used_nonces.discard, nonce)
             return record, None
 
     # -- billing --------------------------------------------------------
 
-    def bill(self, id_a, t1, t5, issued_at, persist=None):
+    def bill(self, id_a, t1, t5, issued_at):
         """Turn a reported charge interval into an invoice. Every started
         second is charged in full; the balance may go negative."""
         with self._lock:
-            record = self._by_id.get(bytes(id_a))
-            if record is None:
-                raise NotFound(f"no vehicle {bytes(id_a).hex()}")
+            record = self.find(id_a)
             if t5 < t1:
                 raise InvalidReport(f"t5 {t5} precedes t1 {t1}")
             duration = t5 - t1
@@ -303,17 +324,15 @@ class Registry:
             )
             record.balance -= amount
             self.invoices.append(invoice)
-            if persist is not None:
-                try:
-                    persist()
-                except Exception as exc:
-                    self.invoices.pop()
-                    record.balance += amount
-                    raise StorageError(f"persist failed, invoice dropped: {exc}") from exc
+            self._commit("invoice dropped", self._refund, record, amount)
         log.info(
             "invoice: duration_ms=%d amount=%d balance=%d", duration, amount, record.balance
         )
         return invoice
+
+    def _refund(self, record, amount):
+        self.invoices.pop()
+        record.balance += amount
 
     def invoices_for(self, id_a=None):
         if id_a is None:
@@ -412,28 +431,31 @@ class Registry:
         trust boundary: every lookup_key is re-derived as E(id_a, k_a) and a
         record whose stored one differs is refused."""
         try:
-            with open(path) as fh:
-                obj = json.load(fh)
+            with open(path, "rb") as fh:
+                # UTF-8 whatever the locale; json.loads would take UTF-16 bytes
+                obj = json.loads(fh.read().decode())
         except OSError as exc:
             raise StorageError(f"cannot read registry {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also undecodable or too deep
             raise StorageError(f"registry {path} is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise StorageError(f"registry {path} must be a JSON object")
         try:
             group_key = _hex_field(obj, "group_key", crypto.KEY_SIZE)
+            tariff = obj.get("tariff_per_second")
+            if type(tariff) is not int or tariff < 0:
+                raise StorageError("tariff_per_second must be a non-negative integer")
+            vehicles = _field(obj, "vehicles", list, [], "a list")
+            invoices = _field(obj, "invoices", list, [], "a list")
         except StorageError as exc:
             raise StorageError(f"{path}: {exc}") from None
-        tariff = obj.get("tariff_per_second")
-        if type(tariff) is not int or tariff < 0:
-            raise StorageError(f"{path}: tariff_per_second must be a non-negative integer")
         reg = cls(group_key, tariff)
-        for i, vobj in enumerate(_json_list(obj, "vehicles", path)):
+        for i, vobj in enumerate(vehicles):
             try:
                 reg._enroll(_vehicle_record(vobj))
             except (StorageError, DuplicateVehicle) as exc:
                 raise StorageError(f"{path} vehicles[{i}]: {exc}") from None
-        for i, iobj in enumerate(_json_list(obj, "invoices", path)):
+        for i, iobj in enumerate(invoices):
             try:
                 reg.invoices.append(_invoice(iobj))
             except StorageError as exc:

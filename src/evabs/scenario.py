@@ -53,7 +53,7 @@ runs; only vehicle references, which need the registry, wait for the run.
 
 import os
 import re
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import accumulate
@@ -73,7 +73,7 @@ from evabs.channel import (
     Tamper,
     Transcript,
 )
-from evabs.errors import ConfigError, FrameError, InvalidInput, ScriptError
+from evabs.errors import ConfigError, FrameError, InvalidInput, NotFound, ScriptError
 from evabs.protocol import (
     HandshakeTrace,
     Phase,
@@ -498,7 +498,7 @@ class ScenarioRunner:
     being the state after the adversary's seed. A vehicle enrolled later
     gets a stream seeded from its id and the run seed."""
 
-    def __init__(self, registry, seed=1, persist=None):
+    def __init__(self, registry, seed=1):
         self.registry = registry
         # expectations and counters report invoices issued by this run, not
         # whatever billing history the registry already carries
@@ -508,7 +508,7 @@ class ScenarioRunner:
         self.script = AdversaryScript()
         self.transcript = Transcript()
         self.network = Network(self.clock, script=self.script, transcript=self.transcript)
-        self.server = Server(registry, persist=persist)
+        self.server = Server(registry)
         state = seed & _MASK64
         state, terminal_seed = crypto.splitmix64(state)
         state, adversary_seed = crypto.splitmix64(state)
@@ -520,12 +520,9 @@ class ScenarioRunner:
         self.outcomes = []
         self.checks = []
         self.sweeps = {}
-        self.malformed = Counter()
         self._snapshot = None
         self._rule_lines = []  # (lineno, line) of each script rule, in script order
         self._vehicle = None
-        self._session_trace = None
-        self._session_auth_frame = None
         self._session_frames = {}
 
     # -- plumbing --------------------------------------------------------
@@ -571,26 +568,26 @@ class ScenarioRunner:
         as (channel, direction, payload) triples."""
         return _RECEIVERS[channel, direction](self, payload)
 
-    def _decode(self, direction, frame):
+    @staticmethod
+    def _decode(frame):
         """The message in an open-link frame, or None for a malformed one."""
         try:
             return decode_frame(frame)
         except FrameError:
-            self.malformed[direction] += 1
             return None
 
     def _terminal_hears_vehicle(self, frame):
-        msg = self._decode(V2T, frame)
+        msg = self._decode(frame)
         if msg is None:
             return []
         if not isinstance(msg, AuthRequest):
             self.terminal.ignored[type(msg).__name__] += 1
             return []
-        trace = self._session_trace if frame == self._session_auth_frame else HandshakeTrace()
-        return [(SECURE, T2S, self.terminal.handle_auth(msg, trace))]
+        own = self._vehicle is not None and frame == self._session_frames["auth_request"]
+        return [(SECURE, T2S, self.terminal.handle_auth(msg, self._vehicle.trace if own else None))]
 
     def _vehicle_hears_terminal(self, frame):
-        msg = self._decode(T2V, frame)
+        msg = self._decode(frame)
         if msg is not None and self._vehicle is not None:
             self._vehicle.receive(msg)
         return []
@@ -612,15 +609,10 @@ class ScenarioRunner:
         """A fresh vehicle session whose auth request has been sent and
         answered until quiet."""
         creds = VehicleCredentials(record.id_a, record.k_a)
-        trace = HandshakeTrace()
-        vehicle = VehicleSession(creds, self.registry.group_key, self._rng_for(record), trace)
+        vehicle = VehicleSession(creds, self.registry.group_key, self._rng_for(record))
+        raw = vehicle.start().encode()
         self._vehicle = vehicle
-        self._session_trace = trace
-        self._session_frames = {}
-        req = vehicle.start()
-        raw = req.encode()
-        self._session_auth_frame = raw
-        self._session_frames["auth_request"] = raw
+        self._session_frames = {"auth_request": raw}
         self._send(INSECURE, V2T, raw)
         return vehicle
 
@@ -635,8 +627,6 @@ class ScenarioRunner:
         self.terminal.pending.clear()
         self.script.disarm_ephemeral()
         self._vehicle = None
-        self._session_trace = None
-        self._session_auth_frame = None
 
     @staticmethod
     def budget_cutoff_ms(budget, tariff):
@@ -790,13 +780,11 @@ class ScenarioRunner:
                 raise ConfigError(f"line {lineno}: no vehicle {ref}")
             return vehicles[index - 1]
         try:
-            id_a = bytes.fromhex(ref)
+            return self.registry.find(bytes.fromhex(ref))
         except ValueError:
             raise ConfigError(f"line {lineno}: bad vehicle reference {ref!r}") from None
-        for record in vehicles:
-            if record.id_a == id_a:
-                return record
-        raise ConfigError(f"line {lineno}: no vehicle {ref}")
+        except NotFound:
+            raise ConfigError(f"line {lineno}: no vehicle {ref}") from None
 
     def _with_vehicle(self, ref, lineno, act, *args):
         """act(self, record, *args) on the vehicle `ref` names: the one part
@@ -854,12 +842,7 @@ class ScenarioRunner:
             needles += [("key", rec.k_a) for rec in self.registry.vehicles]
             needles.append(("group-key", self.registry.group_key))
         frames = [e.frame for e in self.transcript if e.channel == INSECURE]
-        hits = []
-        for label, needle in needles:
-            for frame in frames:
-                if needle in frame:
-                    hits.append(label)
-                    break
+        hits = [label for label, needle in needles if any(needle in frame for frame in frames)]
         self._check(
             name,
             not hits,
@@ -869,8 +852,7 @@ class ScenarioRunner:
 
     def _expect_fresh_frames(self, name):
         auth = [o.frames["auth_request"] for o in self.outcomes if "auth_request" in o.frames]
-        start = [o.frames.get("start_charge") for o in self.outcomes]
-        start = [f for f in start if f]
+        start = [o.frames["start_charge"] for o in self.outcomes if "start_charge" in o.frames]
         problems = []
         # both frames: a tag byte, then a block, a MAC tag and a nonce
         edges = list(accumulate((1, wire.BLOCK_SIZE, wire.TAG_SIZE, wire.NONCE_SIZE)))

@@ -533,6 +533,15 @@ class TestInvoices:
         assert code == 3
         assert err.startswith(f"storage error: {registry_path}")
 
+    @pytest.mark.parametrize("content", [b"\xff", b"[" * 200_000], ids=["0xff", "deep-nesting"])
+    def test_undecodable_registry_is_a_storage_error(self, cli, tmp_path, content):
+        path = tmp_path / "registry.json"
+        path.write_bytes(content)
+        code, _, err = cli("invoices", "--registry", str(path))
+        assert code == 3
+        assert err.startswith(f"storage error: registry {path} is not valid JSON")
+        assert "Traceback" not in err
+
 
 class TestFileMode:
     def test_registry_file_stays_owner_only(self, cli, tmp_path):

@@ -2,6 +2,7 @@
 consumption (including under 64-way contention), whole-second billing, and
 crash-safe persistence with an integrity check on load."""
 
+import fcntl
 import json
 import os
 import re
@@ -25,6 +26,10 @@ from evabs.registry import Invoice, Registry
 from evabs.wire import Reason
 
 from conftest import seeded_bytes, seeded_registry
+
+
+def _disk_full(fd, data):
+    raise OSError(28, "No space left on device")
 
 
 class TestEnrollment:
@@ -115,18 +120,19 @@ class TestAuthenticate:
             assert registry.authenticate(record.lookup_key, nonce)[0] is record
         assert len(record.used_nonces) == 50
 
-    def test_persist_failure_rolls_back_nonce(self, registry):
-        record = registry.vehicles[0]
+    def test_persist_failure_rolls_back_nonce(self, registry, tmp_path, monkeypatch):
+        path = tmp_path / "registry.json"
+        registry.save(path)
         nonce = b"\x09" * 16
-
-        def broken():
-            raise OSError("disk full")
-
-        with pytest.raises(StorageError):
-            registry.authenticate(record.lookup_key, nonce, persist=broken)
-        assert nonce not in record.used_nonces
-        # the same nonce must still be usable once persistence recovers
-        assert registry.authenticate(record.lookup_key, nonce)[0] is record
+        with Registry.open(path) as registry:
+            record = registry.vehicles[0]
+            monkeypatch.setattr(os, "write", _disk_full)
+            with pytest.raises(StorageError):
+                registry.authenticate(record.lookup_key, nonce)
+            monkeypatch.undo()
+            assert nonce not in record.used_nonces
+            # the same nonce must still be usable once persistence recovers
+            assert registry.authenticate(record.lookup_key, nonce)[0] is record
 
     def test_concurrent_same_nonce_single_accept(self, registry):
         record = registry.vehicles[0]
@@ -198,16 +204,16 @@ class TestBilling:
         with pytest.raises(NotFound):
             registry.bill(b"\xee" * 16, 0, 1000, issued_at=0)
 
-    def test_persist_failure_rolls_back_invoice(self, registry):
-        record = registry.vehicles[0]
-
-        def broken():
-            raise OSError("disk full")
-
-        with pytest.raises(StorageError):
-            registry.bill(record.id_a, 0, 5000, issued_at=0, persist=broken)
-        assert registry.invoices == []
-        assert record.balance == 100_000
+    def test_persist_failure_rolls_back_invoice(self, registry, tmp_path, monkeypatch):
+        path = tmp_path / "registry.json"
+        registry.save(path)
+        with Registry.open(path) as registry:
+            record = registry.vehicles[0]
+            monkeypatch.setattr(os, "write", _disk_full)
+            with pytest.raises(StorageError):
+                registry.bill(record.id_a, 0, 5000, issued_at=0)
+            assert registry.invoices == []
+            assert record.balance == 100_000
 
     def test_invoices_for_filters_by_vehicle(self, registry):
         first, second = registry.vehicles
@@ -550,3 +556,117 @@ class TestPersistence:
         record = registry.vehicles[0]
         registry.authenticate(record.lookup_key, b"\x05" * 16)
         assert registry.snapshot() != base
+
+
+class TestLoadCanonical:
+    @pytest.mark.parametrize(
+        "content", [b"\xff", b"[" * 200_000, '{"tariff_per_second": 2}'.encode("utf-16")],
+        ids=["0xff", "deep-nesting", "utf-16"],
+    )
+    def test_undecodable_file_is_a_storage_error(self, tmp_path, content):
+        path = tmp_path / "registry.json"
+        path.write_bytes(content)
+        with pytest.raises(StorageError, match=re.escape(f"registry {path} is not valid JSON")):
+            Registry.load(path)
+
+    @pytest.mark.parametrize(
+        "locate, where",
+        [
+            (lambda obj: (obj, "group_key"), ": field 'group_key'"),
+            (lambda obj: (obj["vehicles"][1], "id_a"), " vehicles[1]: field 'id_a'"),
+            (lambda obj: (obj["vehicles"][1], "k_a"), " vehicles[1]: field 'k_a'"),
+            (lambda obj: (obj["vehicles"][1], "lookup_key"), " vehicles[1]: field 'lookup_key'"),
+            (lambda obj: (obj["invoices"][0], "id_a"), " invoices[0]: field 'id_a'"),
+            (lambda obj: (obj["vehicles"][0]["used_nonces"], 0), " vehicles[0]: used_nonces"),
+        ],
+        ids=["group-key", "id-a", "k-a", "lookup-key", "invoice-id-a", "used-nonce"],
+    )
+    @pytest.mark.parametrize(
+        "respell", [str.upper, lambda text: f"{text[:2]} {text[2:]}", lambda text: f" {text}"],
+        ids=["uppercase", "inner-space", "leading-space"],
+    )
+    def test_hex_other_than_lowercase_of_the_exact_length_is_refused(
+        self, registry, tmp_path, locate, where, respell
+    ):
+        # bytes.fromhex takes these spellings, and the next save would
+        # silently rewrite them
+        record = registry.vehicles[0]
+        registry.authenticate(record.lookup_key, b"\xab" * 16)
+        registry.bill(record.id_a, t1=0, t5=1500, issued_at=1500)
+        path = tmp_path / "registry.json"
+        registry.save(path)
+        obj = json.loads(path.read_text())
+        container, key = locate(obj)
+        container[key] = respell(container[key])
+        path.write_text(json.dumps(obj))
+        with pytest.raises(StorageError, match=re.escape(f"{path}{where}")):
+            Registry.load(path)
+
+
+class TestOpen:
+    @pytest.fixture
+    def path(self, registry, tmp_path):
+        path = tmp_path / "registry.json"
+        registry.save(path)
+        return path
+
+    def test_failed_save_undoes_a_register(self, path, monkeypatch):
+        with Registry.open(path) as registry:
+            before = registry.snapshot()
+            monkeypatch.setattr(os, "write", _disk_full)
+            with pytest.raises(StorageError, match="persist failed, vehicle not enrolled: "):
+                registry.register(b"\x31" * 16, b"\x32" * 32)
+            monkeypatch.undo()
+            assert registry.snapshot() == before
+            # neither index kept the record: the same vehicle enrolls cleanly
+            registry.register(b"\x31" * 16, b"\x32" * 32)
+        assert len(Registry.load(path).vehicles) == 3
+
+    @pytest.mark.parametrize("already_revoked", [False, True])
+    def test_failed_save_undoes_a_revoke(self, registry, tmp_path, monkeypatch, already_revoked):
+        if already_revoked:
+            registry.revoke(registry.vehicles[0].id_a)
+        path = tmp_path / "registry.json"
+        registry.save(path)
+        with Registry.open(path) as registry:
+            record = registry.vehicles[0]
+            monkeypatch.setattr(os, "write", _disk_full)
+            with pytest.raises(StorageError, match="persist failed, vehicle not revoked: "):
+                registry.revoke(record.id_a)
+            assert record.revoked is already_revoked
+
+    def test_file_equals_memory_after_each_change(self, path, tmp_path):
+        mirror = tmp_path / "mirror.json"
+        with Registry.open(path) as registry:
+            record = registry.vehicles[0]
+            changes = [
+                lambda: registry.register(b"\x31" * 16, b"\x32" * 32, balance=7),
+                lambda: registry.revoke(registry.vehicles[1].id_a),
+                lambda: registry.authenticate(record.lookup_key, b"\x05" * 16),
+                lambda: registry.bill(record.id_a, 0, 2500, issued_at=2500),
+            ]
+            for change in changes:
+                before = path.read_bytes()
+                change()
+                registry.save(mirror)
+                assert path.read_bytes() == mirror.read_bytes() != before
+
+    def test_holds_the_lock_file_for_the_block(self, path):
+        with Registry.open(path):
+            fd = os.open(f"{path}.lock", os.O_RDWR)
+            try:
+                with pytest.raises(BlockingIOError):
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            finally:
+                os.close(fd)
+
+    def test_change_after_the_block_does_not_touch_the_file(self, path):
+        with Registry.open(path) as registry:
+            pass
+        before = path.read_bytes()
+        record = registry.vehicles[0]
+        registry.register(b"\x31" * 16, b"\x32" * 32)
+        registry.revoke(registry.vehicles[1].id_a)
+        registry.authenticate(record.lookup_key, b"\x05" * 16)
+        registry.bill(record.id_a, 0, 2500, issued_at=2500)
+        assert path.read_bytes() == before
