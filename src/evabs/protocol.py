@@ -26,7 +26,7 @@ server does that.
 
 import enum
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from evabs import crypto
 from evabs.errors import ClockSkew, HandshakeError, InvalidInput
@@ -42,7 +42,6 @@ from evabs.wire import (
 
 __all__ = [
     "VehicleCredentials",
-    "HandshakeTrace",
     "Phase",
     "VehicleSession",
     "Terminal",
@@ -74,30 +73,6 @@ class VehicleCredentials:
             raise InvalidInput("k_a must be 32 bytes")
 
 
-@dataclass
-class HandshakeTrace:
-    """Every intermediate value of one session, filled in by whoever
-    computes it. Diagnostic only; agents never read it."""
-
-    m1: bytes | None = None
-    m2: bytes | None = None
-    m3: bytes | None = None
-    mac1: bytes | None = None
-    n_a: bytes | None = None
-    m4: bytes | None = None
-    m5: bytes | None = None
-    m6: bytes | None = None
-    m7: bytes | None = None
-    m8: bytes | None = None
-    mac4: bytes | None = None
-    n_t: bytes | None = None
-    t1: int | None = None
-    t2: int | None = None
-    t3: int | None = None
-    t4: int | None = None
-    t5: int | None = None
-
-
 def pack_timestamp(ms):
     """Millisecond count -> 16-byte block: 8 zero bytes then 8 big-endian."""
     if not isinstance(ms, int) or not 0 <= ms < (1 << 64):
@@ -115,25 +90,21 @@ def unpack_timestamp(block):
     return int.from_bytes(block[8:], "big")
 
 
-def build_auth_request(creds, group_key, n_a, trace=None):
+def build_auth_request(creds, group_key, n_a):
     """Steps the vehicle runs to open a session, with an explicit nonce so
     callers control freshness."""
     m1 = crypto.encrypt_block(creds.id_a, creds.k_a)
     m2 = crypto.xor_blocks(m1, n_a)
     m3 = crypto.encrypt_block(m2, group_key)
     mac = crypto.compute_mac(creds.k_a, m3 + n_a)
-    if trace is not None:
-        trace.m1, trace.m2, trace.m3, trace.mac1, trace.n_a = m1, m2, m3, mac, n_a
     return AuthRequest(m3=m3, mac=mac, n_a=n_a)
 
 
-def derive_lookup_request(req, group_key, trace=None):
+def derive_lookup_request(req, group_key):
     """Terminal side of the auth request: strip the group layer and the
     nonce. The result equals E(id_a, k_a) iff the frame is authentic."""
     m4 = crypto.decrypt_block(req.m3, group_key)
     m5 = crypto.xor_blocks(m4, req.n_a)
-    if trace is not None:
-        trace.m4, trace.m5 = m4, m5
     return LookupRequest(m5=m5, n_a=req.n_a)
 
 
@@ -142,29 +113,24 @@ def verify_auth_request(req, k_a):
     return crypto.verify_mac(k_a, req.m3 + req.n_a, req.mac)
 
 
-def build_start_charge(k_a, group_key, t1, n_t, trace=None):
+def build_start_charge(k_a, group_key, t1, n_t):
     """Wrap the charge start time for the vehicle: pad, blind with the
     terminal nonce, then encrypt under both keys."""
     m6 = crypto.xor_blocks(pack_timestamp(t1), n_t)
     m7 = crypto.encrypt_block(m6, k_a)
     m8 = crypto.encrypt_block(m7, group_key)
     mac = crypto.compute_mac(k_a, m8 + n_t)
-    if trace is not None:
-        trace.m6, trace.m7, trace.m8, trace.mac4, trace.n_t, trace.t1 = m6, m7, m8, mac, n_t, t1
     return StartCharge(m8=m8, mac=mac, n_t=n_t)
 
 
-def open_start_charge(msg, k_a, group_key, trace=None):
+def open_start_charge(msg, k_a, group_key):
     """Vehicle side of the start message: verify the tag first, then peel
     both layers and the nonce. Returns the terminal's start time t2."""
     if not crypto.verify_mac(k_a, msg.m8 + msg.n_t, msg.mac):
         raise HandshakeError(Reason.MAC_INVALID, "start_charge tag mismatch")
     m9 = crypto.decrypt_block(msg.m8, group_key)
     m10 = crypto.decrypt_block(m9, k_a)
-    t2 = unpack_timestamp(crypto.xor_blocks(m10, msg.n_t))
-    if trace is not None:
-        trace.m8, trace.n_t, trace.t2 = msg.m8, msg.n_t, t2
-    return t2
+    return unpack_timestamp(crypto.xor_blocks(m10, msg.n_t))
 
 
 def elapsed(start, end):
@@ -186,11 +152,10 @@ class Phase(enum.Enum):
 class VehicleSession:
     """Vehicle-side state machine for one charge attempt."""
 
-    def __init__(self, creds, group_key, nonces, trace=None):
+    def __init__(self, creds, group_key, nonces):
         self.creds = creds
         self.group_key = group_key
         self.nonces = nonces
-        self.trace = trace if trace is not None else HandshakeTrace()
         self.phase = Phase.IDLE
         self.fail_reason = None
         self.t2 = None
@@ -200,9 +165,7 @@ class VehicleSession:
     def start(self):
         if self.phase is not Phase.IDLE:
             raise HandshakeError(Reason.ABORTED, "session already started")
-        req = build_auth_request(
-            self.creds, self.group_key, self.nonces.next_nonce(), self.trace
-        )
+        req = build_auth_request(self.creds, self.group_key, self.nonces.next_nonce())
         self.phase = Phase.WAITING
         return req
 
@@ -212,7 +175,7 @@ class VehicleSession:
             return
         if isinstance(msg, StartCharge):
             try:
-                self.t2 = open_start_charge(msg, self.creds.k_a, self.group_key, self.trace)
+                self.t2 = open_start_charge(msg, self.creds.k_a, self.group_key)
             except HandshakeError as exc:
                 self.phase = Phase.FAILED
                 self.fail_reason = exc.reason
@@ -228,9 +191,7 @@ class VehicleSession:
         """Driver leaves at time t3; the display shows t4 = t3 - t2."""
         if self.phase is not Phase.CHARGING:
             raise HandshakeError(Reason.ABORTED, f"cannot unplug in phase {self.phase.value}")
-        self.trace.t3 = now
         self.t4 = elapsed(self.t2, now)
-        self.trace.t4 = self.t4
         self.phase = Phase.COMPLETED
         return self.t4
 
@@ -241,16 +202,10 @@ class VehicleSession:
 
 
 @dataclass
-class _PendingAuth:
-    req: AuthRequest
-    trace: HandshakeTrace
-
-
-@dataclass
 class ActiveCharge:
     id_a: bytes
     t1: int
-    trace: HandshakeTrace = field(repr=False)
+    req: AuthRequest  # the auth request this charge answers
 
 
 class Terminal:
@@ -268,11 +223,10 @@ class Terminal:
         self.failures = []
         self.ignored = Counter()
 
-    def handle_auth(self, req, trace=None):
+    def handle_auth(self, req):
         """AuthRequest in, LookupRequest (for the protected line) out."""
-        trace = trace if trace is not None else HandshakeTrace()
-        lookup = derive_lookup_request(req, self.group_key, trace)
-        self.pending.append(_PendingAuth(req=req, trace=trace))
+        lookup = derive_lookup_request(req, self.group_key)
+        self.pending.append(req)
         return lookup
 
     def handle_reply(self, reply, now):
@@ -281,18 +235,18 @@ class Terminal:
         if not self.pending:
             self.ignored["LookupReply"] += 1
             return None
-        pend = self.pending.popleft()
+        req = self.pending.popleft()
         if not reply.accepted:
             self.failures.append(reply.reason)
             return FailureNotice(reason=reply.reason)
-        if not verify_auth_request(pend.req, reply.k_a):
+        if not verify_auth_request(req, reply.k_a):
             # server vouched for the record but the frame's tag does not
             # bind to it: no energy, session over
             self.failures.append(Reason.MAC_INVALID)
             return FailureNotice(reason=Reason.MAC_INVALID)
-        msg = build_start_charge(reply.k_a, self.group_key, now, self.nonces.next_nonce(), pend.trace)
+        msg = build_start_charge(reply.k_a, self.group_key, now, self.nonces.next_nonce())
         # energy flows from the moment the start message exists
-        self.active.append(ActiveCharge(id_a=reply.id_a, t1=now, trace=pend.trace))
+        self.active.append(ActiveCharge(id_a=reply.id_a, t1=now, req=req))
         return msg
 
     @property
@@ -304,7 +258,6 @@ class Terminal:
         if not self.active:
             return None
         charge = self.active.pop(0)
-        charge.trace.t5 = now
         return ChargeReport(id_a=charge.id_a, t1=charge.t1, t5=now)
 
 

@@ -128,11 +128,23 @@ def _field(obj, key, kind, default, what):
     return value
 
 
+def _known_fields(obj, keys):
+    """Refuse a field the format does not have: the next save would drop it."""
+    if not keys.issuperset(obj):
+        raise StorageError(f"unknown field {min(obj.keys() - keys)!r}")
+
+
+_VEHICLE_KEYS = frozenset(
+    ("id_a", "k_a", "lookup_key", "balance", "owner", "revoked", "used_nonces")
+)
+
+
 def _vehicle_record(vobj):
     """The record a vehicle entry of the file describes, each field checked
     once and its lookup_key re-derived and compared."""
     if type(vobj) is not dict:
         raise StorageError("must be a JSON object")
+    _known_fields(vobj, _VEHICLE_KEYS)
     id_a = _hex_field(vobj, "id_a", crypto.BLOCK_SIZE)
     k_a = _hex_field(vobj, "k_a", crypto.KEY_SIZE)
     stored_lookup = _hex_field(vobj, "lookup_key", crypto.BLOCK_SIZE)
@@ -143,6 +155,8 @@ def _vehicle_record(vobj):
     used_nonces = {_canonical_hex(n, crypto.NONCE_SIZE) for n in nonces}
     if None in used_nonces:
         raise StorageError(f"used_nonces must be {crypto.NONCE_SIZE} bytes of lowercase hex each")
+    if len(used_nonces) != len(nonces):
+        raise StorageError("used_nonces must not list a nonce twice")
     # the fields are checked bytes of the right sizes, so the kernel is
     # called without encrypt_block's argument checks
     lookup_key = crypto.kernels.aes256_encrypt_block(k_a, id_a)
@@ -154,11 +168,14 @@ def _vehicle_record(vobj):
 
 # the integer fields of an invoice, in Invoice's order, after id_a
 _INVOICE_INTS = ("t1", "t5", "duration_ms", "amount", "issued_at")
+_INVOICE_KEYS = frozenset(("id_a", *_INVOICE_INTS))
+_REGISTRY_KEYS = frozenset(("group_key", "tariff_per_second", "vehicles", "invoices"))
 
 
 def _invoice(iobj):
     if type(iobj) is not dict:
         raise StorageError("must be a JSON object")
+    _known_fields(iobj, _INVOICE_KEYS)
     id_a = _hex_field(iobj, "id_a", crypto.BLOCK_SIZE)
     return Invoice(id_a, *(_field(iobj, key, int, None, "an integer") for key in _INVOICE_INTS))
 
@@ -441,6 +458,7 @@ class Registry:
         if not isinstance(obj, dict):
             raise StorageError(f"registry {path} must be a JSON object")
         try:
+            _known_fields(obj, _REGISTRY_KEYS)
             group_key = _hex_field(obj, "group_key", crypto.KEY_SIZE)
             tariff = obj.get("tariff_per_second")
             if type(tariff) is not int or tariff < 0:

@@ -74,14 +74,7 @@ from evabs.channel import (
     Transcript,
 )
 from evabs.errors import ConfigError, FrameError, InvalidInput, NotFound, ScriptError
-from evabs.protocol import (
-    HandshakeTrace,
-    Phase,
-    Server,
-    Terminal,
-    VehicleCredentials,
-    VehicleSession,
-)
+from evabs.protocol import Phase, Server, Terminal, VehicleCredentials, VehicleSession
 from evabs.wire import FRAME_LENGTHS, TS_MAX, AuthRequest, Reason, StartCharge, decode_frame
 
 __all__ = [
@@ -125,6 +118,9 @@ class CheckResult:
 
 @dataclass
 class SessionOutcome:
+    """One charge attempt: t1 and t5 are the terminal's charge for the
+    session's own auth request, t2 and t4 what the vehicle saw."""
+
     index: int
     id_a: bytes
     phase: str
@@ -134,7 +130,6 @@ class SessionOutcome:
     t4: int | None
     t5: int | None
     amount: int | None
-    trace: HandshakeTrace = field(repr=False)
     frames: dict = field(repr=False, default_factory=dict)
 
 
@@ -523,6 +518,8 @@ class ScenarioRunner:
         self._snapshot = None
         self._rule_lines = []  # (lineno, line) of each script rule, in script order
         self._vehicle = None
+        self._request = None  # the current session's own auth request
+        self._own_charge = None  # (t1, t5) of the charge that request opened
         self._session_frames = {}
 
     # -- plumbing --------------------------------------------------------
@@ -583,8 +580,7 @@ class ScenarioRunner:
         if not isinstance(msg, AuthRequest):
             self.terminal.ignored[type(msg).__name__] += 1
             return []
-        own = self._vehicle is not None and frame == self._session_frames["auth_request"]
-        return [(SECURE, T2S, self.terminal.handle_auth(msg, self._vehicle.trace if own else None))]
+        return [(SECURE, T2S, self.terminal.handle_auth(msg))]
 
     def _vehicle_hears_terminal(self, frame):
         msg = self._decode(frame)
@@ -610,7 +606,9 @@ class ScenarioRunner:
         answered until quiet."""
         creds = VehicleCredentials(record.id_a, record.k_a)
         vehicle = VehicleSession(creds, self.registry.group_key, self._rng_for(record))
-        raw = vehicle.start().encode()
+        self._request = vehicle.start()
+        self._own_charge = None
+        raw = self._request.encode()
         self._vehicle = vehicle
         self._session_frames = {"auth_request": raw}
         self._send(INSECURE, V2T, raw)
@@ -622,11 +620,20 @@ class ScenarioRunner:
         (an earlier drop can starve a sweep's tamper of its frame)."""
         vehicle.abort()
         while self.terminal.energy_on:
-            report = self.terminal.stop_charge(self.clock.now)
-            self._send(SECURE, T2S, report)
+            self._stop_charge()
         self.terminal.pending.clear()
         self.script.disarm_ephemeral()
         self._vehicle = None
+
+    def _stop_charge(self):
+        """Stop the terminal's oldest charge and bill it. A charge opened
+        for a copy of this session's own auth request gives the outcome its
+        t1 and t5, whether or not the vehicle ever charged."""
+        own = self.terminal.active[0].req == self._request
+        report = self.terminal.stop_charge(self.clock.now)
+        if own:
+            self._own_charge = (report.t1, report.t5)
+        self._send(SECURE, T2S, report)
 
     @staticmethod
     def budget_cutoff_ms(budget, tariff):
@@ -656,24 +663,22 @@ class ScenarioRunner:
         vehicle = self._begin_session(record)
         if vehicle.phase is Phase.CHARGING:
             self._advance(effective)
-            report = self.terminal.stop_charge(self.clock.now)
+            # the driver unplugs; the teardown stops the charge at this t5
             vehicle.unplug(self.clock.now)
-            if report is not None:
-                self._send(SECURE, T2S, report)
         self._teardown(vehicle)
         new_invoices = self.registry.invoices[invoices_before:]
         invoice = new_invoices[0] if new_invoices else None
+        t1, t5 = self._own_charge or (None, None)
         outcome = SessionOutcome(
             index=len(self.outcomes),
             id_a=record.id_a,
             phase=vehicle.phase.value,
             reason=vehicle.fail_reason.label if vehicle.fail_reason else None,
-            t1=vehicle.trace.t1,
+            t1=t1,
             t2=vehicle.t2,
             t4=vehicle.t4,
-            t5=vehicle.trace.t5,
+            t5=t5,
             amount=invoice.amount if invoice else None,
-            trace=vehicle.trace,
             frames=dict(self._session_frames),
         )
         if record_outcome:

@@ -86,13 +86,12 @@ def test_c02_handshake_algebra(verdict):
         creds = VehicleCredentials(id_a=rng.randbytes(16), k_a=rng.randbytes(32))
         k_g = rng.randbytes(32)
         t1 = rng.randrange(0, 1 << 48)
-        trace = protocol.HandshakeTrace()
-        req = protocol.build_auth_request(creds, k_g, rng.randbytes(16), trace)
-        lookup = protocol.derive_lookup_request(req, k_g, trace)
-        start = protocol.build_start_charge(creds.k_a, k_g, t1, rng.randbytes(16), trace)
-        t2 = protocol.open_start_charge(start, creds.k_a, k_g, trace)
+        req = protocol.build_auth_request(creds, k_g, rng.randbytes(16))
+        lookup = protocol.derive_lookup_request(req, k_g)
+        start = protocol.build_start_charge(creds.k_a, k_g, t1, rng.randbytes(16))
+        t2 = protocol.open_start_charge(start, creds.k_a, k_g)
         if (
-            lookup.m5 == trace.m1 == crypto.encrypt_block(creds.id_a, creds.k_a)
+            lookup.m5 == crypto.encrypt_block(creds.id_a, creds.k_a)
             and protocol.verify_auth_request(req, creds.k_a)
             and t2 == t1
         ):
@@ -121,7 +120,7 @@ def test_c03_replay_refused_after_every_step(verdict):
             # the time the copy completes its round
             return server.handle_lookup(terminal.handle_auth(dup))
 
-        lookup = terminal.handle_auth(req, session.trace)  # step 2
+        lookup = terminal.handle_auth(req)  # step 2
         dup_lookup = None
         if step <= 2:
             # the copy trails the original on the FIFO link: it reaches the

@@ -67,10 +67,9 @@ class TestStepAlgebra:
     @given(id_a=block, k_a=key256, k_g=key256, n_a=block)
     def test_lookup_recovers_stable_key(self, id_a, k_a, k_g, n_a):
         creds = protocol.VehicleCredentials(id_a=id_a, k_a=k_a)
-        trace = protocol.HandshakeTrace()
-        req = protocol.build_auth_request(creds, k_g, n_a, trace)
-        lookup = protocol.derive_lookup_request(req, k_g, trace)
-        assert lookup.m5 == trace.m1 == crypto.encrypt_block(id_a, k_a)
+        req = protocol.build_auth_request(creds, k_g, n_a)
+        lookup = protocol.derive_lookup_request(req, k_g)
+        assert lookup.m5 == crypto.encrypt_block(id_a, k_a)
         assert lookup.n_a == n_a
         assert protocol.verify_auth_request(req, k_a)
 
@@ -185,13 +184,13 @@ class TestVehicleSession:
         creds, session, terminal, server = _wire_up(registry)
         req = session.start()
         assert session.phase is protocol.Phase.WAITING
-        reply = server.handle_lookup(terminal.handle_auth(req, session.trace))
+        reply = server.handle_lookup(terminal.handle_auth(req))
         assert reply.accepted and reply.id_a == creds.id_a
         start = terminal.handle_reply(reply, now=4000)
         assert terminal.energy_on
         session.receive(start)
         assert session.phase is protocol.Phase.CHARGING
-        assert session.t2 == 4000 == session.trace.t1
+        assert session.t2 == 4000 == terminal.active[0].t1
         assert session.unplug(now=94_000) == 90_000
         assert session.phase is protocol.Phase.COMPLETED
         report = terminal.stop_charge(now=94_000)
@@ -217,7 +216,7 @@ class TestVehicleSession:
     def test_tampered_start_fails_session(self, registry):
         creds, session, terminal, server = _wire_up(registry)
         req = session.start()
-        reply = server.handle_lookup(terminal.handle_auth(req, session.trace))
+        reply = server.handle_lookup(terminal.handle_auth(req))
         start = terminal.handle_reply(reply, now=4000)
         mutated = bytearray(start.m8)
         mutated[3] ^= 0xFF

@@ -339,7 +339,9 @@ class TestPersistence:
         with pytest.raises(StorageError, match=re.escape(f"{path}{where}: ")):
             Registry.load(path)
 
-    @pytest.mark.parametrize("nonce", ["zz" * 16, "ab" * 15, 7], ids=["bad-hex", "15-bytes", "int"])
+    @pytest.mark.parametrize(
+        "nonce", ["zz" * 16, "ab" * 15, 7, "01" * 16], ids=["bad-hex", "15-bytes", "int", "repeated"]
+    )
     def test_load_rejects_bad_used_nonces(self, registry, tmp_path, nonce):
         registry.authenticate(registry.vehicles[1].lookup_key, b"\x01" * 16)
         path = tmp_path / "registry.json"
@@ -360,9 +362,13 @@ class TestPersistence:
             (lambda obj: obj["vehicles"].insert(0, ["a1" * 16]),
              " vehicles[0]: must be a JSON object"),
             (lambda obj: obj["invoices"].append("a1" * 16), " invoices[1]: must be a JSON object"),
+            (lambda obj: obj.update(extra=1), ": unknown field 'extra'"),
+            (lambda obj: obj["vehicles"][1].update(colour="red"),
+             " vehicles[1]: unknown field 'colour'"),
+            (lambda obj: obj["invoices"][0].update(note=""), " invoices[0]: unknown field 'note'"),
         ],
         ids=["int-vehicles", "int-invoices", "object-invoices", "int-vehicle", "list-vehicle",
-             "string-invoice"],
+             "string-invoice", "extra-top-level", "extra-in-vehicle", "extra-in-invoice"],
     )
     def test_load_refuses_lists_and_entries_of_the_wrong_shape(
         self, registry, tmp_path, edit, message
