@@ -1,6 +1,6 @@
 """The `evabs` command: provisioning, sessions, attack runs, invoices.
 
-Subcommands:
+Subcommands (when the first argument names one, only its parser is built):
     init       create a registry file (group key, tariff)
     register   enroll a vehicle (prints its credentials exactly once)
     revoke     disable a vehicle server-side
@@ -28,8 +28,10 @@ are redacted on export).
 """
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import sys
 from contextlib import contextmanager
 
@@ -327,47 +329,55 @@ _COMMANDS = {
     "attack": ("run an adversary scenario", _SEED_HELP, _attack_options, cmd_attack),
     "invoices": ("list issued invoices", _SEED_HELP, _invoices_options, cmd_invoices),
 }
-_COMMAND_CHOICES = "{" + ",".join(_COMMANDS) + "}"
 
 
-def build_parser(command=None):
-    """The `evabs` parser. When `command` names a subcommand, only its
-    subparser is built: the top-level options are just -h and --version,
-    so a first argument that names a command always selects it, and the
-    metavar keeps every command in the top-level usage line. Otherwise
-    (help, --version, no argument, an unknown name) all are built."""
+def _formatter():
+    """argparse's HelpFormatter with the width it would read, read once per build."""
+    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
+def _add_command(parser, name):
+    _, seed_help, add_options, handler = _COMMANDS[name]
+    parser.add_argument("--registry", help="registry file (default: $EVABS_REGISTRY)")
+    parser.add_argument("--seed", type=_seed_value, help=seed_help)
+    add_options(parser)
+    parser.set_defaults(func=handler, command=name)
+    return parser
+
+
+def build_parser():
+    """The full `evabs` parser: the top level and every command under it."""
+    formatter = _formatter()
     parser = argparse.ArgumentParser(
-        prog="evabs",
+        prog="evabs", formatter_class=formatter,
         description="authenticated street-charging simulator: provisioning, "
         "sessions, attack scenarios, invoices",
     )
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"%(prog)s {__version__} (kernel backend: {crypto.BACKEND})",
-    )
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar=_COMMAND_CHOICES if len(names) == 1 else None
-    )
-    for name in names:
-        help_text, seed_help, add_options, handler = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--registry", help="registry file (default: $EVABS_REGISTRY)")
-        p.add_argument("--seed", type=_seed_value, help=seed_help)
-        add_options(p)
-        p.set_defaults(func=handler)
+    version = f"%(prog)s {__version__} (kernel backend: {crypto.BACKEND})"
+    parser.add_argument("--version", action="version", version=version)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, *_) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text, formatter_class=formatter), name)
     return parser
+
+
+def parse_args(argv):
+    """The namespace `main` runs for `argv`: a named command's own parser alone,
+    unless the top level must speak or that parser leaves arguments over."""
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"evabs {argv[0]}", formatter_class=_formatter())
+        args, rest = _add_command(parser, argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
-    if getattr(args, "duration", None) is not None and args.duration < 0:
-        parser.error("--duration must be non-negative")
-    if getattr(args, "budget", None) is not None and args.budget < 0:
-        parser.error("--budget must be non-negative")
+    args = parse_args(argv)
+    for flag in ("duration", "budget"):
+        if (getattr(args, flag, None) or 0) < 0:
+            build_parser().error(f"--{flag} must be non-negative")
     try:
         return args.func(args)
     except (ConfigError, ScriptError, InvalidInput, InvalidSeed) as exc:

@@ -519,7 +519,7 @@ class ScenarioRunner:
         self._rule_lines = []  # (lineno, line) of each script rule, in script order
         self._vehicle = None
         self._request = None  # the current session's own auth request
-        self._own_charge = None  # (t1, t5) of the charge that request opened
+        self._own_charge = None  # (t1, t5, amount) of the charge that request opened
         self._session_frames = {}
 
     # -- plumbing --------------------------------------------------------
@@ -628,12 +628,16 @@ class ScenarioRunner:
     def _stop_charge(self):
         """Stop the terminal's oldest charge and bill it. A charge opened
         for a copy of this session's own auth request gives the outcome its
-        t1 and t5, whether or not the vehicle ever charged."""
+        t1 and t5, whether or not the vehicle ever charged, and the amount
+        of the invoice its report was billed as (None if none was issued)."""
         own = self.terminal.active[0].req == self._request
         report = self.terminal.stop_charge(self.clock.now)
-        if own:
-            self._own_charge = (report.t1, report.t5)
+        invoices = self.registry.invoices
+        issued = len(invoices)
         self._send(SECURE, T2S, report)
+        if own:
+            amount = invoices[-1].amount if len(invoices) > issued else None
+            self._own_charge = (report.t1, report.t5, amount)
 
     @staticmethod
     def budget_cutoff_ms(budget, tariff):
@@ -659,16 +663,13 @@ class ScenarioRunner:
                 f" timestamp range, got {effective} ms"
             )
         self._advance(1000)
-        invoices_before = len(self.registry.invoices)
         vehicle = self._begin_session(record)
         if vehicle.phase is Phase.CHARGING:
             self._advance(effective)
             # the driver unplugs; the teardown stops the charge at this t5
             vehicle.unplug(self.clock.now)
         self._teardown(vehicle)
-        new_invoices = self.registry.invoices[invoices_before:]
-        invoice = new_invoices[0] if new_invoices else None
-        t1, t5 = self._own_charge or (None, None)
+        t1, t5, amount = self._own_charge or (None, None, None)
         outcome = SessionOutcome(
             index=len(self.outcomes),
             id_a=record.id_a,
@@ -678,7 +679,7 @@ class ScenarioRunner:
             t2=vehicle.t2,
             t4=vehicle.t4,
             t5=t5,
-            amount=invoice.amount if invoice else None,
+            amount=amount,
             frames=dict(self._session_frames),
         )
         if record_outcome:

@@ -5,18 +5,25 @@ Exit code contract: 0 success / defense held, 1 protocol or billing failure
 storage problems. Provisioning output may show credentials once; session,
 attack and invoice output must never contain key material."""
 
+import argparse
+import contextlib
 import fcntl
+import io
 import json
 import os
 import pathlib
+import shutil
 import stat
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evabs
-from evabs.cli import build_parser, main
+from evabs.cli import build_parser, main, parse_args
 from evabs.registry import Registry
 
 from conftest import seeded_registry
@@ -721,6 +728,70 @@ _PINNED_OUTPUT = {
 }
 
 
+def _command_actions():
+    """Each command's argparse actions, as the full parser has them."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: parser._actions for name, parser in sub.choices.items()}
+
+
+_ACTIONS = _command_actions()
+_OPTIONS = {name: [s for a in actions for s in a.option_strings] for name, actions in _ACTIONS.items()}
+_REQUIRED = {name: [a.option_strings[0] for a in actions if a.required]
+             for name, actions in _ACTIONS.items()}
+_ALL_OPTIONS = sorted({o for options in _OPTIONS.values() for o in options})
+_ABBREVIATIONS = sorted({o[:n] for o in _ALL_OPTIONS if o.startswith("--") for n in range(3, len(o))})
+_VALUES = ["0", "7", "-5", "0x10", "2.5", "1e3", "zz", "", VEHICLE, KEY, "r.json", "mitm", "x y"]
+_STRAY = ["--", "-", "-h", "--help", "--version", "--vers", "--bogus", "-x", "extra"]
+# a value each option that takes one accepts
+_GOOD = {
+    "--registry": "r.json", "--seed": "0x10", "--tariff": "3", "--vehicle": VEHICLE, "--key": KEY,
+    "--balance": "7", "--owner": "demo", "--duration": "1500", "--budget": "9",
+    "--transcript": "t.jsonl", "--scenario": "mitm", "--report": "r.txt",
+}
+
+
+def _well_formed(option):
+    return (option, _GOOD[option]) if option in _GOOD else (option,)
+
+
+@st.composite
+def _argvs(draw):
+    """Mostly a command name, sometimes with its required options, then in
+    any order: that command's options with a good value, and noise: any
+    command's options and their abbreviations with any value, alone or as
+    `--opt=value`, and stray tokens (`--`, -h, --version, unknown options,
+    values). Otherwise no command, an unknown name or a stray token first."""
+    if draw(st.integers(0, 3)):
+        head = draw(st.sampled_from(list(_OPTIONS)))
+    else:
+        head = draw(st.sampled_from([None, "bogus", "sess", *_STRAY]))
+    argv = [] if head is None else [head]
+    if head in _OPTIONS and draw(st.booleans()):
+        argv += [token for option in _REQUIRED[head] for token in _well_formed(option)]
+    option = st.sampled_from(_ALL_OPTIONS + _ABBREVIATIONS)
+    value = st.sampled_from(_VALUES)
+    noise = st.one_of(
+        st.tuples(option, value),
+        st.tuples(option),
+        st.tuples(st.builds("{}={}".format, option, value)),
+        st.tuples(st.sampled_from(_STRAY + _VALUES)),
+    )
+    own = st.sampled_from(_OPTIONS.get(head, _ALL_OPTIONS)).map(_well_formed)
+    items = draw(st.lists(own, max_size=4)) + draw(st.lists(noise, max_size=3))
+    return argv + [token for tokens in draw(st.permutations(items)) for token in tokens]
+
+
+def _parsed(parse, argv):
+    """parse(argv)'s namespace, or its exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
 class TestParser:
     @pytest.mark.parametrize("argv", list(_PINNED_OUTPUT), ids=" ".join)
     def test_help_and_usage_errors_are_unchanged(self, argv, capsys, monkeypatch):
@@ -745,4 +816,44 @@ class TestParser:
         ids=lambda argv: argv[0],
     )
     def test_one_command_parser_gives_the_full_parsers_namespace(self, argv):
-        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+        assert parse_args(argv) == build_parser().parse_args(argv)
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=_argvs())
+    def test_main_parses_every_argv_as_the_full_parser_does(self, argv):
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            assert _parsed(parse_args, argv) == _parsed(build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize(
+        "argv, usage_error",
+        [
+            (["--duration", "1000", "--seed", "11"], False),
+            (["--duration", "5", "--bogus"], True),
+            (["--duration", "-5"], True),
+        ],
+        ids=["success", "leftover-argument", "negative-duration"],
+    )
+    def test_session_builds_the_full_parser_only_for_a_usage_error(
+        self, argv, usage_error, cli, registry_path, monkeypatch
+    ):
+        progs, reads = [], []
+        init, get_terminal_size = argparse.ArgumentParser.__init__, shutil.get_terminal_size
+
+        def counting_init(parser, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        def counting_get_terminal_size(*args):
+            reads.append(args)
+            return get_terminal_size(*args)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.setattr(shutil, "get_terminal_size", counting_get_terminal_size)
+        try:
+            code, _, _ = cli("session", "--registry", registry_path, *argv)
+        except SystemExit as exc:
+            code = exc.code
+        full = ["evabs", *(f"evabs {name}" for name in _OPTIONS)]
+        assert progs == ["evabs session", *(full if usage_error else [])]
+        assert len(reads) == (2 if usage_error else 1)  # one width read per build
+        assert code == (2 if usage_error else 0)

@@ -140,14 +140,14 @@ def test_delayed_auth_request_is_charged_apart_from_the_next_session():
 def test_charge_opened_between_sessions_is_stopped_first():
     # the first request lands after its session gave up, and its charge
     # meters until the next session stops both: that session's outcome
-    # keeps its own charge's t1 and t5, and its amount is the first
-    # invoice it caused, the earlier charge's
+    # keeps its own charge's t1, t5 and amount (10 for its 5 s), not the
+    # 22 billed for the earlier charge it stopped first
     outcomes, invoices = _run(
         "rule insecure auth_request nth=1 delay=600\n"
         "session *\nadvance 600\nadvance 5000\nsession *\n"
     )
     assert outcomes == [
         ("aborted", None, None, None, None, None, None),
-        ("completed", None, 7600, 7600, 5000, 12600, 22),
+        ("completed", None, 7600, 7600, 5000, 12600, 10),
     ]
     assert invoices == [(1600, 12600, 22), (7600, 12600, 10)]
