@@ -18,6 +18,11 @@ exit, where a daemon thread may still be using its context and the
 process releases the memory anyway. The xorshift128+ step stays in Python:
 one foreign call costs more than the step itself.
 
+The re-key and the update are bound without argtypes, so a call converts
+no argument: the context is held as a c_void_p and the output length as a
+byref made once per thread, and key and block reach C as the bytes objects
+they are, after their type and size are checked.
+
 Importing runs the FIPS-197 C.3 vector both ways and raises ImportError on
 a mismatch, so evabs.crypto falls back to the reference kernel.
 """
@@ -39,38 +44,45 @@ _ptr, _int = ctypes.c_void_p, ctypes.c_int
 
 
 def _bind(name, restype, *argtypes):
+    """The foreign function `name`; with no argtypes, ctypes converts no
+    argument, so each one must already be a ctypes object, bytes, None or
+    an int that fits a C int."""
     fn = getattr(_lib, name)
     fn.restype = restype
-    fn.argtypes = argtypes
+    if argtypes:
+        fn.argtypes = argtypes
     return fn
 
 
 _ctx_new = _bind("EVP_CIPHER_CTX_new", _ptr)
 _ctx_free = _bind("EVP_CIPHER_CTX_free", None, _ptr)
-_init = _bind("EVP_CipherInit_ex", _int, _ptr, _ptr, _ptr, ctypes.c_char_p, ctypes.c_char_p, _int)
 _set_padding = _bind("EVP_CIPHER_CTX_set_padding", _int, _ptr, _int)
-_update = _bind(
-    "EVP_CipherUpdate", _int, _ptr, ctypes.c_char_p, ctypes.POINTER(_int), ctypes.c_char_p, _int
-)
-_AES_256_ECB = _bind("EVP_aes_256_ecb", _ptr)()
-if not _AES_256_ECB:
+# the per-block pair: (ctx, cipher, engine, key, iv, enc) and
+# (ctx, out, &outl, in, inl)
+_init = _bind("EVP_CipherInit_ex", _int)
+_update = _bind("EVP_CipherUpdate", _int)
+_AES_256_ECB = _ptr(_bind("EVP_aes_256_ecb", _ptr)())
+if not _AES_256_ECB.value:
     raise ImportError("libcrypto has no AES-256-ECB")
 
 _local = threading.local()
 
 
 def _thread_state():
-    """This thread's (context, output buffer, output length), made and set
-    up for AES-256-ECB without padding on the thread's first call."""
-    ctx = _ctx_new()
-    if not ctx:
+    """This thread's (context, output buffer, output length, reference to
+    the output length), made and set up for AES-256-ECB without padding on
+    the thread's first call. The context is a c_void_p: passed as a bare
+    int, a pointer would be cut to a 32-bit C int."""
+    ctx = _ptr(_ctx_new())
+    if not ctx.value:
         raise MemoryError("EVP_CIPHER_CTX_new failed")
     if _init(ctx, _AES_256_ECB, None, None, None, 1) != 1 or _set_padding(ctx, 0) != 1:
         _ctx_free(ctx)
         raise OSError("libcrypto AES-256-ECB set-up failed")
     out = ctypes.create_string_buffer(32)  # room for a block more than the input
     weakref.finalize(out, _ctx_free, ctx).atexit = False
-    _local.state = state = (ctx, out, _int(0))
+    outl = _int(0)
+    _local.state = state = (ctx, out, outl, ctypes.byref(outl))
     return state
 
 
@@ -84,12 +96,12 @@ def _cipher(key, block, enc):
     if len(block) != 16:
         raise ValueError("aes256: block must be 16 bytes")
     try:
-        ctx, out, outl = _local.state
+        ctx, out, outl, outl_ref = _local.state
     except AttributeError:
-        ctx, out, outl = _thread_state()
+        ctx, out, outl, outl_ref = _thread_state()
     if (
         _init(ctx, None, None, key, None, enc) != 1
-        or _update(ctx, out, outl, block, 16) != 1
+        or _update(ctx, out, outl_ref, block, 16) != 1
         or outl.value != 16
     ):
         del _local.state  # the next call on this thread starts from a new context

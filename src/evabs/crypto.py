@@ -129,6 +129,11 @@ def splitmix64(x):
 class NonceSource:
     """Deterministic xorshift128+ stream of 64-bit words and 128-bit nonces.
 
+    next_bytes(n) is the stream's next n / 8 words, each big-endian, in
+    draw order, stepped in one pass and encoded once. So one draw of 64
+    bytes equals draws of 16, 32 and 16 in turn, and next_nonce() is
+    next_bytes(16).
+
     Agents only need next_nonce()/next_u64(), so anything with that shape
     can be swapped in (tests inject fixed-output sources to force nonce
     collisions). State is two 64-bit words; the all-zero state is the
@@ -167,15 +172,20 @@ class NonceSource:
         return out
 
     def next_nonce(self):
-        hi = self.next_u64()
-        lo = self.next_u64()
-        return hi.to_bytes(8, "big") + lo.to_bytes(8, "big")
+        return self.next_bytes(NONCE_SIZE)
 
     def next_bytes(self, n):
-        """n bytes from successive outputs; n must be a multiple of 8."""
+        """n bytes from successive outputs; n must be a positive multiple of 8."""
         if n <= 0 or n % 8:
             raise InvalidInput("byte count must be a positive multiple of 8")
-        return b"".join(self.next_u64().to_bytes(8, "big") for _ in range(n // 8))
+        step = kernels.xorshift128p_next  # per draw, so a patched kernels is seen
+        s0, s1 = self._s0, self._s1
+        acc = 0
+        for _ in range(n // 8):
+            out, s0, s1 = step(s0, s1)
+            acc = (acc << 64) | out
+        self._s0, self._s1 = s0, s1
+        return acc.to_bytes(n, "big")
 
 
 def next_nonce(state):

@@ -18,21 +18,24 @@ order, hex lowercase, ASCII-escaped owners and nonces sorted, so files diff
 cleanly. The bytes are exactly json.dumps(obj, indent=2) + "\n" of that
 document (pinned by tests/test_registry.py); Registry._document() builds
 them straight from the fields. Saving writes and fsyncs a new temp file of
-mode 0600 (the file holds every vehicle key), renames it over the target
-and fsyncs the directory. Loading checks each field once, re-derives every
-lookup_key, refuses records that do not match their stored one and takes
-hex only in lowercase of the exact length. Processes that load, change and
-save one file serialize on lock_file(path), an exclusive flock on the
-sidecar `<path>.lock` that Registry.open holds; the registry's own lock
-covers threads of one process only.
+mode 0600 (the file holds every vehicle key), `.<name>.tmp-<16 hex>` beside
+the target, renames it over the target and fsyncs the directory; the next
+Registry.open removes such files that a killed save left. Loading checks
+each field once, re-derives every lookup_key, refuses records that do not
+match their stored one and takes hex only in lowercase of the exact
+length. Processes that load, change and save one file serialize on
+lock_file(path), an exclusive flock on the sidecar `<path>.lock` that
+Registry.open holds; the registry's own lock covers threads of one process
+only.
 """
 
 import fcntl
 import json
 import logging
 import os
+import re
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -184,15 +187,38 @@ def _invoice(iobj):
 _TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
 
 
-def _create_temp(directory):
-    """Create a `.registry-<hex>` file in `directory` with mode 0600 and
+def _temp_prefix(path):
+    """Every temp file a save of `path` makes is this prefix plus 16
+    lowercase hex digits, in the directory of `path`."""
+    return f".{os.path.basename(path)}.tmp-"
+
+
+def _create_temp(directory, prefix):
+    """Create a `<prefix><16 hex>` file in `directory` with mode 0600 and
     return (descriptor open for writing, path)."""
     while True:
-        tmp = os.path.join(directory, f".registry-{os.urandom(8).hex()}")
+        tmp = os.path.join(directory, prefix + os.urandom(8).hex())
         try:
             return os.open(tmp, _TEMP_FLAGS, 0o600), tmp
         except FileExistsError:
             continue  # 64 random bits taken already: draw another name
+
+
+def _remove_stale_temps(path):
+    """Remove the temp files that saves of `path` killed before their rename
+    left behind. Run under lock_file(path), where no locked save is under
+    way. A save of `path` made outside the lock may lose its temp file here;
+    its rename then fails with StorageError, so it never renames a partly
+    written file."""
+    directory = os.path.dirname(os.path.abspath(path))
+    temp_name = re.compile(re.escape(_temp_prefix(path)) + "[0-9a-f]{16}")
+    try:
+        for name in os.listdir(directory):
+            if temp_name.fullmatch(name):
+                with suppress(FileNotFoundError):
+                    os.unlink(os.path.join(directory, name))
+    except OSError as exc:
+        raise StorageError(f"cannot remove temp files of registry {path}: {exc}") from exc
 
 
 def _json_array(items, pad):
@@ -225,8 +251,10 @@ class Registry:
     def open(cls, path):
         """The registry in the file at `path`, under lock_file(path) for the
         block, each change saved to `path` before the call that made it
-        returns. On exit the path is unbound: no save after the unlock."""
+        returns. Temp files that killed saves of `path` left are removed
+        first. On exit the path is unbound: no save after the unlock."""
         with lock_file(path):
+            _remove_stale_temps(path)
             registry = cls.load(path)
             registry._path = path
             try:
@@ -417,11 +445,14 @@ class Registry:
         """Write atomically and durably: a new temp file of mode 0600 in the
         same directory, written with raw os.write calls, fsynced and renamed
         over the target, then fsync the directory so the rename survives a
-        crash. On failure the temp file is removed and StorageError raised."""
+        crash. On failure the temp file is removed and StorageError raised.
+        A save made without lock_file(path) can race a Registry.open of the
+        same path, which may remove its temp file; the save then fails with
+        StorageError and never renames a partly written file."""
         payload = self._document().encode("ascii")
         directory = os.path.dirname(os.path.abspath(path))
         try:
-            fd, tmp = _create_temp(directory)
+            fd, tmp = _create_temp(directory, _temp_prefix(path))
             try:
                 try:
                     view = memoryview(payload)
@@ -432,7 +463,8 @@ class Registry:
                     os.close(fd)
                 os.replace(tmp, path)
             except BaseException:
-                os.unlink(tmp)
+                with suppress(FileNotFoundError):  # Registry.open may have removed it
+                    os.unlink(tmp)
                 raise
             dir_fd = os.open(directory, os.O_RDONLY)
             try:

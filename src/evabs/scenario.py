@@ -100,6 +100,10 @@ SWEEP_VARIANTS = ("auth_request", "start_charge")
 
 SCENARIO_ALIASES = {"mitm": ("tamper-m3", "tamper-m8")}
 
+# a forged auth request: its tag byte, then m3 || mac || n_a in one draw
+_AUTH_TAG = bytes([wire.TAG_AUTH_REQUEST])
+_AUTH_BODY_LEN = FRAME_LENGTHS["auth_request"] - 1
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -583,9 +587,10 @@ class ScenarioRunner:
         return [(SECURE, T2S, self.terminal.handle_auth(msg))]
 
     def _vehicle_hears_terminal(self, frame):
-        msg = self._decode(frame)
-        if msg is not None and self._vehicle is not None:
-            self._vehicle.receive(msg)
+        if self._vehicle is not None:  # a frame nobody hears is not decoded
+            msg = self._decode(frame)
+            if msg is not None:
+                self._vehicle.receive(msg)
         return []
 
     def _server_hears_terminal(self, msg):
@@ -689,16 +694,18 @@ class ScenarioRunner:
     # -- adversary bulk actions -------------------------------------------
 
     def flood(self, count, style="wellformed"):
-        """Forged open-link frames built without any key material."""
+        """Forged open-link frames built without any key material. A
+        well-formed one is the auth_request tag and one 64-byte draw from
+        adversary_rng: the bytes AuthRequest(m3, mac, n_a).encode() gives
+        for m3, mac and n_a drawn in turn, since the stream reads the same
+        in one draw or three."""
         rng = self.adversary_rng
         for i in range(count):
             if style == "garbage" or (style == "mixed" and i % 2):
                 length = 1 + rng.next_u64() % 96
                 frame = rng.next_bytes(8 * ((length + 7) // 8))[:length]
             else:
-                frame = AuthRequest(
-                    m3=rng.next_bytes(16), mac=rng.next_bytes(32), n_a=rng.next_bytes(16)
-                ).encode()
+                frame = _AUTH_TAG + rng.next_bytes(_AUTH_BODY_LEN)
             self._deliver(INSECURE, self.network.attacker_send(V2T, frame))
         self.terminal.pending.clear()
 

@@ -12,7 +12,11 @@ After each kill the registry must load, hold the session's nonce once the
 first save finished, list no invoice twice, and show every balance as the
 opening balance minus that vehicle's invoices. The table records today's
 two-save baseline, including the window (k = 4 to 7) where a nonce is
-consumed and the charge it admitted is never billed."""
+consumed and the charge it admitted is never billed.
+
+A kill before a save's rename (k = 1 to 3 and 5 to 7) leaves that save's
+temp file, mode 0600 and holding the registry's keys, beside the registry.
+The next `evabs session` on the file must remove it."""
 
 import os
 import pathlib
@@ -72,11 +76,15 @@ _BASELINE = {
 }
 
 
-def _run(path, vehicle, crash_at):
+# kills that land after a save created its temp file and before its rename
+_LEAVES_TEMP = {1, 2, 3, 5, 6, 7}
+
+
+def _run(path, vehicle, crash_at, seed=11):
     src = pathlib.Path(evabs.__file__).resolve().parent.parent
     argv = [
         "session", "--registry", path, "--vehicle", vehicle.hex(),
-        "--duration", "2500", "--seed", "11", "--json",
+        "--duration", "2500", "--seed", str(seed), "--json",
     ]
     return subprocess.run(
         [sys.executable, "-c", _DRIVER, str(crash_at), *argv],
@@ -127,3 +135,9 @@ def test_registry_stays_consistent_when_a_session_dies(
         billed = sum(inv.amount for inv in registry.invoices if inv.id_a == record.id_a)
         assert record.balance == _OPENING_BALANCE - billed
     assert (has_nonce, len(registry.invoices)) == _BASELINE[crash_at]
+
+    temps = [p.name for p in tmp_path.iterdir() if p.name.startswith(".registry.json.tmp-")]
+    assert len(temps) == (crash_at in _LEAVES_TEMP)
+    following = _run(str(path), vehicle, 0, seed=12)
+    assert following.returncode == 0, following.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.json", "registry.json.lock"]

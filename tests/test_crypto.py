@@ -258,6 +258,29 @@ class TestNonceSource:
         with pytest.raises(InvalidInput):
             src.next_bytes(0)
 
+    @settings(max_examples=200)
+    @given(seed=word64, words=st.integers(min_value=1, max_value=16))
+    def test_next_bytes_joins_the_words_of_a_clone(self, seed, words):
+        src = crypto.NonceSource.from_seed(seed)
+        twin = src.clone()
+        drawn = src.next_bytes(8 * words)
+        assert drawn == b"".join(twin.next_u64().to_bytes(8, "big") for _ in range(words))
+        assert src.state == twin.state
+
+    @given(seed=word64)
+    def test_next_nonce_is_a_16_byte_draw(self, seed):
+        src = crypto.NonceSource.from_seed(seed)
+        twin = src.clone()
+        assert src.next_nonce() == twin.next_bytes(16)
+        assert src.state == twin.state
+
+    @pytest.mark.parametrize("size", [0, -8, 12])
+    def test_next_bytes_refuses_size(self, size):
+        src = crypto.NonceSource.from_seed(1)
+        with pytest.raises(InvalidInput):
+            src.next_bytes(size)
+        assert src.state == XS_SEED1_STATE
+
     def test_rejects_all_zero_state(self):
         with pytest.raises(InvalidSeed):
             crypto.NonceSource(0, 0)

@@ -8,6 +8,7 @@ cannot be imported, leave evabs on the reference kernel with identical
 output.
 """
 
+import ctypes
 import hashlib
 import json
 import os
@@ -198,6 +199,27 @@ def test_context_is_freed_when_its_thread_ends(monkeypatch):
     thread.join(timeout=60)
     assert not thread.is_alive()
     assert made and freed == made
+
+
+@needs_openssl
+def test_every_threads_context_is_a_ctypes_pointer():
+    # EVP_CipherInit_ex and EVP_CipherUpdate are bound without argtypes,
+    # where a bare int would reach C as a 32-bit int and cut the pointer
+    kinds = []
+
+    def work():
+        assert _osslkernels.aes256_encrypt_block(FIPS_KEY, FIPS_PLAIN) == FIPS_CIPHER
+        kinds.append(type(_osslkernels._local.state[0]))
+
+    threads = [threading.Thread(target=work) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    work()
+    assert kinds == [ctypes.c_void_p] * 3
+    assert type(_osslkernels._AES_256_ECB) is ctypes.c_void_p
 
 
 THREAD_EXIT_SCRIPT = """

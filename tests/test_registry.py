@@ -444,7 +444,9 @@ class TestPersistence:
         after = path.read_text()
         assert before != after
         assert json.loads(after)  # never a torn file
-        leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".registry-")]
+        leftovers = [
+            p.name for p in tmp_path.iterdir() if p.name.startswith(".registry.json.tmp-")
+        ]
         assert leftovers == []
 
     def test_save_fsyncs_file_before_replace_and_directory_after(
@@ -484,7 +486,9 @@ class TestPersistence:
         monkeypatch.setattr(os, "fsync", flaky_fsync)
         with pytest.raises(StorageError):
             registry.save(tmp_path / "registry.json")
-        leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".registry-")]
+        leftovers = [
+            p.name for p in tmp_path.iterdir() if p.name.startswith(".registry.json.tmp-")
+        ]
         assert leftovers == []
 
     @settings(max_examples=60, deadline=None)
@@ -676,3 +680,40 @@ class TestOpen:
         registry.authenticate(record.lookup_key, b"\x05" * 16)
         registry.bill(record.id_a, 0, 2500, issued_at=2500)
         assert path.read_bytes() == before
+
+    def test_removes_only_the_temp_files_of_its_own_path(self, path, tmp_path):
+        stale = [".registry.json.tmp-0123456789abcdef", ".registry.json.tmp-fedcba9876543210"]
+        kept = [
+            ".registry.json.tmp-0123456789ABCDEF",  # not lowercase hex
+            ".registry.json.tmp-0123456789abcde",  # 15 digits
+            ".registry.json.tmp-0123456789abcdef0",  # 17 digits
+            ".other.json.tmp-0123456789abcdef",  # another registry's
+            "registry.json.tmp-0123456789abcdef",
+        ]
+        for name in stale + kept:
+            (tmp_path / name).write_bytes(b"{")
+        with Registry.open(path):
+            pass
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["registry.json", "registry.json.lock", *kept]
+        )
+
+    def test_unlocked_save_whose_temp_file_is_removed_fails(self, registry, path, monkeypatch):
+        # an open of the same path runs while the unlocked save is writing
+        before = path.read_bytes()
+        write = os.write
+
+        def write_then_open(fd, data):
+            written = write(fd, data)
+            with Registry.open(path):
+                pass
+            return written
+
+        registry.authenticate(registry.vehicles[0].lookup_key, b"\x05" * 16)
+        monkeypatch.setattr(os, "write", write_then_open)
+        with pytest.raises(StorageError):
+            registry.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        names = sorted(p.name for p in path.parent.iterdir())
+        assert names == ["registry.json", "registry.json.lock"]
