@@ -21,7 +21,9 @@ one foreign call costs more than the step itself.
 The re-key and the update are bound without argtypes, so a call converts
 no argument: the context is held as a c_void_p and the output length as a
 byref made once per thread, and key and block reach C as the bytes objects
-they are, after their type and size are checked.
+they are, after checked_bytes has checked their type and size, the one
+check either argument gets on its way from evabs.crypto. A wrong one raises
+InvalidInput, a ValueError, before any pointer reaches C.
 
 Importing runs the FIPS-197 C.3 vector both ways and raises ImportError on
 a mismatch, so evabs.crypto falls back to the reference kernel.
@@ -34,6 +36,7 @@ import weakref
 import _hashlib
 
 from evabs._pykernels import xorshift128p_next
+from evabs.errors import checked_bytes
 
 __all__ = ["BACKEND", "aes256_encrypt_block", "aes256_decrypt_block", "xorshift128p_next"]
 
@@ -87,14 +90,8 @@ def _thread_state():
 
 
 def _cipher(key, block, enc):
-    if type(key) is not bytes:
-        key = bytes(key)
-    if type(block) is not bytes:
-        block = bytes(block)
-    if len(key) != 32:
-        raise ValueError("aes256: key must be 32 bytes")
-    if len(block) != 16:
-        raise ValueError("aes256: block must be 16 bytes")
+    block = checked_bytes("block", block, 16)
+    key = checked_bytes("key", key, 32)
     try:
         ctx, out, outl, outl_ref = _local.state
     except AttributeError:

@@ -1,9 +1,11 @@
 """The hot kernels, in pure Python: the reference kernel.
 
 AES-256 on a single 16-byte block, plus one step of the xorshift128+
-generator. evabs.crypto validates sizes and calls whichever kernel module
-it bound (evabs._osslkernels when the host's libcrypto serves, this one
-otherwise), and everything above crypto reaches the kernels through crypto.
+generator. evabs.crypto calls whichever kernel module it bound
+(evabs._osslkernels when the host's libcrypto serves, this one otherwise),
+and everything above crypto reaches the kernels through crypto. Each block
+function checks its key and block once, with checked_bytes; a wrong one
+raises InvalidInput, a ValueError.
 The tests check the libcrypto kernel against this one.
 
 The block functions are raw codebook operation on one block: deterministic
@@ -12,6 +14,8 @@ equal input must map to an equal ciphertext. No padding, no IV, no mode.
 """
 
 from functools import lru_cache
+
+from evabs.errors import checked_bytes
 
 BACKEND = "pure-python"
 
@@ -68,8 +72,6 @@ def _sub_word(t):
 def _round_keys(key):
     # 8 input words expand to 60; round key r is words 4r..4r+3 laid out
     # column-major so its flat index matches the state layout below.
-    if len(key) != 32:
-        raise ValueError("aes256: key must be 32 bytes")
     w = [int.from_bytes(key[4 * i : 4 * i + 4], "big") for i in range(8)]
     for i in range(8, 60):
         t = w[i - 1]
@@ -96,9 +98,8 @@ def _round_keys(key):
 
 def aes256_encrypt_block(key, block):
     """One-block AES-256 encryption. key: 32 bytes, block: 16 bytes."""
-    if len(block) != 16:
-        raise ValueError("aes256: block must be 16 bytes")
-    rks = _round_keys(bytes(key))
+    block = checked_bytes("block", block, 16)
+    rks = _round_keys(checked_bytes("key", key, 32))
     sbox = _SBOX
     m2, m3 = _MUL[2], _MUL[3]
     s = [b ^ k for b, k in zip(block, rks[0])]
@@ -128,9 +129,8 @@ def aes256_encrypt_block(key, block):
 
 def aes256_decrypt_block(key, block):
     """One-block AES-256 decryption. key: 32 bytes, block: 16 bytes."""
-    if len(block) != 16:
-        raise ValueError("aes256: block must be 16 bytes")
-    rks = _round_keys(bytes(key))
+    block = checked_bytes("block", block, 16)
+    rks = _round_keys(checked_bytes("key", key, 32))
     inv = _INV_SBOX
     m9, m11, m13, m14 = _MUL[9], _MUL[11], _MUL[13], _MUL[14]
     s = [b ^ k for b, k in zip(block, rks[14])]

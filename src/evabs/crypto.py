@@ -20,6 +20,10 @@ here as `kernels`; BACKEND names it. That is evabs._osslkernels, AES from
 the libcrypto hashlib already loaded, when it imports and passes its
 known-answer check, and otherwise evabs._pykernels, the reference kernel.
 The choice depends only on the host; both give the same bytes.
+
+Each byte-string argument is checked once, by errors.checked_bytes, which
+raises InvalidInput naming it. encrypt_block and decrypt_block only
+forward: the kernel checks key and block, where a wrong one would reach C.
 """
 
 import hmac as _hmac
@@ -28,7 +32,7 @@ try:
     from evabs import _osslkernels as kernels
 except (ImportError, OSError, AttributeError):
     from evabs import _pykernels as kernels
-from evabs.errors import InvalidInput, InvalidSeed
+from evabs.errors import InvalidInput, InvalidSeed, checked_bytes
 
 __all__ = [
     "BACKEND",
@@ -60,35 +64,20 @@ _MASK64 = (1 << 64) - 1
 SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
 
 
-def _checked(name, value, size):
-    if type(value) is bytes and len(value) == size:
-        return value
-    if not isinstance(value, (bytes, bytearray, memoryview)):
-        raise InvalidInput(f"{name} must be bytes-like, got {type(value).__name__}")
-    value = bytes(value)
-    if len(value) != size:
-        raise InvalidInput(f"{name} must be {size} bytes, got {len(value)}")
-    return value
-
-
 def encrypt_block(block, key):
     """E(block, key): one deterministic AES-256 block encryption."""
-    block = _checked("block", block, BLOCK_SIZE)
-    key = _checked("key", key, KEY_SIZE)
     return kernels.aes256_encrypt_block(key, block)
 
 
 def decrypt_block(block, key):
     """D(block, key): inverse of encrypt_block under the same key."""
-    block = _checked("block", block, BLOCK_SIZE)
-    key = _checked("key", key, KEY_SIZE)
     return kernels.aes256_decrypt_block(key, block)
 
 
 def xor_blocks(a, b):
     """Bytewise XOR of two 16-byte blocks."""
-    a = _checked("a", a, BLOCK_SIZE)
-    b = _checked("b", b, BLOCK_SIZE)
+    a = checked_bytes("a", a, BLOCK_SIZE)
+    b = checked_bytes("b", b, BLOCK_SIZE)
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(BLOCK_SIZE, "big")
 
 
@@ -96,16 +85,10 @@ def compute_mac(key, data):
     """HMAC-SHA-256 tag over data. Protocol keys are 32 bytes, but the
     construction pads or hashes any non-empty key itself, and the public
     test vectors use shorter keys, so only emptiness is rejected here."""
-    if type(key) is not bytes:
-        if not isinstance(key, (bytes, bytearray, memoryview)):
-            raise InvalidInput(f"key must be bytes-like, got {type(key).__name__}")
-        key = bytes(key)
+    key = checked_bytes("key", key)
     if not key:
         raise InvalidInput("MAC key must be non-empty")
-    if type(data) is not bytes:
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise InvalidInput(f"data must be bytes-like, got {type(data).__name__}")
-        data = bytes(data)
+    data = checked_bytes("data", data)
     if not data:
         raise InvalidInput("MAC input must be non-empty")
     return _hmac.digest(key, data, "sha256")
@@ -113,7 +96,7 @@ def compute_mac(key, data):
 
 def verify_mac(key, data, tag):
     """Constant-time check of a 32-byte tag. Returns bool, never raises on mismatch."""
-    tag = _checked("tag", tag, TAG_SIZE)
+    tag = checked_bytes("tag", tag, TAG_SIZE)
     return _hmac.compare_digest(compute_mac(key, data), tag)
 
 

@@ -2,6 +2,8 @@
 
 Everything raised on purpose derives from EvabsError so callers (and the
 CLI exit-code mapping) can tell our failures from genuine bugs.
+checked_bytes is the one check of a byte-string argument, for the kernels,
+evabs.crypto and the registry alike.
 """
 
 
@@ -9,8 +11,22 @@ class EvabsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidInput(EvabsError):
-    """A primitive received a malformed argument (wrong length, empty MAC data)."""
+class InvalidInput(EvabsError, ValueError):
+    """A primitive received a malformed argument (wrong length, empty MAC
+    data). Also a ValueError, the kernels' error for a bad argument."""
+
+
+def checked_bytes(name, value, size=None):
+    """`value` as bytes: bytes unchanged, a bytearray or memoryview copied.
+    Anything else, or a length other than `size` when one is given, raises
+    InvalidInput naming the argument."""
+    if type(value) is not bytes:
+        if not isinstance(value, (bytes, bytearray, memoryview)):
+            raise InvalidInput(f"{name} must be bytes-like, got {type(value).__name__}")
+        value = bytes(value)
+    if size is not None and len(value) != size:
+        raise InvalidInput(f"{name} must be {size} bytes, got {len(value)}")
+    return value
 
 
 class InvalidSeed(EvabsError):

@@ -29,7 +29,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from evabs import crypto
-from evabs.errors import ClockSkew, HandshakeError, InvalidInput
+from evabs.errors import ClockSkew, HandshakeError, InvalidInput, checked_bytes
 from evabs.wire import (
     AuthRequest,
     ChargeReport,
@@ -67,10 +67,8 @@ class VehicleCredentials:
     k_a: bytes
 
     def __post_init__(self):
-        if len(self.id_a) != crypto.BLOCK_SIZE:
-            raise InvalidInput("id_a must be 16 bytes")
-        if len(self.k_a) != crypto.KEY_SIZE:
-            raise InvalidInput("k_a must be 32 bytes")
+        checked_bytes("id_a", self.id_a, crypto.BLOCK_SIZE)
+        checked_bytes("k_a", self.k_a, crypto.KEY_SIZE)
 
 
 def pack_timestamp(ms):

@@ -46,6 +46,7 @@ from evabs.errors import (
     InvalidReport,
     NotFound,
     StorageError,
+    checked_bytes,
 )
 from evabs.wire import Reason
 
@@ -160,9 +161,7 @@ def _vehicle_record(vobj):
         raise StorageError(f"used_nonces must be {crypto.NONCE_SIZE} bytes of lowercase hex each")
     if len(used_nonces) != len(nonces):
         raise StorageError("used_nonces must not list a nonce twice")
-    # the fields are checked bytes of the right sizes, so the kernel is
-    # called without encrypt_block's argument checks
-    lookup_key = crypto.kernels.aes256_encrypt_block(k_a, id_a)
+    lookup_key = crypto.encrypt_block(id_a, k_a)
     if lookup_key != stored_lookup:
         raise StorageError(f"lookup_key does not match E(id_a, k_a) for {id_a.hex()}")
     # not register(), which refuses the negative balance billing can leave
@@ -234,11 +233,9 @@ class Registry:
     """All enrolled vehicles plus issued invoices, with a coarse lock."""
 
     def __init__(self, group_key, tariff_per_second):
-        if len(group_key) != crypto.KEY_SIZE:
-            raise InvalidInput("group key must be 32 bytes")
+        self.group_key = checked_bytes("group key", group_key, crypto.KEY_SIZE)
         if type(tariff_per_second) is not int or tariff_per_second < 0:
             raise InvalidInput("tariff must be a non-negative integer")
-        self.group_key = bytes(group_key)
         self.tariff_per_second = tariff_per_second
         self._by_lookup = {}
         self._by_id = {}
@@ -277,18 +274,13 @@ class Registry:
     # -- enrollment ---------------------------------------------------
 
     def register(self, id_a, k_a, balance=0, owner=""):
-        id_a = bytes(id_a)
-        k_a = bytes(k_a)
-        if len(id_a) != crypto.BLOCK_SIZE:
-            raise InvalidInput("vehicle id must be 16 bytes")
-        if len(k_a) != crypto.KEY_SIZE:
-            raise InvalidInput("vehicle key must be 32 bytes")
+        id_a = checked_bytes("vehicle id", id_a, crypto.BLOCK_SIZE)
+        k_a = checked_bytes("vehicle key", k_a, crypto.KEY_SIZE)
         if type(balance) is not int or balance < 0:
             raise InvalidInput("opening balance must be a non-negative integer")
         if type(owner) is not str:
             raise InvalidInput("owner must be a string")
-        # sizes checked above, so the kernel is called as the loader calls it
-        lookup_key = crypto.kernels.aes256_encrypt_block(k_a, id_a)
+        lookup_key = crypto.encrypt_block(id_a, k_a)
         return self._enroll(
             VehicleRecord(id_a=id_a, k_a=k_a, lookup_key=lookup_key, balance=balance, owner=owner)
         )
@@ -325,9 +317,10 @@ class Registry:
         return list(self._by_id.values())
 
     def find(self, id_a):
-        record = self._by_id.get(bytes(id_a))
+        id_a = checked_bytes("vehicle id", id_a)
+        record = self._by_id.get(id_a)
         if record is None:
-            raise NotFound(f"no vehicle {bytes(id_a).hex()}")
+            raise NotFound(f"no vehicle {id_a.hex()}")
         return record
 
     # -- authentication -----------------------------------------------
@@ -335,9 +328,11 @@ class Registry:
     def authenticate(self, lookup_key, nonce):
         """Atomic check-and-consume. Returns (record, None) on success or
         (None, reason) on rejection. In a bound registry the nonce is
-        consumed only if the save succeeds."""
-        lookup_key = bytes(lookup_key)
-        nonce = bytes(nonce)
+        consumed only if the save succeeds. A lookup key of any size is
+        taken, since one that is not 16 bytes is only an unknown vehicle;
+        the nonce must be 16 bytes."""
+        lookup_key = checked_bytes("lookup key", lookup_key)
+        nonce = checked_bytes("nonce", nonce, crypto.NONCE_SIZE)
         with self._lock:
             record = self._by_lookup.get(lookup_key)
             if record is None or record.revoked:
@@ -352,7 +347,11 @@ class Registry:
 
     def bill(self, id_a, t1, t5, issued_at):
         """Turn a reported charge interval into an invoice. Every started
-        second is charged in full; the balance may go negative."""
+        second is charged in full; the balance may go negative. The times
+        must be ints, as the loader demands of a stored invoice."""
+        for name, value in (("t1", t1), ("t5", t5), ("issued_at", issued_at)):
+            if type(value) is not int:
+                raise InvalidReport(f"{name} must be an integer, got {type(value).__name__}")
         with self._lock:
             record = self.find(id_a)
             if t5 < t1:
@@ -382,7 +381,7 @@ class Registry:
     def invoices_for(self, id_a=None):
         if id_a is None:
             return list(self.invoices)
-        id_a = bytes(id_a)
+        id_a = checked_bytes("vehicle id", id_a)
         return [inv for inv in self.invoices if inv.id_a == id_a]
 
     # -- snapshots (for "nothing changed" assertions) --------------------

@@ -28,7 +28,8 @@ id. ACTION is drop | delay=MS | tamper=IDX:MASKHEX | inject=HEXBYTES |
 replay[=SEQ]. Rules fire once, on the nth occurrence of their frame variant
 (counted from run start). A rule that could never fire as written is a
 ScriptError: the secure channel (it carries messages, not frames), a
-variant not in wire.VARIANTS, nth below 1, a negative delay or replay seq,
+variant no agent sends on the open link (only auth_request, start_charge
+and failure_notice cross it), nth below 1, a negative delay or replay seq,
 a tamper index past the variant's frame or a mask outside 01..ff. A rule
 still unfired when the run ends adds a FAIL check naming its line. A sweep
 takes auth_request or start_charge and the same 01..ff mask.
@@ -97,6 +98,9 @@ S2T = "server->terminal"
 # the two frames every honest session puts on the open link; a sweep flips
 # each of their byte positions in turn
 SWEEP_VARIANTS = ("auth_request", "start_charge")
+# those two and the terminal's failure notice are all agents put on the open
+# link, so a rule on any other frame variant could never fire
+RULE_VARIANTS = (*SWEEP_VARIANTS, "failure_notice")
 
 SCENARIO_ALIASES = {"mitm": ("tamper-m3", "tamper-m8")}
 
@@ -231,8 +235,10 @@ def _parse_rule(tokens, lineno):
         )
     if channel != INSECURE:
         raise ScriptError(f"line {lineno}: unknown channel {channel!r}")
-    if variant not in FRAME_LENGTHS:
-        raise ScriptError(f"line {lineno}: unknown frame variant {variant!r}")
+    if variant not in RULE_VARIANTS:
+        raise ScriptError(
+            f"line {lineno}: a rule takes {', '.join(RULE_VARIANTS)}, got {variant!r}"
+        )
     nth, rest = 1, tokens[3:]
     if rest[0].startswith("nth="):
         nth = _parse_int(rest[0][4:], lineno, "nth")

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import evabs
 from evabs import _pykernels, crypto
+from evabs.errors import InvalidInput
 from evabs.scenario import run_named_scenario
 
 from conftest import seeded_bytes, seeded_registry
@@ -96,6 +97,21 @@ class TestSizeChecks:
             kernel.aes256_encrypt_block(FIPS_KEY, bytes(size))
         with pytest.raises(ValueError):
             kernel.aes256_decrypt_block(FIPS_KEY, bytes(size))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize(
+    "bad_key,bad_block", [(32, 16), ("k" * 32, "b" * 16), (None, None)], ids=["int", "str", "none"]
+)
+def test_non_bytes_key_or_block_is_refused(kernel, bad_key, bad_block):
+    # bytes(32) would be an all-zero key: the kernel must not coerce
+    for fn in (kernel.aes256_encrypt_block, kernel.aes256_decrypt_block):
+        with pytest.raises(InvalidInput, match="^key must be bytes-like") as err:
+            fn(bad_key, FIPS_PLAIN)
+        assert isinstance(err.value, ValueError)
+        with pytest.raises(InvalidInput, match="^block must be bytes-like") as err:
+            fn(FIPS_KEY, bad_block)
+        assert isinstance(err.value, ValueError)
 
 
 @needs_openssl

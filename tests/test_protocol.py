@@ -62,6 +62,23 @@ class TestTimestamps:
             protocol.unpack_timestamp(b"\x00" * 15)
 
 
+class TestCredentials:
+    @pytest.mark.parametrize(
+        "id_a,k_a",
+        [(16, 32), ("i" * 16, bytes(32)), (bytes(16), "k" * 32), (None, bytes(32))],
+        ids=["ints", "str-id", "str-key", "none-id"],
+    )
+    def test_non_bytes_fields_are_refused(self, id_a, k_a):
+        with pytest.raises(InvalidInput, match="must be bytes-like"):
+            protocol.VehicleCredentials(id_a=id_a, k_a=k_a)
+
+    def test_wrong_sizes_are_refused(self):
+        with pytest.raises(InvalidInput, match="^id_a must be 16 bytes"):
+            protocol.VehicleCredentials(id_a=bytes(15), k_a=bytes(32))
+        with pytest.raises(InvalidInput, match="^k_a must be 32 bytes"):
+            protocol.VehicleCredentials(id_a=bytes(16), k_a=bytes(33))
+
+
 class TestStepAlgebra:
     @settings(max_examples=100)
     @given(id_a=block, k_a=key256, k_g=key256, n_a=block)

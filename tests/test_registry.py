@@ -67,6 +67,33 @@ class TestEnrollment:
                 registry.register(b"\x01" * 16, b"\x02" * 32, owner=owner)
         assert len(registry.vehicles) == 2
 
+    def test_non_bytes_arguments_are_refused_not_coerced(self, registry):
+        # bytes(32) is 32 zero bytes: a coercion would enroll an all-zero key
+        with pytest.raises(InvalidInput, match="^group key must be bytes-like"):
+            Registry(32, 1)
+        with pytest.raises(InvalidInput, match="^vehicle id must be bytes-like"):
+            registry.register(16, 32)
+        with pytest.raises(InvalidInput, match="^vehicle key must be bytes-like"):
+            registry.register(b"\x01" * 16, 32)
+        with pytest.raises(InvalidInput, match="^vehicle id must be bytes-like"):
+            registry.find("ee" * 16)
+        with pytest.raises(InvalidInput, match="^vehicle id must be bytes-like"):
+            registry.invoices_for(16)
+        assert len(registry.vehicles) == 2
+
+    def test_register_derives_the_lookup_key_through_encrypt_block(self, registry, monkeypatch):
+        calls = []
+        encrypt = crypto.encrypt_block
+
+        def counting_encrypt(block, key):
+            calls.append(block)
+            return encrypt(block, key)
+
+        monkeypatch.setattr(crypto, "encrypt_block", counting_encrypt)
+        record = registry.register(b"\x31" * 16, b"\x32" * 32)
+        assert calls == [b"\x31" * 16]
+        assert record.lookup_key == encrypt(b"\x31" * 16, b"\x32" * 32)
+
     def test_find_and_missing(self, registry):
         record = registry.vehicles[0]
         assert registry.find(record.id_a) is record
@@ -295,6 +322,21 @@ class TestPersistence:
         loaded = Registry.load(path)
         assert len(calls) == 5
         assert loaded.snapshot() == registry.snapshot()
+
+    def test_load_derives_each_lookup_key_through_encrypt_block(self, tmp_path, monkeypatch):
+        registry = seeded_registry(vehicles=5)
+        path = tmp_path / "registry.json"
+        registry.save(path)
+        calls = []
+        encrypt = crypto.encrypt_block
+
+        def counting_encrypt(block, key):
+            calls.append(block)
+            return encrypt(block, key)
+
+        monkeypatch.setattr(crypto, "encrypt_block", counting_encrypt)
+        Registry.load(path)
+        assert calls == [record.id_a for record in registry.vehicles]
 
     def test_load_rejects_bad_tariff(self, registry, tmp_path):
         path = tmp_path / "registry.json"
@@ -660,6 +702,44 @@ class TestOpen:
                 change()
                 registry.save(mirror)
                 assert path.read_bytes() == mirror.read_bytes() != before
+
+    @pytest.mark.parametrize("nonce", [b"x", 16, bytes(17)], ids=["1-byte", "int", "17-byte"])
+    def test_bad_nonce_is_refused_and_consumes_nothing(self, path, nonce):
+        before = path.read_bytes()
+        with Registry.open(path) as registry:
+            record = registry.vehicles[0]
+            with pytest.raises(InvalidInput, match="^nonce must be"):
+                registry.authenticate(record.lookup_key, nonce)
+            assert record.used_nonces == set()
+        assert path.read_bytes() == before
+        assert Registry.load(path).snapshot() == registry.snapshot()
+
+    def test_lookup_key_of_any_size_is_an_unknown_vehicle(self, path):
+        with Registry.open(path) as registry:
+            for lookup_key in (b"", b"\x01" * 15, bytearray(17)):
+                assert registry.authenticate(lookup_key, b"\x05" * 16) == (
+                    None, Reason.UNKNOWN_VEHICLE
+                )
+            with pytest.raises(InvalidInput, match="^lookup key must be bytes-like"):
+                registry.authenticate(None, b"\x05" * 16)
+
+    @pytest.mark.parametrize(
+        "t1,t5,issued_at",
+        [(0.5, 1000.0, 0), (0, 1000.0, 0), (0, 1000, 0.0), (0, 1000, None), (False, 1000, 0)],
+        ids=["float-times", "float-t5", "float-issued", "none-issued", "bool-t1"],
+    )
+    def test_bill_refuses_times_that_are_not_ints(self, path, t1, t5, issued_at):
+        with Registry.open(path) as registry:
+            record = registry.vehicles[0]
+            with pytest.raises(InvalidReport, match="must be an integer"):
+                registry.bill(record.id_a, t1, t5, issued_at)
+            assert registry.invoices == []
+            assert record.balance == 100_000
+            # the registry still saves: a valid bill goes through
+            registry.bill(record.id_a, 0, 1000, issued_at=1000)
+        loaded = Registry.load(path)
+        assert [inv.t5 for inv in loaded.invoices] == [1000]
+        assert loaded.find(record.id_a).balance == 100_000 - 2
 
     def test_holds_the_lock_file_for_the_block(self, path):
         with Registry.open(path):

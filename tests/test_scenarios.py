@@ -119,6 +119,9 @@ BAD_LINES = [
     "rule insecure auth_reqest drop\n",
     "rule secure lookup_reply drop\n",
     "rule secure lookup_request nth=1 drop\n",
+    "rule insecure lookup_request drop\n",
+    "rule insecure lookup_reply drop\n",
+    "rule insecure charge_report drop\n",
     "rule insecure auth_request tamper=3:00\n",
     "rule insecure auth_request tamper=3:100\n",
     "rule insecure auth_request tamper=3:-1\n",
