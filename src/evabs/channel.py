@@ -2,7 +2,10 @@
 
 Two links exist: the open radio link between vehicle and terminal
 ("insecure") and the protected line between terminal and server ("secure").
-The open link carries frames (bytes), because the adversary acts on bytes.
+The open link carries frames (bytes), because the adversary acts on bytes;
+a frame entering it, from an agent or the adversary, goes through
+errors.checked_bytes, so anything not bytes-like is InvalidInput and is never
+transcribed.
 The secure line is ideal: it carries the typed wire messages themselves,
 scripts never touch it, and its transcript entries always show no adversary
 action. Every frame or message that crosses either link lands in one
@@ -25,7 +28,7 @@ order, the transcript is byte-identical.
 import json
 from dataclasses import dataclass
 
-from evabs.errors import InvalidInput, ScriptError
+from evabs.errors import InvalidInput, ScriptError, checked_bytes
 from evabs.wire import frame_variant
 
 __all__ = [
@@ -55,7 +58,7 @@ class SimClock:
         self.now = start
 
     def advance(self, ms):
-        if not isinstance(ms, int) or ms < 0:
+        if type(ms) is not int or ms < 0:
             raise InvalidInput("clock can only advance by a non-negative integer")
         self.now += ms
         return self.now
@@ -191,14 +194,7 @@ class Transcript:
     def append(self, time, channel, direction, payload, action=None):
         """Record one crossing: a frame on the open link, a message on the
         protected line."""
-        entry = TranscriptEntry(
-            len(self.entries),
-            time,
-            channel,
-            direction,
-            payload if channel == SECURE else bytes(payload),
-            action,
-        )
+        entry = TranscriptEntry(len(self.entries), time, channel, direction, payload, action)
         self.entries.append(entry)
         return entry
 
@@ -248,7 +244,7 @@ class Network:
             return [(direction, frame)]
         if channel != INSECURE:
             raise InvalidInput(f"unknown channel {channel!r}")
-        frame = bytes(frame)
+        frame = checked_bytes("frame", frame)
         variant = frame_variant(frame) or "unknown"
         action = self.script.match(channel, variant) if self.script else None
         if action is None:
@@ -288,10 +284,7 @@ class Network:
             return [(direction, mutated)]
         if isinstance(action, Inject):
             self.transcript.append(self.clock.now, channel, direction, frame)
-            self.transcript.append(
-                self.clock.now, channel, direction, bytes(action.frame), {"kind": "injected"}
-            )
-            return [(direction, frame), (direction, bytes(action.frame))]
+            return [(direction, frame)] + self.attacker_send(direction, action.frame)
         if isinstance(action, Replay):
             original = self.transcript.append(self.clock.now, channel, direction, frame)
             seq = action.of_seq if action.of_seq is not None else original.seq
@@ -300,7 +293,7 @@ class Network:
 
     def attacker_send(self, direction, frame):
         """A frame the adversary makes up itself (impersonation, floods)."""
-        frame = bytes(frame)
+        frame = checked_bytes("frame", frame)
         self.transcript.append(
             self.clock.now, INSECURE, direction, frame, {"kind": "injected"}
         )

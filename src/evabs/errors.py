@@ -3,7 +3,8 @@
 Everything raised on purpose derives from EvabsError so callers (and the
 CLI exit-code mapping) can tell our failures from genuine bugs.
 checked_bytes is the one check of a byte-string argument, for the kernels,
-evabs.crypto and the registry alike.
+evabs.crypto, the registry, wire messages, vehicle credentials and the open
+link alike.
 """
 
 
@@ -16,16 +17,16 @@ class InvalidInput(EvabsError, ValueError):
     data). Also a ValueError, the kernels' error for a bad argument."""
 
 
-def checked_bytes(name, value, size=None):
+def checked_bytes(name, value, size=None, error=InvalidInput):
     """`value` as bytes: bytes unchanged, a bytearray or memoryview copied.
     Anything else, or a length other than `size` when one is given, raises
-    InvalidInput naming the argument."""
+    `error` naming the argument; the wire codec passes FrameError."""
     if type(value) is not bytes:
         if not isinstance(value, (bytes, bytearray, memoryview)):
-            raise InvalidInput(f"{name} must be bytes-like, got {type(value).__name__}")
+            raise error(f"{name} must be bytes-like, got {type(value).__name__}")
         value = bytes(value)
     if size is not None and len(value) != size:
-        raise InvalidInput(f"{name} must be {size} bytes, got {len(value)}")
+        raise error(f"{name} must be {size} bytes, got {len(value)}")
     return value
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from evabs import crypto
 from evabs.errors import ClockSkew, HandshakeError, InvalidInput, checked_bytes
 from evabs.wire import (
+    TS_MAX,
     AuthRequest,
     ChargeReport,
     FailureNotice,
@@ -67,13 +68,14 @@ class VehicleCredentials:
     k_a: bytes
 
     def __post_init__(self):
-        checked_bytes("id_a", self.id_a, crypto.BLOCK_SIZE)
-        checked_bytes("k_a", self.k_a, crypto.KEY_SIZE)
+        # a frozen value holds bytes, so it hashes and cannot be changed
+        object.__setattr__(self, "id_a", checked_bytes("id_a", self.id_a, crypto.BLOCK_SIZE))
+        object.__setattr__(self, "k_a", checked_bytes("k_a", self.k_a, crypto.KEY_SIZE))
 
 
 def pack_timestamp(ms):
     """Millisecond count -> 16-byte block: 8 zero bytes then 8 big-endian."""
-    if not isinstance(ms, int) or not 0 <= ms < (1 << 64):
+    if type(ms) is not int or not 0 <= ms <= TS_MAX:
         raise InvalidInput("timestamp must be an unsigned 64-bit millisecond count")
     return _TS_PAD + ms.to_bytes(8, "big")
 

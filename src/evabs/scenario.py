@@ -392,13 +392,13 @@ def _parse_counted(what, args, lineno):
     a total as an int, an absent KEY=VALUE as None."""
     if not args:
         raise ScriptError(f"line {lineno}: expect {what} needs a count")
-    want = _parse_int(args[0], lineno, f"expect {what} count")
+    want = _parse_count(args[0], lineno, f"expect {what} count")
     key = _COUNTED[what]
     value = _parse_options(args[1:], {key}, lineno).get(key)
     if value is None:
         return want, None
     if key == "total":
-        return want, _parse_int(value, lineno, "total")
+        return want, _parse_count(value, lineno, "total")
     try:
         return want, Reason.from_label(value)
     except FrameError:
@@ -480,9 +480,13 @@ def load_scenario(name_or_path):
     if builtin.is_file():
         return parse_scenario(builtin.read_text(), default_name=name_or_path)
     if os.path.exists(name_or_path):
-        with open(name_or_path) as fh:
-            base = os.path.splitext(os.path.basename(name_or_path))[0]
-            return parse_scenario(fh.read(), default_name=base)
+        try:
+            with open(name_or_path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read scenario {name_or_path}: {exc}") from exc
+        base = os.path.splitext(os.path.basename(name_or_path))[0]
+        return parse_scenario(text, default_name=base)
     raise ConfigError(
         f"unknown scenario {name_or_path!r}; shipped: {', '.join(builtin_scenarios())}"
     )
@@ -563,7 +567,9 @@ class ScenarioRunner:
         """Hand what the network already transcribed and rule-matched to
         its receivers, then send what the agents answer, until quiet.
         Deliveries are handled in arrival order and answers go on the link
-        in the order they were made, matching store-and-forward agents."""
+        in the order they were made, matching store-and-forward agents.
+        The protected line is ideal, so every lookup the terminal makes is
+        answered before this returns: terminal.pending is empty again."""
         queue = deque((channel, direction, payload) for direction, payload in deliveries)
         while queue:
             for out_channel, out_direction, out in self._handle(*queue.popleft()):
@@ -632,7 +638,6 @@ class ScenarioRunner:
         vehicle.abort()
         while self.terminal.energy_on:
             self._stop_charge()
-        self.terminal.pending.clear()
         self.script.disarm_ephemeral()
         self._vehicle = None
 
@@ -713,7 +718,6 @@ class ScenarioRunner:
             else:
                 frame = _AUTH_TAG + rng.next_bytes(_AUTH_BODY_LEN)
             self._deliver(INSECURE, self.network.attacker_send(V2T, frame))
-        self.terminal.pending.clear()
 
     def run_sweep(self, record, variant, mask=0x01):
         """One session per byte position of the chosen frame, with that
@@ -772,7 +776,6 @@ class ScenarioRunner:
         accepted_before = self.server.accepted
         forged = AuthRequest(m3=old.m3, mac=old.mac, n_a=self.adversary_rng.next_nonce())
         self._deliver(INSECURE, self.network.attacker_send(V2T, forged.encode()))
-        self.terminal.pending.clear()
         held = self.server.accepted == accepted_before
         self._check(
             "probe splice-auth",

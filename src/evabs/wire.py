@@ -10,6 +10,9 @@ carries the messages themselves; each message names its variant and its
 frame length, so a transcript can describe it without encoding it.
 
 Round trip: decode_frame(msg.encode()) == msg for every message type.
+A byte field, like a frame given to decode_frame, may be any bytes-like
+value that errors.checked_bytes accepts; a message always holds bytes, so
+it hashes. Anything else is a FrameError.
 """
 
 import enum
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from evabs.crypto import BLOCK_SIZE, KEY_SIZE, NONCE_SIZE, TAG_SIZE
-from evabs.errors import FrameError
+from evabs.errors import FrameError, checked_bytes
 
 __all__ = [
     "Reason",
@@ -74,17 +77,14 @@ class Reason(enum.IntEnum):
             raise FrameError(f"unknown reason label {label!r}") from None
 
 
-def _want(name, value, size):
-    if type(value) is bytes and len(value) == size:
-        return
-    if not isinstance(value, (bytes, bytearray)):
-        raise FrameError(f"{name} must be bytes, got {type(value).__name__}")
-    if len(value) != size:
-        raise FrameError(f"{name} must be {size} bytes, got {len(value)}")
+def _keep(msg, name, value, size):
+    """Hold byte field `name` of frozen `msg` as exactly `size` bytes."""
+    if type(value) is not bytes or len(value) != size:
+        object.__setattr__(msg, name, checked_bytes(name, value, size, FrameError))
 
 
 def _want_ts(name, value):
-    if not isinstance(value, int) or not 0 <= value <= TS_MAX:
+    if type(value) is not int or not 0 <= value <= TS_MAX:
         raise FrameError(f"{name} must be an unsigned 64-bit millisecond count")
 
 
@@ -100,9 +100,9 @@ class AuthRequest:
     n_a: bytes
 
     def __post_init__(self):
-        _want("m3", self.m3, BLOCK_SIZE)
-        _want("mac", self.mac, TAG_SIZE)
-        _want("n_a", self.n_a, NONCE_SIZE)
+        _keep(self, "m3", self.m3, BLOCK_SIZE)
+        _keep(self, "mac", self.mac, TAG_SIZE)
+        _keep(self, "n_a", self.n_a, NONCE_SIZE)
 
     def encode(self):
         return bytes([TAG_AUTH_REQUEST]) + self.m3 + self.mac + self.n_a
@@ -119,8 +119,8 @@ class LookupRequest:
     n_a: bytes
 
     def __post_init__(self):
-        _want("m5", self.m5, BLOCK_SIZE)
-        _want("n_a", self.n_a, NONCE_SIZE)
+        _keep(self, "m5", self.m5, BLOCK_SIZE)
+        _keep(self, "n_a", self.n_a, NONCE_SIZE)
 
     def encode(self):
         return bytes([TAG_LOOKUP_REQUEST]) + self.m5 + self.n_a
@@ -141,8 +141,8 @@ class LookupReply:
         if self.accepted:
             if self.id_a is None or self.k_a is None or self.reason is not None:
                 raise FrameError("accepted reply carries id_a and k_a only")
-            _want("id_a", self.id_a, BLOCK_SIZE)
-            _want("k_a", self.k_a, KEY_SIZE)
+            _keep(self, "id_a", self.id_a, BLOCK_SIZE)
+            _keep(self, "k_a", self.k_a, KEY_SIZE)
         else:
             if self.reason is None or self.id_a is not None or self.k_a is not None:
                 raise FrameError("rejected reply carries a reason only")
@@ -169,9 +169,9 @@ class StartCharge:
     n_t: bytes
 
     def __post_init__(self):
-        _want("m8", self.m8, BLOCK_SIZE)
-        _want("mac", self.mac, TAG_SIZE)
-        _want("n_t", self.n_t, NONCE_SIZE)
+        _keep(self, "m8", self.m8, BLOCK_SIZE)
+        _keep(self, "mac", self.mac, TAG_SIZE)
+        _keep(self, "n_t", self.n_t, NONCE_SIZE)
 
     def encode(self):
         return bytes([TAG_START_CHARGE]) + self.m8 + self.mac + self.n_t
@@ -190,7 +190,7 @@ class ChargeReport:
     t5: int
 
     def __post_init__(self):
-        _want("id_a", self.id_a, BLOCK_SIZE)
+        _keep(self, "id_a", self.id_a, BLOCK_SIZE)
         _want_ts("t1", self.t1)
         _want_ts("t5", self.t5)
 
@@ -247,39 +247,28 @@ def frame_variant(frame):
     return VARIANTS.get(frame[0])
 
 
-def _cut(frame, offset, size):
-    return bytes(frame[offset : offset + size])
-
-
 def decode_frame(frame):
     """Parse one raw frame into its message. Raises FrameError on anything
     that is not a byte-exact encoding of a known variant."""
-    if not isinstance(frame, (bytes, bytearray)):
-        raise FrameError("frame must be bytes")
+    frame = checked_bytes("frame", frame, error=FrameError)
     if len(frame) == 0:
         raise FrameError("empty frame")
     tag = frame[0]
     if tag == TAG_AUTH_REQUEST:
         if len(frame) != _AUTH_LEN:
             raise FrameError(f"auth_request must be 65 bytes, got {len(frame)}")
-        return AuthRequest(
-            m3=_cut(frame, 1, BLOCK_SIZE),
-            mac=_cut(frame, 17, TAG_SIZE),
-            n_a=_cut(frame, 49, NONCE_SIZE),
-        )
+        return AuthRequest(m3=frame[1:17], mac=frame[17:49], n_a=frame[49:65])
     if tag == TAG_LOOKUP_REQUEST:
         if len(frame) != _LOOKUP_LEN:
             raise FrameError(f"lookup_request must be 33 bytes, got {len(frame)}")
-        return LookupRequest(m5=_cut(frame, 1, BLOCK_SIZE), n_a=_cut(frame, 17, NONCE_SIZE))
+        return LookupRequest(m5=frame[1:17], n_a=frame[17:33])
     if tag == TAG_LOOKUP_REPLY:
         if len(frame) < 2:
             raise FrameError("truncated lookup_reply")
         if frame[1] == 0x01:
             if len(frame) != _ACCEPTED_REPLY_LEN:
                 raise FrameError(f"accepted lookup_reply must be 50 bytes, got {len(frame)}")
-            return LookupReply(
-                accepted=True, id_a=_cut(frame, 2, BLOCK_SIZE), k_a=_cut(frame, 18, KEY_SIZE)
-            )
+            return LookupReply(accepted=True, id_a=frame[2:18], k_a=frame[18:50])
         if frame[1] == 0x00:
             if len(frame) != _REJECTED_REPLY_LEN:
                 raise FrameError(f"rejected lookup_reply must be 3 bytes, got {len(frame)}")
@@ -292,16 +281,12 @@ def decode_frame(frame):
     if tag == TAG_START_CHARGE:
         if len(frame) != _START_LEN:
             raise FrameError(f"start_charge must be 65 bytes, got {len(frame)}")
-        return StartCharge(
-            m8=_cut(frame, 1, BLOCK_SIZE),
-            mac=_cut(frame, 17, TAG_SIZE),
-            n_t=_cut(frame, 49, NONCE_SIZE),
-        )
+        return StartCharge(m8=frame[1:17], mac=frame[17:49], n_t=frame[49:65])
     if tag == TAG_CHARGE_REPORT:
         if len(frame) != _REPORT_LEN:
             raise FrameError(f"charge_report must be 33 bytes, got {len(frame)}")
         return ChargeReport(
-            id_a=_cut(frame, 1, BLOCK_SIZE),
+            id_a=frame[1:17],
             t1=int.from_bytes(frame[17:25], "big"),
             t5=int.from_bytes(frame[25:33], "big"),
         )

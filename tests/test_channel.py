@@ -50,6 +50,10 @@ class TestSimClock:
         with pytest.raises(InvalidInput):
             clock.advance(1.5)
 
+    def test_rejects_a_bool(self):
+        with pytest.raises(InvalidInput):
+            SimClock().advance(True)
+
 
 class TestDelivery:
     def test_plain_delivery_records_no_action(self):
@@ -86,6 +90,15 @@ class TestDelivery:
         monkeypatch.setattr(LookupRequest, "encode", refuse)
         [line] = [json.loads(l) for l in net.transcript.to_jsonl().splitlines()]
         assert (line["variant"], line["len"], line["frame"]) == ("lookup_request", 33, None)
+
+    @pytest.mark.parametrize("bad", [65, [1, 2, 3], "frame"], ids=["int", "list", "str"])
+    def test_open_link_refuses_non_bytes(self, bad):
+        net = _network()
+        with pytest.raises(InvalidInput, match="^frame must be bytes-like"):
+            net.send(INSECURE, "to_terminal", bad)
+        with pytest.raises(InvalidInput, match="^frame must be bytes-like"):
+            net.attacker_send("to_terminal", bad)
+        assert len(net.transcript) == 0
 
     def test_unknown_channel_rejected(self):
         net = _network()

@@ -419,6 +419,20 @@ class TestAttack:
         assert code == 2
         assert "line 2" in err
 
+    def test_undecodable_scenario_file_exits_2(self, cli, tmp_path):
+        path = tmp_path / "bad.scn"
+        path.write_bytes(b"session *\n\xff\xfe\n")
+        code, out, err = cli("attack", "--scenario", str(path), "--seed", "9")
+        assert code == 2
+        assert "cannot read scenario" in err
+        assert out == ""
+
+    def test_scenario_path_naming_a_directory_exits_2(self, cli, tmp_path):
+        code, out, err = cli("attack", "--scenario", str(tmp_path), "--seed", "9")
+        assert code == 2
+        assert "cannot read scenario" in err
+        assert out == ""
+
     def test_malformed_sweep_expect_exits_2_before_any_sweep(self, cli, tmp_path):
         path = tmp_path / "bad.scn"
         path.write_text("expect sweep bogus\n")

@@ -151,3 +151,23 @@ def test_charge_opened_between_sessions_is_stopped_first():
         ("completed", None, 7600, 7600, 5000, 12600, 10),
     ]
     assert invoices == [(1600, 12600, 22), (7600, 12600, 10)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "flood 20 style=mixed\n",
+        "probe splice-auth\n",
+        "probe replay-start-charge\n",
+        "rule insecure start_charge nth=1 drop\nsession * duration=5000\n",
+        "rule insecure auth_request nth=1 delay=600\nsession *\nadvance 600\n",
+    ],
+    ids=["flood", "probe-splice", "probe-replay", "dropped-start", "delayed-auth"],
+)
+def test_every_lookup_is_answered_before_the_step_returns(text):
+    # the protected line is ideal, so no step leaves the terminal waiting
+    # for a lookup reply, and nothing needs to clear terminal.pending
+    runner = ScenarioRunner(seeded_registry(), seed=1)
+    runner.execute(parse_scenario(text))
+    assert not runner.terminal.pending
+    assert runner.server.accepted + sum(runner.server.rejected.values()) > 0

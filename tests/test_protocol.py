@@ -58,6 +58,10 @@ class TestTimestamps:
             protocol.pack_timestamp(-1)
         with pytest.raises(InvalidInput):
             protocol.pack_timestamp(1 << 64)
+
+    def test_bool_is_not_a_millisecond_count(self):
+        with pytest.raises(InvalidInput):
+            protocol.pack_timestamp(True)
         with pytest.raises(InvalidInput):
             protocol.unpack_timestamp(b"\x00" * 15)
 
@@ -77,6 +81,11 @@ class TestCredentials:
             protocol.VehicleCredentials(id_a=bytes(15), k_a=bytes(32))
         with pytest.raises(InvalidInput, match="^k_a must be 32 bytes"):
             protocol.VehicleCredentials(id_a=bytes(16), k_a=bytes(33))
+
+    def test_bytes_like_fields_are_held_as_bytes(self):
+        creds = protocol.VehicleCredentials(bytearray(16), memoryview(bytes(32)))
+        assert hash(creds) == hash(protocol.VehicleCredentials(bytes(16), bytes(32)))
+        assert type(creds.id_a) is bytes and type(creds.k_a) is bytes
 
 
 class TestStepAlgebra:

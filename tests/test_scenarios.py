@@ -139,6 +139,10 @@ BAD_LINES = [
     "sweep auth_request mask=zz\n",
     "sweep auth_reqest\n",
     "sweep lookup_reply\n",
+    "expect completed -1\n",
+    "expect accepted -1\n",
+    "expect rejected -2 reason=unknown_vehicle\n",
+    "expect invoices 1 total=-4\n",
 ]
 
 

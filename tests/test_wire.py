@@ -152,3 +152,52 @@ class TestFieldValidation:
     def test_variant_of_unknown_or_empty(self):
         assert wire.frame_variant(b"") is None
         assert wire.frame_variant(bytes([0x7F])) is None
+
+
+# every message type with byte fields: (class, fixed keyword arguments,
+# {byte field: size})
+BYTE_FIELDS = [
+    (wire.AuthRequest, {}, {"m3": 16, "mac": 32, "n_a": 16}),
+    (wire.LookupRequest, {}, {"m5": 16, "n_a": 16}),
+    (wire.LookupReply, {"accepted": True}, {"id_a": 16, "k_a": 32}),
+    (wire.StartCharge, {}, {"m8": 16, "mac": 32, "n_t": 16}),
+    (wire.ChargeReport, {"t1": 0, "t5": 1}, {"id_a": 16}),
+]
+
+
+class TestBytesLikeFields:
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_bytes_like_fields_are_held_as_bytes(self, data):
+        cls, fixed, sizes = data.draw(st.sampled_from(BYTE_FIELDS))
+        raw = {name: data.draw(st.binary(min_size=n, max_size=n)) for name, n in sizes.items()}
+        given_as = {
+            name: data.draw(st.sampled_from([bytes, bytearray, memoryview]))(value)
+            for name, value in raw.items()
+        }
+        msg = cls(**fixed, **given_as)
+        want = cls(**fixed, **raw)
+        assert msg == want
+        assert hash(msg) == hash(want)
+        assert all(type(getattr(msg, name)) is bytes for name in sizes)
+
+    @pytest.mark.parametrize("bad", [16, "x" * 16, None], ids=["int", "str", "none"])
+    @pytest.mark.parametrize(
+        "cls,fixed,sizes", BYTE_FIELDS, ids=[cls.variant for cls, _, _ in BYTE_FIELDS]
+    )
+    def test_non_bytes_field_is_a_frame_error(self, cls, fixed, sizes, bad):
+        fields = {name: bytes(n) for name, n in sizes.items()}
+        for name in sizes:
+            with pytest.raises(FrameError):
+                cls(**fixed, **{**fields, name: bad})
+
+    @given(msg=messages)
+    def test_decode_accepts_a_memoryview(self, msg):
+        frame = msg.encode()
+        assert wire.decode_frame(memoryview(frame)) == wire.decode_frame(frame)
+
+    def test_report_times_must_be_ints_not_bools(self):
+        with pytest.raises(FrameError):
+            wire.ChargeReport(id_a=bytes(16), t1=True, t5=5)
+        with pytest.raises(FrameError):
+            wire.ChargeReport(id_a=bytes(16), t1=0, t5=False)
