@@ -17,9 +17,16 @@ message's variant and frame length, so it encodes nothing. The adversary
 owns the insecure link: a script of trigger -> action rules can drop, delay,
 tamper, inject or replay frames there.
 
-Triggers match on observable bytes only (channel, frame variant, nth
-occurrence), never on agent state, so the adversary cannot cheat by reading
-hidden values. Each rule fires at most once; the first matching rule wins.
+A Rule checks itself once, when a scenario file or a caller makes it: a
+variant no agent puts on the open link, nth below 1, a negative delay or
+replay seq, a tamper index past the variant's frame, a mask outside
+0x01..0xff or an injected frame that is not bytes-like is a ScriptError
+before any frame is sent. When the rule fires, Network.send checks only
+what depends on the frame in hand.
+
+Triggers match on observable bytes only (frame variant, nth occurrence),
+never on agent state, so the adversary cannot cheat by reading hidden
+values. Each rule fires at most once; the first matching rule wins.
 
 Determinism: no randomness lives here. Given the same frames in the same
 order, the transcript is byte-identical.
@@ -29,7 +36,7 @@ import json
 from dataclasses import dataclass
 
 from evabs.errors import InvalidInput, ScriptError, checked_bytes
-from evabs.wire import frame_variant
+from evabs.wire import FRAME_LENGTHS, frame_variant
 
 __all__ = [
     "SECURE",
@@ -40,6 +47,7 @@ __all__ = [
     "Tamper",
     "Inject",
     "Replay",
+    "RULE_VARIANTS",
     "Rule",
     "AdversaryScript",
     "TranscriptEntry",
@@ -49,6 +57,10 @@ __all__ = [
 
 INSECURE = "insecure"
 SECURE = "secure"
+
+# all that agents put on the open link, so a rule on any other frame variant
+# could never fire
+RULE_VARIANTS = ("auth_request", "start_charge", "failure_notice")
 
 
 class SimClock:
@@ -93,14 +105,45 @@ class Replay:
 
 @dataclass(frozen=True)
 class Rule:
-    channel: str
+    """Fire `action` on the nth open-link frame of `variant`. Everything a
+    rule could get wrong without seeing a frame is a ScriptError here."""
+
     variant: str
     nth: int | None  # None: the next occurrence after the rule is armed
     action: object
 
+    def __post_init__(self):
+        variant, nth, action = self.variant, self.nth, self.action
+        if variant not in RULE_VARIANTS:
+            raise ScriptError(f"a rule takes {', '.join(RULE_VARIANTS)}, got {variant!r}")
+        if nth is not None and (type(nth) is not int or nth < 1):
+            raise ScriptError(f"nth counts from 1, got {nth!r}")
+        if isinstance(action, Delay):
+            if type(action.by_ms) is not int or action.by_ms < 0:
+                raise ScriptError(f"delay must be a non-negative integer, got {action.by_ms!r}")
+        elif isinstance(action, Replay):
+            seq = action.of_seq
+            if seq is not None and (type(seq) is not int or seq < 0):
+                raise ScriptError(f"replay seq must be a non-negative integer, got {seq!r}")
+        elif isinstance(action, Tamper):
+            size = FRAME_LENGTHS[variant]
+            if type(action.index) is not int or not 0 <= action.index < size:
+                raise ScriptError(
+                    f"tamper index {action.index!r} is outside the {size}-byte {variant} frame"
+                )
+            mask = action.mask
+            if type(mask) is not int or not 1 <= mask <= 0xFF:
+                shown = f"{mask:#x}" if type(mask) is int else repr(mask)
+                raise ScriptError(f"tamper mask must be 0x01..0xff, got {shown}")
+        elif isinstance(action, Inject):
+            frame = checked_bytes("injected frame", action.frame, error=ScriptError)
+            object.__setattr__(self, "action", Inject(frame))  # held as bytes
+        elif not isinstance(action, Drop):
+            raise ScriptError(f"unknown action {action!r}")
+
 
 class AdversaryScript:
-    """Ordered rule list with per-(channel, variant) occurrence counting.
+    """Ordered rule list with per-variant occurrence counting.
 
     nth counts frames as submitted by the agents, starting at 1 from the
     start of the run; the adversary's own products (injected or replayed
@@ -125,18 +168,17 @@ class AdversaryScript:
         session cannot act on a later one."""
         self._ephemeral.clear()
 
-    def match(self, channel, variant):
-        key = (channel, variant)
-        self._counts[key] = self._counts.get(key, 0) + 1
-        nth = self._counts[key]
+    def match(self, variant):
+        """The action of the rule that fires on this open-link frame, or None."""
+        nth = self._counts[variant] = self._counts.get(variant, 0) + 1
         for i, rule in enumerate(self._ephemeral):
-            if rule.channel == channel and rule.variant == variant:
+            if rule.variant == variant:
                 del self._ephemeral[i]
                 return rule.action
         for i, rule in enumerate(self.rules):
             if i in self._fired:
                 continue
-            if rule.channel == channel and rule.variant == variant and rule.nth == nth:
+            if rule.variant == variant and rule.nth == nth:
                 self._fired.add(i)
                 return rule.action
         return None
@@ -228,7 +270,7 @@ class Network:
     always the one message sent. Delayed frames surface later through due().
     """
 
-    def __init__(self, clock, script=None, transcript=None):
+    def __init__(self, clock, script, transcript=None):
         self.clock = clock
         self.script = script
         self.transcript = transcript if transcript is not None else Transcript()
@@ -246,7 +288,7 @@ class Network:
             raise InvalidInput(f"unknown channel {channel!r}")
         frame = checked_bytes("frame", frame)
         variant = frame_variant(frame) or "unknown"
-        action = self.script.match(channel, variant) if self.script else None
+        action = self.script.match(variant)
         if action is None:
             self.transcript.append(self.clock.now, channel, direction, frame)
             return [(direction, frame)]
@@ -263,12 +305,11 @@ class Network:
             self._deferred.append((self.clock.now + action.by_ms, direction, frame))
             return []
         if isinstance(action, Tamper):
-            if not 0 <= action.index < len(frame):
+            # a frame can be shorter than its variant: the rule cannot know
+            if action.index >= len(frame):
                 raise ScriptError(
                     f"tamper index {action.index} out of range for {len(frame)}-byte frame"
                 )
-            if not 1 <= action.mask <= 0xFF:
-                raise ScriptError("tamper mask must flip at least one bit")
             mutated = bytearray(frame)
             mutated[action.index] ^= action.mask
             mutated = bytes(mutated)
@@ -285,11 +326,10 @@ class Network:
         if isinstance(action, Inject):
             self.transcript.append(self.clock.now, channel, direction, frame)
             return [(direction, frame)] + self.attacker_send(direction, action.frame)
-        if isinstance(action, Replay):
-            original = self.transcript.append(self.clock.now, channel, direction, frame)
-            seq = action.of_seq if action.of_seq is not None else original.seq
-            return [(direction, frame)] + self.replay_entry(seq)
-        raise ScriptError(f"unknown action {action!r}")
+        # a Replay: Rule admits no other action
+        original = self.transcript.append(self.clock.now, channel, direction, frame)
+        seq = action.of_seq if action.of_seq is not None else original.seq
+        return [(direction, frame)] + self.replay_entry(seq)
 
     def attacker_send(self, direction, frame):
         """A frame the adversary makes up itself (impersonation, floods)."""

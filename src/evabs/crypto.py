@@ -46,7 +46,6 @@ __all__ = [
     "compute_mac",
     "verify_mac",
     "NonceSource",
-    "next_nonce",
     "splitmix64",
     "SPLITMIX64_GAMMA",
 ]
@@ -169,10 +168,3 @@ class NonceSource:
             acc = (acc << 64) | out
         self._s0, self._s1 = s0, s1
         return acc.to_bytes(n, "big")
-
-
-def next_nonce(state):
-    """Pure form of NonceSource.next_nonce: (s0, s1) -> (nonce, (s0', s1'))."""
-    src = NonceSource(*state)
-    nonce = src.next_nonce()
-    return nonce, src.state

@@ -22,11 +22,11 @@ mode 0600 (the file holds every vehicle key), `.<name>.tmp-<16 hex>` beside
 the target, renames it over the target and fsyncs the directory; the next
 Registry.open removes such files that a killed save left. Loading checks
 each field once, re-derives every lookup_key, refuses records that do not
-match their stored one and takes hex only in lowercase of the exact
-length. Processes that load, change and save one file serialize on
-lock_file(path), an exclusive flock on the sidecar `<path>.lock` that
-Registry.open holds; the registry's own lock covers threads of one process
-only.
+match their stored one and invoices that bill could not have issued, and
+takes hex only in lowercase of the exact length. Processes that load,
+change and save one file serialize on lock_file(path), an exclusive flock
+on the sidecar `<path>.lock` that Registry.open holds; the registry's own
+lock covers threads of one process only.
 """
 
 import fcntl
@@ -174,12 +174,29 @@ _INVOICE_KEYS = frozenset(("id_a", *_INVOICE_INTS))
 _REGISTRY_KEYS = frozenset(("group_key", "tariff_per_second", "vehicles", "invoices"))
 
 
-def _invoice(iobj):
+def _charge(duration_ms, tariff):
+    """The amount billed for duration_ms: every started second in full."""
+    return -(-duration_ms // 1000) * tariff
+
+
+def _invoice(iobj, tariff, ids):
+    """The invoice an entry of the file describes, refused unless bill could
+    have made it: for a vehicle in `ids`, from t1 to t5 at `tariff`."""
     if type(iobj) is not dict:
         raise StorageError("must be a JSON object")
     _known_fields(iobj, _INVOICE_KEYS)
     id_a = _hex_field(iobj, "id_a", crypto.BLOCK_SIZE)
-    return Invoice(id_a, *(_field(iobj, key, int, None, "an integer") for key in _INVOICE_INTS))
+    invoice = Invoice(id_a, *(_field(iobj, key, int, None, "an integer") for key in _INVOICE_INTS))
+    if id_a not in ids:
+        raise StorageError(f"no vehicle {id_a.hex()} in the file")
+    if invoice.t5 < invoice.t1:
+        raise StorageError(f"t5 {invoice.t5} precedes t1 {invoice.t1}")
+    if invoice.duration_ms != invoice.t5 - invoice.t1:
+        raise StorageError(f"duration_ms {invoice.duration_ms} is not t5 - t1")
+    amount = _charge(invoice.duration_ms, tariff)
+    if invoice.amount != amount:
+        raise StorageError(f"amount {invoice.amount} is not {amount}, the charge at the tariff")
+    return invoice
 
 
 # O_EXCL with O_NOFOLLOW: never open a file or symlink already at the name
@@ -357,7 +374,7 @@ class Registry:
             if t5 < t1:
                 raise InvalidReport(f"t5 {t5} precedes t1 {t1}")
             duration = t5 - t1
-            amount = -(-duration // 1000) * self.tariff_per_second
+            amount = _charge(duration, self.tariff_per_second)
             invoice = Invoice(
                 id_a=record.id_a,
                 t1=t1,
@@ -477,7 +494,8 @@ class Registry:
     def load(cls, path):
         """Read a registry file, checking each field once. The file is the
         trust boundary: every lookup_key is re-derived as E(id_a, k_a) and a
-        record whose stored one differs is refused."""
+        record whose stored one differs is refused, as is an invoice that no
+        bill of this registry could have issued."""
         try:
             with open(path, "rb") as fh:
                 # UTF-8 whatever the locale; json.loads would take UTF-16 bytes
@@ -506,7 +524,7 @@ class Registry:
                 raise StorageError(f"{path} vehicles[{i}]: {exc}") from None
         for i, iobj in enumerate(invoices):
             try:
-                reg.invoices.append(_invoice(iobj))
+                reg.invoices.append(_invoice(iobj, tariff, reg._by_id))
             except StorageError as exc:
                 raise StorageError(f"{path} invoices[{i}]: {exc}") from None
         return reg

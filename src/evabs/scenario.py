@@ -27,10 +27,10 @@ VEHICLE is `*` (first enrolled), `#K` (K-th enrolled, 1-based) or a 32-hex
 id. ACTION is drop | delay=MS | tamper=IDX:MASKHEX | inject=HEXBYTES |
 replay[=SEQ]. Rules fire once, on the nth occurrence of their frame variant
 (counted from run start). A rule that could never fire as written is a
-ScriptError: the secure channel (it carries messages, not frames), a
-variant no agent sends on the open link (only auth_request, start_charge
-and failure_notice cross it), nth below 1, a negative delay or replay seq,
-a tamper index past the variant's frame or a mask outside 01..ff. A rule
+ScriptError at parse time: the secure channel (it carries messages, not
+frames), or anything channel.Rule refuses when it is made (a variant no
+agent sends on the open link, nth below 1, a negative delay or replay seq,
+a tamper index past the variant's frame, a mask outside 01..ff). A rule
 still unfired when the run ends adds a FAIL check naming its line. A sweep
 takes auth_request or start_charge and the same 01..ff mask.
 
@@ -98,9 +98,6 @@ S2T = "server->terminal"
 # the two frames every honest session puts on the open link; a sweep flips
 # each of their byte positions in turn
 SWEEP_VARIANTS = ("auth_request", "start_charge")
-# those two and the terminal's failure notice are all agents put on the open
-# link, so a rule on any other frame variant could never fire
-RULE_VARIANTS = (*SWEEP_VARIANTS, "failure_notice")
 
 SCENARIO_ALIASES = {"mitm": ("tamper-m3", "tamper-m8")}
 
@@ -205,14 +202,14 @@ def _parse_action(token, lineno):
     if "=" in token:
         key, _, value = token.partition("=")
         if key == "delay":
-            return Delay(_parse_count(value, lineno, "delay"))
+            return Delay(_parse_int(value, lineno, "delay"))
         if key == "replay":
-            return Replay(_parse_count(value, lineno, "replay seq"))
+            return Replay(_parse_int(value, lineno, "replay seq"))
         if key == "tamper":
             index, _, mask = value.partition(":")
             return Tamper(
-                _parse_count(index, lineno, "tamper index"),
-                _parse_mask(mask, lineno) if mask else 0xFF,
+                _parse_int(index, lineno, "tamper index"),
+                _parse_int(mask, lineno, "mask", base=16) if mask else 0xFF,
             )
         if key == "inject":
             try:
@@ -220,6 +217,14 @@ def _parse_action(token, lineno):
             except ValueError:
                 raise ScriptError(f"line {lineno}: bad action value in {token!r}") from None
     raise ScriptError(f"line {lineno}: unknown action {token!r}")
+
+
+def _rule(lineno, variant, nth, action):
+    """Rule(variant, nth, action), its refusal a ScriptError naming the line."""
+    try:
+        return Rule(variant, nth, action)
+    except ScriptError as exc:
+        raise ScriptError(f"line {lineno}: {exc}") from None
 
 
 def _parse_rule(tokens, lineno):
@@ -235,25 +240,14 @@ def _parse_rule(tokens, lineno):
         )
     if channel != INSECURE:
         raise ScriptError(f"line {lineno}: unknown channel {channel!r}")
-    if variant not in RULE_VARIANTS:
-        raise ScriptError(
-            f"line {lineno}: a rule takes {', '.join(RULE_VARIANTS)}, got {variant!r}"
-        )
     nth, rest = 1, tokens[3:]
     if rest[0].startswith("nth="):
         nth = _parse_int(rest[0][4:], lineno, "nth")
-        if nth < 1:
-            raise ScriptError(f"line {lineno}: nth counts from 1, got {nth}")
         rest = rest[1:]
     if len(rest) != 1:
         raise ScriptError(f"line {lineno}: rule takes exactly one action, got {' '.join(rest)!r}")
-    action = _parse_action(rest[0], lineno)
-    if isinstance(action, Tamper) and action.index >= FRAME_LENGTHS[variant]:
-        raise ScriptError(
-            f"line {lineno}: tamper index {action.index} is past the"
-            f" {FRAME_LENGTHS[variant]}-byte {variant} frame"
-        )
-    return ScenarioRunner._add_rule, (Rule(channel, variant, nth, action), lineno, " ".join(tokens))
+    rule = _rule(lineno, variant, nth, _parse_action(rest[0], lineno))
+    return ScenarioRunner._add_rule, (rule, lineno, " ".join(tokens))
 
 
 def _parse_sweep(tokens, lineno):
@@ -266,7 +260,10 @@ def _parse_sweep(tokens, lineno):
             f"line {lineno}: sweep takes {' or '.join(SWEEP_VARIANTS)}, got {variant!r}"
         )
     options = _parse_options(tokens[2:], {"mask"}, lineno)
-    mask = _parse_mask(options.get("mask", "01"), lineno)
+    mask = _parse_int(options.get("mask", "01"), lineno, "mask", base=16)
+    # Rule checks the mask: build the first position's rule now, so a bad
+    # mask is refused before any line runs
+    _rule(lineno, variant, None, Tamper(0, mask))
     return ScenarioRunner._with_vehicle, ("*", lineno, ScenarioRunner.run_sweep, variant, mask)
 
 
@@ -366,14 +363,6 @@ def _parse_count(value, lineno, what):
     if number < 0:
         raise ScriptError(f"line {lineno}: {what} must not be negative, got {number}")
     return number
-
-
-def _parse_mask(value, lineno):
-    """A tamper mask: hex, flipping at least one bit of one byte."""
-    mask = _parse_int(value, lineno, "mask", base=16)
-    if not 1 <= mask <= 0xFF:
-        raise ScriptError(f"line {lineno}: mask must be 01..ff, got {value!r}")
-    return mask
 
 
 # counted expect forms, `expect WHAT N [KEY=VALUE]`: WHAT -> the one KEY it takes
@@ -724,7 +713,7 @@ class ScenarioRunner:
         position XOR-flipped in flight."""
         results = []
         for position in range(FRAME_LENGTHS[variant]):
-            self.script.arm_ephemeral(Rule(INSECURE, variant, None, Tamper(position, mask)))
+            self.script.arm_ephemeral(Rule(variant, None, Tamper(position, mask)))
             outcome = self.run_session(record, duration=2000, record_outcome=False)
             results.append(
                 {"position": position, "phase": outcome.phase, "reason": outcome.reason}
@@ -747,7 +736,7 @@ class ScenarioRunner:
             if e.channel == INSECURE and e.frame == stale and e.adversary_action is None
         )
         self._advance(1000)
-        self.script.arm_ephemeral(Rule(INSECURE, "start_charge", None, Drop()))
+        self.script.arm_ephemeral(Rule("start_charge", None, Drop()))
         vehicle = self._begin_session(record)
         fresh_t1 = self.terminal.active[-1].t1 if self.terminal.active else None
         self._deliver(INSECURE, self.network.replay_entry(seq))

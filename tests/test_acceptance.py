@@ -244,10 +244,10 @@ def test_c08_recovery_and_rule_bound_registry(verdict):
     runner = ScenarioRunner(seeded_registry(seed=53), seed=0xC8)
     record = runner.registry.vehicles[0]
     aborts = [
-        Rule(INSECURE, "auth_request", None, Tamper(2, 0xFF)),
-        Rule(INSECURE, "auth_request", None, Tamper(20, 0xFF)),
-        Rule(INSECURE, "start_charge", None, Tamper(2, 0xFF)),
-        Rule(INSECURE, "auth_request", None, Tamper(0, 0xFF)),
+        Rule("auth_request", None, Tamper(2, 0xFF)),
+        Rule("auth_request", None, Tamper(20, 0xFF)),
+        Rule("start_charge", None, Tamper(2, 0xFF)),
+        Rule("auth_request", None, Tamper(0, 0xFF)),
     ]
     bad = []
     for i, rule in enumerate(aborts):

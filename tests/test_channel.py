@@ -1,5 +1,5 @@
-"""Link simulation tests: clock, adversary rule matching, each action's
-observable effect, protected-line immunity, the protected line's messages
+"""Link simulation tests: clock, adversary rule matching, the checks a rule
+makes when it is made, each action's observable effect, protected-line immunity, the protected line's messages
 and their encoding on export, transcript redaction, and byte-for-byte
 determinism."""
 
@@ -65,10 +65,12 @@ class TestDelivery:
         assert entry.seq == 0
 
     def test_secure_line_delivers_and_ignores_script(self):
-        rules = [Rule(SECURE, "lookup_request", 1, Drop())]
-        net = _network(rules)
+        # the message is neither acted on nor counted: the first open-link
+        # frame is still the rule's nth=1
+        net = _network([Rule("auth_request", 1, Drop())])
         assert net.send(SECURE, "to_server", LOOKUP_MSG) == [("to_server", LOOKUP_MSG)]
         assert net.transcript.get(0).adversary_action is None
+        assert net.send(INSECURE, "to_terminal", AUTH) == []
 
     @pytest.mark.parametrize("raw", [LOOKUP, bytearray(LOOKUP), memoryview(LOOKUP)])
     def test_secure_line_refuses_bytes(self, raw):
@@ -114,7 +116,7 @@ class TestDelivery:
 
 class TestRuleMatching:
     def test_nth_counts_per_variant_from_run_start(self):
-        rules = [Rule(INSECURE, "auth_request", 3, Drop())]
+        rules = [Rule("auth_request", 3, Drop())]
         net = _network(rules)
         assert net.send(INSECURE, "to_terminal", AUTH) != []
         assert net.send(INSECURE, "to_terminal", START) != []  # other variant
@@ -123,15 +125,15 @@ class TestRuleMatching:
         assert net.send(INSECURE, "to_terminal", AUTH) != []
 
     def test_rule_fires_at_most_once(self):
-        rules = [Rule(INSECURE, "auth_request", 1, Drop())]
+        rules = [Rule("auth_request", 1, Drop())]
         net = _network(rules)
         assert net.send(INSECURE, "to_terminal", AUTH) == []
         assert net.send(INSECURE, "to_terminal", AUTH) != []
 
     def test_first_matching_rule_wins(self):
         rules = [
-            Rule(INSECURE, "auth_request", 1, Drop()),
-            Rule(INSECURE, "auth_request", 1, Tamper(index=0, mask=0xFF)),
+            Rule("auth_request", 1, Drop()),
+            Rule("auth_request", 1, Tamper(index=0, mask=0xFF)),
         ]
         net = _network(rules)
         assert net.send(INSECURE, "to_terminal", AUTH) == []
@@ -141,23 +143,23 @@ class TestRuleMatching:
         script = AdversaryScript()
         net = Network(SimClock(), script)
         net.send(INSECURE, "to_terminal", AUTH)
-        script.arm_ephemeral(Rule(INSECURE, "auth_request", None, Drop()))
+        script.arm_ephemeral(Rule("auth_request", None, Drop()))
         assert net.send(INSECURE, "to_terminal", AUTH) == []
         assert net.send(INSECURE, "to_terminal", AUTH) != []
 
     def test_disarmed_ephemeral_rule_no_longer_matches(self):
         script = AdversaryScript()
         net = Network(SimClock(), script)
-        script.arm_ephemeral(Rule(INSECURE, "auth_request", None, Drop()))
+        script.arm_ephemeral(Rule("auth_request", None, Drop()))
         script.disarm_ephemeral()
         assert net.send(INSECURE, "to_terminal", AUTH) != []
 
     def test_unfired_lists_rules_that_never_matched(self):
         script = AdversaryScript(
             [
-                Rule(INSECURE, "auth_request", 1, Drop()),
-                Rule(INSECURE, "auth_request", 3, Drop()),
-                Rule(INSECURE, "start_charge", 1, Drop()),
+                Rule("auth_request", 1, Drop()),
+                Rule("auth_request", 3, Drop()),
+                Rule("start_charge", 1, Drop()),
             ]
         )
         net = Network(SimClock(), script)
@@ -167,22 +169,51 @@ class TestRuleMatching:
         assert script.unfired() == [1, 2]
 
     def test_ephemeral_takes_priority_over_listed_rules(self):
-        script = AdversaryScript([Rule(INSECURE, "auth_request", 1, Drop())])
-        script.arm_ephemeral(Rule(INSECURE, "auth_request", None, Tamper(index=1, mask=1)))
+        script = AdversaryScript([Rule("auth_request", 1, Drop())])
+        script.arm_ephemeral(Rule("auth_request", None, Tamper(index=1, mask=1)))
         net = Network(SimClock(), script)
         out = net.send(INSECURE, "to_terminal", AUTH)
         assert out != [] and out[0][1] != AUTH
 
 
+class TestRuleChecks:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Rule("auth_request", 1, Inject(frame=65)),
+            lambda: Rule("auth_request", 1, Delay(-50)),
+            lambda: Rule("lookup_request", 1, Drop()),
+            lambda: Rule("auth_request", 0, Drop()),
+            lambda: Rule("auth_request", 1, Tamper(index=0, mask=0)),
+            lambda: Rule("auth_request", 1, Tamper(index=65, mask=1)),
+            lambda: Rule("auth_request", 1, Replay(of_seq=-1)),
+            lambda: Rule("auth_request", 1, "drop"),
+        ],
+        ids=[
+            "inject-int", "negative-delay", "lookup-request", "nth-0", "mask-0",
+            "index-past-frame", "negative-replay-seq", "unknown-action",
+        ],
+    )
+    def test_bad_rule_is_refused_when_made(self, make):
+        # refused before any frame is sent, so nothing is transcribed and the
+        # link carries on untouched
+        net = _network()
+        with pytest.raises(ScriptError):
+            net.script.add_rule(make())
+        assert len(net.transcript) == 0
+        assert net.send(INSECURE, "to_terminal", AUTH) == [("to_terminal", AUTH)]
+        assert net.transcript.get(0).adversary_action is None
+
+
 class TestActions:
     def test_drop(self):
-        net = _network([Rule(INSECURE, "auth_request", 1, Drop())])
+        net = _network([Rule("auth_request", 1, Drop())])
         assert net.send(INSECURE, "to_terminal", AUTH) == []
         assert net.transcript.get(0).adversary_action == {"kind": "dropped"}
         assert net.transcript.get(0).frame == AUTH  # recorded, not delivered
 
     def test_delay_surfaces_via_due(self):
-        net = _network([Rule(INSECURE, "auth_request", 1, Delay(by_ms=50))])
+        net = _network([Rule("auth_request", 1, Delay(by_ms=50))])
         assert net.send(INSECURE, "to_terminal", AUTH) == []
         assert net.due() == []
         net.clock.advance(49)
@@ -192,7 +223,7 @@ class TestActions:
         assert net.due() == []  # delivered exactly once
 
     def test_tamper_flips_exactly_the_masked_bits(self):
-        net = _network([Rule(INSECURE, "auth_request", 1, Tamper(index=5, mask=0x0F))])
+        net = _network([Rule("auth_request", 1, Tamper(index=5, mask=0x0F))])
         [(_, delivered)] = net.send(INSECURE, "to_terminal", AUTH)
         assert delivered[5] == AUTH[5] ^ 0x0F
         assert delivered[:5] == AUTH[:5] and delivered[6:] == AUTH[6:]
@@ -205,25 +236,27 @@ class TestActions:
         }
         assert net.transcript.get(0).frame == delivered
 
-    def test_tamper_out_of_range_is_a_script_error(self):
-        net = _network([Rule(INSECURE, "auth_request", 1, Tamper(index=65, mask=1))])
-        with pytest.raises(ScriptError):
-            net.send(INSECURE, "to_terminal", AUTH)
+    def test_tamper_past_a_short_frame_is_a_script_error(self):
+        # index 5 is inside every auth_request the rule can know of, but not
+        # inside this 3-byte frame that carries the auth_request tag
+        net = _network([Rule("auth_request", 1, Tamper(index=5, mask=1))])
+        with pytest.raises(ScriptError, match="out of range for 3-byte frame"):
+            net.send(INSECURE, "to_terminal", bytes([0x01, 0, 0]))
 
-    def test_tamper_zero_mask_is_a_script_error(self):
-        net = _network([Rule(INSECURE, "auth_request", 1, Tamper(index=0, mask=0))])
-        with pytest.raises(ScriptError):
-            net.send(INSECURE, "to_terminal", AUTH)
+    def test_inject_keeps_a_bytes_like_frame_as_bytes(self):
+        rule = Rule("auth_request", 1, Inject(frame=bytearray(b"\x01\x02")))
+        assert type(rule.action.frame) is bytes and rule.action == Inject(b"\x01\x02")
+        hash(rule)
 
     def test_inject_appends_the_forged_frame(self):
         forged = bytes([0x01]) + bytes(64)
-        net = _network([Rule(INSECURE, "auth_request", 1, Inject(frame=forged))])
+        net = _network([Rule("auth_request", 1, Inject(frame=forged))])
         out = net.send(INSECURE, "to_terminal", AUTH)
         assert out == [("to_terminal", AUTH), ("to_terminal", forged)]
         assert net.transcript.get(1).adversary_action == {"kind": "injected"}
 
     def test_replay_self_duplicates_the_trigger(self):
-        net = _network([Rule(INSECURE, "auth_request", 1, Replay())])
+        net = _network([Rule("auth_request", 1, Replay())])
         out = net.send(INSECURE, "to_terminal", AUTH)
         assert out == [("to_terminal", AUTH), ("to_terminal", AUTH)]
         assert net.transcript.get(1).adversary_action == {"kind": "replayed", "of_seq": 0}
@@ -231,18 +264,18 @@ class TestActions:
     def test_replay_routes_like_the_original(self):
         # the copy goes where the recorded frame went, not where the trigger
         # frame was heading
-        net = _network([Rule(INSECURE, "start_charge", 1, Replay(of_seq=0))])
+        net = _network([Rule("start_charge", 1, Replay(of_seq=0))])
         net.send(INSECURE, "to_terminal", AUTH)
         out = net.send(INSECURE, "to_vehicle", START)
         assert out == [("to_vehicle", START), ("to_terminal", AUTH)]
 
     def test_replay_of_unseen_seq_is_a_script_error(self):
-        net = _network([Rule(INSECURE, "auth_request", 1, Replay(of_seq=7))])
+        net = _network([Rule("auth_request", 1, Replay(of_seq=7))])
         with pytest.raises(ScriptError):
             net.send(INSECURE, "to_terminal", AUTH)
 
     def test_replay_of_secure_entry_is_a_script_error(self):
-        net = _network([Rule(INSECURE, "auth_request", 1, Replay(of_seq=0))])
+        net = _network([Rule("auth_request", 1, Replay(of_seq=0))])
         net.send(SECURE, "to_server", LOOKUP_MSG)
         with pytest.raises(ScriptError):
             net.send(INSECURE, "to_terminal", AUTH)
@@ -265,7 +298,7 @@ class TestActions:
     def test_adversary_products_do_not_retrigger_rules(self):
         # occurrence counting sees agent-submitted frames only: the replayed
         # copy is not fed back through the script
-        net = _network([Rule(INSECURE, "auth_request", 2, Drop())])
+        net = _network([Rule("auth_request", 2, Drop())])
         net.send(INSECURE, "to_terminal", AUTH)
         net.replay_entry(0)
         assert net.send(INSECURE, "to_terminal", AUTH) == []  # this is #2
@@ -316,7 +349,7 @@ class TestTranscript:
 
     def test_byte_identical_across_runs(self):
         def run():
-            net = _network([Rule(INSECURE, "auth_request", 2, Tamper(index=3, mask=1))])
+            net = _network([Rule("auth_request", 2, Tamper(index=3, mask=1))])
             net.send(INSECURE, "to_terminal", AUTH)
             net.clock.advance(100)
             net.send(INSECURE, "to_terminal", AUTH)

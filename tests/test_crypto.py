@@ -240,12 +240,6 @@ class TestNonceSource:
         resumed = crypto.NonceSource(*src.state)
         assert resumed.next_nonce() == src.next_nonce()
 
-    def test_pure_next_nonce_matches_method(self):
-        src = crypto.NonceSource.from_seed(5)
-        nonce, state = crypto.next_nonce(src.state)
-        assert nonce == src.next_nonce()
-        assert state == src.state
-
     def test_nonces_distinct(self):
         src = crypto.NonceSource.from_seed(2)
         seen = {src.next_nonce() for _ in range(2000)}

@@ -408,9 +408,17 @@ class TestPersistence:
             (lambda obj: obj["vehicles"][1].update(colour="red"),
              " vehicles[1]: unknown field 'colour'"),
             (lambda obj: obj["invoices"][0].update(note=""), " invoices[0]: unknown field 'note'"),
+            # an invoice that no bill of this registry could have issued
+            (lambda obj: obj["invoices"][0].update(id_a="a1" * 16), " invoices[0]: no vehicle "),
+            (lambda obj: obj["invoices"][0].update(duration_ms=1000),
+             " invoices[0]: duration_ms 1000 is not t5 - t1"),
+            (lambda obj: obj["invoices"][0].update(t1=1500, t5=0, duration_ms=-1500, amount=-2),
+             " invoices[0]: t5 0 precedes t1 1500"),
+            (lambda obj: obj["invoices"][0].update(amount=3), " invoices[0]: amount 3 is not 4"),
         ],
         ids=["int-vehicles", "int-invoices", "object-invoices", "int-vehicle", "list-vehicle",
-             "string-invoice", "extra-top-level", "extra-in-vehicle", "extra-in-invoice"],
+             "string-invoice", "extra-top-level", "extra-in-vehicle", "extra-in-invoice",
+             "unknown-vehicle", "wrong-duration", "t5-before-t1", "wrong-amount"],
     )
     def test_load_refuses_lists_and_entries_of_the_wrong_shape(
         self, registry, tmp_path, edit, message
@@ -551,8 +559,16 @@ class TestPersistence:
             max_size=5,
             unique_by=lambda vehicle: vehicle[0],
         ),
-        invoices=st.lists(st.tuples(*[st.integers(min_value=-(2**70), max_value=2**70)] * 5),
-                          max_size=4),
+        # (t1, duration_ms, issued_at): the loader takes only invoices that
+        # bill could have issued
+        invoices=st.lists(
+            st.tuples(
+                st.integers(min_value=-(2**70), max_value=2**70),
+                st.integers(min_value=0, max_value=2**70),
+                st.integers(min_value=-(2**70), max_value=2**70),
+            ),
+            max_size=4,
+        ),
     )
     def test_saved_bytes_are_indented_json_of_the_fields(self, tariff, vehicles, invoices):
         registry = Registry(group_key=bytes(range(32)), tariff_per_second=tariff)
@@ -561,9 +577,11 @@ class TestPersistence:
             record.balance = balance  # as the loader sets it: negative is allowed
             record.revoked = revoked
             record.used_nonces = set(nonces)
-        for i, (t1, t5, duration_ms, amount, issued_at) in enumerate(invoices):
-            id_a = vehicles[i % len(vehicles)][0] if vehicles else b"\x07" * 16
-            registry.invoices.append(Invoice(id_a, t1, t5, duration_ms, amount, issued_at))
+        for i, (t1, duration_ms, issued_at) in enumerate(invoices if vehicles else ()):
+            id_a = vehicles[i % len(vehicles)][0]
+            amount = -(-duration_ms // 1000) * tariff  # every started second
+            invoice = Invoice(id_a, t1, t1 + duration_ms, duration_ms, amount, issued_at)
+            registry.invoices.append(invoice)
         ref = {
             "group_key": registry.group_key.hex(),
             "tariff_per_second": registry.tariff_per_second,

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from evabs import crypto, scenario, wire
-from evabs.channel import INSECURE, SECURE
+from evabs.channel import SECURE
 from evabs.errors import ConfigError, InvalidInput, ScriptError
 from evabs.registry import Registry
 from evabs.scenario import (
@@ -491,7 +491,7 @@ class TestRunnerSessions:
             if e.adversary_action is None and e.frame == replayed.frame
         ]
         assert plain == [replayed.adversary_action["of_seq"]]
-        assert runner.script._counts[(INSECURE, "start_charge")] == len(built) == 2
+        assert runner.script._counts["start_charge"] == len(built) == 2
 
     def test_probe_splice_auth_passes(self):
         runner = _runner()
