@@ -22,7 +22,9 @@ variant no agent puts on the open link, nth below 1, a negative delay or
 replay seq, a tamper index past the variant's frame, a mask outside
 0x01..0xff or an injected frame that is not bytes-like is a ScriptError
 before any frame is sent. When the rule fires, Network.send checks only
-what depends on the frame in hand.
+what depends on the frame in hand (a tamper index past a frame shorter than
+its variant, a replay seq that names no recorded open-link frame), before
+the trigger frame is transcribed: a refused rule records nothing of it.
 
 Triggers match on observable bytes only (frame variant, nth occurrence),
 never on agent state, so the adversary cannot cheat by reading hidden
@@ -326,9 +328,14 @@ class Network:
         if isinstance(action, Inject):
             self.transcript.append(self.clock.now, channel, direction, frame)
             return [(direction, frame)] + self.attacker_send(direction, action.frame)
-        # a Replay: Rule admits no other action
-        original = self.transcript.append(self.clock.now, channel, direction, frame)
-        seq = action.of_seq if action.of_seq is not None else original.seq
+        # a Replay: Rule admits no other action. A seq other than the trigger's
+        # own is checked before the trigger is transcribed, so a refused
+        # replay leaves no entry that was delivered to no one
+        own = len(self.transcript)
+        seq = own if action.of_seq is None else action.of_seq
+        if seq != own:
+            self._recorded(seq)
+        self.transcript.append(self.clock.now, channel, direction, frame)
         return [(direction, frame)] + self.replay_entry(seq)
 
     def attacker_send(self, direction, frame):
@@ -342,16 +349,21 @@ class Network:
     def replay_entry(self, seq):
         """Re-deliver a recorded insecure frame (adversary replay by seq). The
         copy routes where the original went, not where any trigger went."""
-        source = self.transcript.get(seq)
-        if source is None:
-            raise ScriptError(f"replay references seq {seq} which was never recorded")
-        if source.channel == SECURE:
-            raise ScriptError("cannot replay protected-line frames onto the open link")
+        source = self._recorded(seq)
         self.transcript.append(
             self.clock.now, INSECURE, source.direction, source.frame,
             {"kind": "replayed", "of_seq": seq},
         )
         return [(source.direction, source.frame)]
+
+    def _recorded(self, seq):
+        """The open-link entry a replay of `seq` copies."""
+        source = self.transcript.get(seq)
+        if source is None:
+            raise ScriptError(f"replay references seq {seq} which was never recorded")
+        if source.channel == SECURE:
+            raise ScriptError("cannot replay protected-line frames onto the open link")
+        return source
 
     def due(self):
         """Delayed frames whose delivery time has arrived, in send order."""

@@ -47,9 +47,13 @@ expect forms:
 
 Failed expectations never raise; they mark the report FAIL and the run
 carries on, so one broken defense does not hide another. A malformed line
-(unknown word, missing or non-integer count, unknown reason label, unknown
-or extra argument) raises ScriptError in parse_scenario, before any line
-runs; only vehicle references, which need the registry, wait for the run.
+(unknown word, missing or non-integer count, unknown reason label, unknown,
+extra or repeated argument) raises ScriptError in parse_scenario, before any
+line runs. Only what a running step can refuse waits: a vehicle reference
+(it needs the registry), a charge time past the 64-bit timestamp range, a
+rule that cannot act on the frame in hand (which records nothing of it).
+parse_scenario and ScenarioRunner.execute add `line N: ` to what line N
+raises, keeping its error class; no other code knows line numbers.
 """
 
 import os
@@ -194,7 +198,7 @@ class ScenarioReport:
 # -- parsing ------------------------------------------------------------
 
 
-def _parse_action(token, lineno):
+def _parse_action(token):
     if token == "drop":
         return Drop()
     if token == "replay":
@@ -202,166 +206,153 @@ def _parse_action(token, lineno):
     if "=" in token:
         key, _, value = token.partition("=")
         if key == "delay":
-            return Delay(_parse_int(value, lineno, "delay"))
+            return Delay(_parse_int(value, "delay"))
         if key == "replay":
-            return Replay(_parse_int(value, lineno, "replay seq"))
+            return Replay(_parse_int(value, "replay seq"))
         if key == "tamper":
             index, _, mask = value.partition(":")
             return Tamper(
-                _parse_int(index, lineno, "tamper index"),
-                _parse_int(mask, lineno, "mask", base=16) if mask else 0xFF,
+                _parse_int(index, "tamper index"),
+                _parse_int(mask, "mask", base=16) if mask else 0xFF,
             )
         if key == "inject":
             try:
                 return Inject(bytes.fromhex(value))
             except ValueError:
-                raise ScriptError(f"line {lineno}: bad action value in {token!r}") from None
-    raise ScriptError(f"line {lineno}: unknown action {token!r}")
+                raise ScriptError(f"bad action value in {token!r}") from None
+    raise ScriptError(f"unknown action {token!r}")
 
 
-def _rule(lineno, variant, nth, action):
-    """Rule(variant, nth, action), its refusal a ScriptError naming the line."""
-    try:
-        return Rule(variant, nth, action)
-    except ScriptError as exc:
-        raise ScriptError(f"line {lineno}: {exc}") from None
-
-
-def _parse_rule(tokens, lineno):
+def _parse_rule(tokens):
     """`rule CHANNEL VARIANT [nth=K] ACTION`. A rule that could never fire
     as written is refused here, so a typo cannot pass for an attack that ran
     and was stopped."""
     if len(tokens) < 4:
-        raise ScriptError(f"line {lineno}: rule CHANNEL VARIANT [nth=K] ACTION")
+        raise ScriptError("rule CHANNEL VARIANT [nth=K] ACTION")
     channel, variant = tokens[1], tokens[2]
     if channel == SECURE:
-        raise ScriptError(
-            f"line {lineno}: the secure line carries messages, not frames; no rule matches there"
-        )
+        raise ScriptError("the secure line carries messages, not frames; no rule matches there")
     if channel != INSECURE:
-        raise ScriptError(f"line {lineno}: unknown channel {channel!r}")
+        raise ScriptError(f"unknown channel {channel!r}")
     nth, rest = 1, tokens[3:]
     if rest[0].startswith("nth="):
-        nth = _parse_int(rest[0][4:], lineno, "nth")
+        nth = _parse_int(rest[0][4:], "nth")
         rest = rest[1:]
     if len(rest) != 1:
-        raise ScriptError(f"line {lineno}: rule takes exactly one action, got {' '.join(rest)!r}")
-    rule = _rule(lineno, variant, nth, _parse_action(rest[0], lineno))
-    return ScenarioRunner._add_rule, (rule, lineno, " ".join(tokens))
+        raise ScriptError(f"rule takes exactly one action, got {' '.join(rest)!r}")
+    return ScenarioRunner._add_rule, (Rule(variant, nth, _parse_action(rest[0])),)
 
 
-def _parse_sweep(tokens, lineno):
+def _parse_sweep(tokens):
     """`sweep VARIANT [mask=HH]`, run on the first enrolled vehicle."""
     if len(tokens) < 2:
-        raise ScriptError(f"line {lineno}: sweep needs a frame variant")
+        raise ScriptError("sweep needs a frame variant")
     variant = tokens[1]
     if variant not in SWEEP_VARIANTS:
-        raise ScriptError(
-            f"line {lineno}: sweep takes {' or '.join(SWEEP_VARIANTS)}, got {variant!r}"
-        )
-    options = _parse_options(tokens[2:], {"mask"}, lineno)
-    mask = _parse_int(options.get("mask", "01"), lineno, "mask", base=16)
+        raise ScriptError(f"sweep takes {' or '.join(SWEEP_VARIANTS)}, got {variant!r}")
+    options = _parse_options(tokens[2:], {"mask"})
+    mask = _parse_int(options.get("mask", "01"), "mask", base=16)
     # Rule checks the mask: build the first position's rule now, so a bad
     # mask is refused before any line runs
-    _rule(lineno, variant, None, Tamper(0, mask))
-    return ScenarioRunner._with_vehicle, ("*", lineno, ScenarioRunner.run_sweep, variant, mask)
+    Rule(variant, None, Tamper(0, mask))
+    return ScenarioRunner._with_vehicle, ("*", ScenarioRunner.run_sweep, variant, mask)
 
 
-def _parse_session(tokens, lineno):
+def _parse_session(tokens):
     """`session VEHICLE [duration=MS] [budget=N]`: `sessions` with a count of 1."""
     if len(tokens) < 2:
-        raise ScriptError(f"line {lineno}: session needs a vehicle")
-    options = _parse_options(tokens[2:], {"duration", "budget"}, lineno)
-    duration = _parse_count(options.get("duration", "5000"), lineno, "duration")
-    budget = _parse_count(options["budget"], lineno, "budget") if "budget" in options else None
-    return ScenarioRunner._with_vehicle, (
-        tokens[1], lineno, ScenarioRunner._sessions, 1, duration, budget
-    )
+        raise ScriptError("session needs a vehicle")
+    options = _parse_options(tokens[2:], {"duration", "budget"})
+    duration = _parse_count(options.get("duration", "5000"), "duration")
+    budget = _parse_count(options["budget"], "budget") if "budget" in options else None
+    return ScenarioRunner._with_vehicle, (tokens[1], ScenarioRunner._sessions, 1, duration, budget)
 
 
-def _parse_sessions(tokens, lineno):
+def _parse_sessions(tokens):
     """`sessions COUNT VEHICLE [duration=MS]`."""
     if len(tokens) < 3:
-        raise ScriptError(f"line {lineno}: sessions needs a count and a vehicle")
-    count = _parse_count(tokens[1], lineno, "session count")
-    options = _parse_options(tokens[3:], {"duration"}, lineno)
-    duration = _parse_count(options.get("duration", "5000"), lineno, "duration")
+        raise ScriptError("sessions needs a count and a vehicle")
+    count = _parse_count(tokens[1], "session count")
+    options = _parse_options(tokens[3:], {"duration"})
+    duration = _parse_count(options.get("duration", "5000"), "duration")
     return ScenarioRunner._with_vehicle, (
-        tokens[2], lineno, ScenarioRunner._sessions, count, duration, None
+        tokens[2], ScenarioRunner._sessions, count, duration, None
     )
 
 
-def _parse_advance(tokens, lineno):
+def _parse_advance(tokens):
     if len(tokens) != 2:
-        raise ScriptError(f"line {lineno}: advance takes a millisecond count")
-    return ScenarioRunner._advance, (_parse_count(tokens[1], lineno, "advance"),)
+        raise ScriptError("advance takes a millisecond count")
+    return ScenarioRunner._advance, (_parse_count(tokens[1], "advance"),)
 
 
-def _parse_revoke(tokens, lineno):
+def _parse_revoke(tokens):
     if len(tokens) != 2:
-        raise ScriptError(f"line {lineno}: revoke takes a vehicle reference")
-    return ScenarioRunner._with_vehicle, (tokens[1], lineno, ScenarioRunner._revoke)
+        raise ScriptError("revoke takes a vehicle reference")
+    return ScenarioRunner._with_vehicle, (tokens[1], ScenarioRunner._revoke)
 
 
-def _parse_snapshot(tokens, lineno):
+def _parse_snapshot(tokens):
     if len(tokens) != 1:
-        raise ScriptError(f"line {lineno}: snapshot takes no argument")
+        raise ScriptError("snapshot takes no argument")
     return ScenarioRunner._take_snapshot, ()
 
 
-def _parse_flood(tokens, lineno):
+def _parse_flood(tokens):
     if len(tokens) < 2:
-        raise ScriptError(f"line {lineno}: flood needs a frame count")
-    count = _parse_count(tokens[1], lineno, "flood count")
-    style = _parse_options(tokens[2:], {"style"}, lineno).get("style", "wellformed")
+        raise ScriptError("flood needs a frame count")
+    count = _parse_count(tokens[1], "flood count")
+    style = _parse_options(tokens[2:], {"style"}).get("style", "wellformed")
     if style not in ("wellformed", "garbage", "mixed"):
-        raise ScriptError(f"line {lineno}: unknown flood style {style!r}")
+        raise ScriptError(f"unknown flood style {style!r}")
     return ScenarioRunner.flood, (count, style)
 
 
-def _parse_probe(tokens, lineno):
+def _parse_probe(tokens):
     """`probe NAME`, run on the first enrolled vehicle."""
     if len(tokens) != 2:
-        raise ScriptError(f"line {lineno}: probe takes exactly one probe name")
+        raise ScriptError("probe takes exactly one probe name")
     probes = {
         "replay-start-charge": ScenarioRunner.probe_replay_start_charge,
         "splice-auth": ScenarioRunner.probe_splice_auth,
     }
     if tokens[1] not in probes:
-        raise ScriptError(f"line {lineno}: unknown probe {tokens[1]!r}")
-    return ScenarioRunner._with_vehicle, ("*", lineno, probes[tokens[1]])
+        raise ScriptError(f"unknown probe {tokens[1]!r}")
+    return ScenarioRunner._with_vehicle, ("*", probes[tokens[1]])
 
 
-def _parse_report(tokens, lineno):
+def _parse_report(tokens):
     if len(tokens) != 2:
-        raise ScriptError(f"line {lineno}: report takes exactly one report name")
+        raise ScriptError("report takes exactly one report name")
     if tokens[1] != "nonce-store":
-        raise ScriptError(f"line {lineno}: unknown report {tokens[1]!r}")
+        raise ScriptError(f"unknown report {tokens[1]!r}")
     return ScenarioRunner._report_nonce_store, ()
 
 
-def _parse_options(tokens, allowed, lineno):
+def _parse_options(tokens, allowed):
     options = {}
     for token in tokens:
         key, eq, value = token.partition("=")
         if not eq or key not in allowed:
-            raise ScriptError(f"line {lineno}: unexpected token {token!r}")
+            raise ScriptError(f"unexpected token {token!r}")
+        if key in options:
+            raise ScriptError(f"{key}= given more than once")
         options[key] = value
     return options
 
 
-def _parse_int(value, lineno, what, base=10):
+def _parse_int(value, what, base=10):
     try:
         return int(value, base)
     except ValueError:
-        raise ScriptError(f"line {lineno}: {what} must be an integer, got {value!r}") from None
+        raise ScriptError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _parse_count(value, lineno, what):
+def _parse_count(value, what):
     """_parse_int for counts and millisecond values, which are never negative."""
-    number = _parse_int(value, lineno, what)
+    number = _parse_int(value, what)
     if number < 0:
-        raise ScriptError(f"line {lineno}: {what} must not be negative, got {number}")
+        raise ScriptError(f"{what} must not be negative, got {number}")
     return number
 
 
@@ -376,37 +367,37 @@ _COUNTED = {
 }
 
 
-def _parse_counted(what, args, lineno):
+def _parse_counted(what, args):
     """(N, VALUE) for a counted expect form: a reason comes back as a Reason,
     a total as an int, an absent KEY=VALUE as None."""
     if not args:
-        raise ScriptError(f"line {lineno}: expect {what} needs a count")
-    want = _parse_count(args[0], lineno, f"expect {what} count")
+        raise ScriptError(f"expect {what} needs a count")
+    want = _parse_count(args[0], f"expect {what} count")
     key = _COUNTED[what]
-    value = _parse_options(args[1:], {key}, lineno).get(key)
+    value = _parse_options(args[1:], {key}).get(key)
     if value is None:
         return want, None
     if key == "total":
-        return want, _parse_count(value, lineno, "total")
+        return want, _parse_count(value, "total")
     try:
         return want, Reason.from_label(value)
     except FrameError:
-        raise ScriptError(f"line {lineno}: unknown reason {value!r}") from None
+        raise ScriptError(f"unknown reason {value!r}") from None
 
 
-def _parse_expect(tokens, lineno):
+def _parse_expect(tokens):
     """`expect WHAT ...`: the form's check method, whose first argument is
     the check's name, the line itself."""
     name, what, args = " ".join(tokens), tokens[1] if len(tokens) > 1 else "", tokens[2:]
     if what in _COUNTED:
-        return ScenarioRunner._expect_count, (name, what, *_parse_counted(what, args, lineno))
+        return ScenarioRunner._expect_count, (name, what, *_parse_counted(what, args))
     if what not in _UNCOUNTED:
-        raise ScriptError(f"line {lineno}: unknown expectation {what!r}")
+        raise ScriptError(f"unknown expectation {what!r}")
     check, choices = _UNCOUNTED[what]
     arg = args[0] if args else None
     if len(args) > 1 or arg not in choices:
         allowed = "|".join(c for c in choices if c) or "no argument"
-        raise ScriptError(f"line {lineno}: expect {what} takes {allowed}, got {' '.join(args)!r}")
+        raise ScriptError(f"expect {what} takes {allowed}, got {' '.join(args)!r}")
     return check, (name, *args)
 
 
@@ -439,18 +430,20 @@ def parse_scenario(text, default_name="scenario"):
     name = default_name
     steps = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _COMMENT.split(raw, 1)[0].strip()
-        if not line:
+        tokens = _COMMENT.split(raw, 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if tokens[0] == "scenario":
-            if len(tokens) != 2:
-                raise ScriptError(f"line {lineno}: scenario takes exactly one name")
-            name = tokens[1]
-            continue
-        if tokens[0] not in _DIRECTIVES:
-            raise ScriptError(f"line {lineno}: unknown directive {tokens[0]!r}")
-        steps.append((lineno, tokens, *_DIRECTIVES[tokens[0]](tokens, lineno)))
+        try:
+            if tokens[0] == "scenario":
+                if len(tokens) != 2:
+                    raise ScriptError("scenario takes exactly one name")
+                name = tokens[1]
+            elif tokens[0] in _DIRECTIVES:
+                steps.append((lineno, tokens, *_DIRECTIVES[tokens[0]](tokens)))
+            else:
+                raise ScriptError(f"unknown directive {tokens[0]!r}")
+        except ScriptError as exc:
+            raise ScriptError(f"line {lineno}: {exc}") from None
     return Scenario(name=name, steps=steps)
 
 
@@ -519,7 +512,6 @@ class ScenarioRunner:
         self.checks = []
         self.sweeps = {}
         self._snapshot = None
-        self._rule_lines = []  # (lineno, line) of each script rule, in script order
         self._vehicle = None
         self._request = None  # the current session's own auth request
         self._own_charge = None  # (t1, t5, amount) of the charge that request opened
@@ -545,30 +537,26 @@ class ScenarioRunner:
         # deferred frames were already transcribed and rule-matched when the
         # adversary held them back; each fully cascades before the next
         for delivery in self.network.due():
-            self._deliver(INSECURE, [delivery])
+            self._deliver([delivery])
 
-    def _send(self, channel, direction, payload):
-        """Put an agent's own frame or message on its link and deliver until
-        quiet."""
-        self._deliver(channel, self.network.send(channel, direction, payload))
+    def _send(self, direction, payload):
+        """Put an agent's own frame or message on its direction's link and
+        deliver until quiet."""
+        self._deliver(self.network.send(_LINK[direction], direction, payload))
 
-    def _deliver(self, channel, deliveries):
-        """Hand what the network already transcribed and rule-matched to
-        its receivers, then send what the agents answer, until quiet.
-        Deliveries are handled in arrival order and answers go on the link
-        in the order they were made, matching store-and-forward agents.
-        The protected line is ideal, so every lookup the terminal makes is
-        answered before this returns: terminal.pending is empty again."""
-        queue = deque((channel, direction, payload) for direction, payload in deliveries)
+    def _deliver(self, deliveries):
+        """Hand what the network already transcribed and rule-matched, as
+        (direction, payload) pairs, to its receivers, then send what the
+        agents answer, until quiet. Deliveries are handled in arrival order
+        and answers go on the link in the order they were made, matching
+        store-and-forward agents. The protected line is ideal, so every
+        lookup the terminal makes is answered before this returns:
+        terminal.pending is empty again."""
+        queue = deque(deliveries)
         while queue:
-            for out_channel, out_direction, out in self._handle(*queue.popleft()):
-                for direction, payload in self.network.send(out_channel, out_direction, out):
-                    queue.append((out_channel, direction, payload))
-
-    def _handle(self, channel, direction, payload):
-        """Give one delivery to its receiver; returns the receiver's answers
-        as (channel, direction, payload) triples."""
-        return _RECEIVERS[channel, direction](self, payload)
+            direction, payload = queue.popleft()
+            for out_direction, out in _RECEIVERS[direction](self, payload):
+                queue.extend(self.network.send(_LINK[out_direction], out_direction, out))
 
     @staticmethod
     def _decode(frame):
@@ -585,7 +573,7 @@ class ScenarioRunner:
         if not isinstance(msg, AuthRequest):
             self.terminal.ignored[type(msg).__name__] += 1
             return []
-        return [(SECURE, T2S, self.terminal.handle_auth(msg))]
+        return [(T2S, self.terminal.handle_auth(msg))]
 
     def _vehicle_hears_terminal(self, frame):
         if self._vehicle is not None:  # a frame nobody hears is not decoded
@@ -596,7 +584,7 @@ class ScenarioRunner:
 
     def _server_hears_terminal(self, msg):
         reply = self.server.handle(msg, self.clock.now)
-        return [] if reply is None else [(SECURE, S2T, reply)]
+        return [] if reply is None else [(S2T, reply)]
 
     def _terminal_hears_server(self, reply):
         out = self.terminal.handle_reply(reply, self.clock.now)
@@ -605,7 +593,7 @@ class ScenarioRunner:
         frame = out.encode()
         if isinstance(out, StartCharge) and self._vehicle is not None:
             self._session_frames.setdefault("start_charge", frame)
-        return [(INSECURE, T2V, frame)]
+        return [(T2V, frame)]
 
     def _begin_session(self, record):
         """A fresh vehicle session whose auth request has been sent and
@@ -617,7 +605,7 @@ class ScenarioRunner:
         raw = self._request.encode()
         self._vehicle = vehicle
         self._session_frames = {"auth_request": raw}
-        self._send(INSECURE, V2T, raw)
+        self._send(V2T, raw)
         return vehicle
 
     def _teardown(self, vehicle):
@@ -639,7 +627,7 @@ class ScenarioRunner:
         report = self.terminal.stop_charge(self.clock.now)
         invoices = self.registry.invoices
         issued = len(invoices)
-        self._send(SECURE, T2S, report)
+        self._send(T2S, report)
         if own:
             amount = invoices[-1].amount if len(invoices) > issued else None
             self._own_charge = (report.t1, report.t5, amount)
@@ -706,7 +694,7 @@ class ScenarioRunner:
                 frame = rng.next_bytes(8 * ((length + 7) // 8))[:length]
             else:
                 frame = _AUTH_TAG + rng.next_bytes(_AUTH_BODY_LEN)
-            self._deliver(INSECURE, self.network.attacker_send(V2T, frame))
+            self._deliver(self.network.attacker_send(V2T, frame))
 
     def run_sweep(self, record, variant, mask=0x01):
         """One session per byte position of the chosen frame, with that
@@ -739,7 +727,7 @@ class ScenarioRunner:
         self.script.arm_ephemeral(Rule("start_charge", None, Drop()))
         vehicle = self._begin_session(record)
         fresh_t1 = self.terminal.active[-1].t1 if self.terminal.active else None
-        self._deliver(INSECURE, self.network.replay_entry(seq))
+        self._deliver(self.network.replay_entry(seq))
         if vehicle.phase is Phase.CHARGING and vehicle.t2 == first.t1:
             status = "EXPECTED-WEAKNESS"
             detail = (
@@ -764,7 +752,7 @@ class ScenarioRunner:
         old = decode_frame(raw)
         accepted_before = self.server.accepted
         forged = AuthRequest(m3=old.m3, mac=old.mac, n_a=self.adversary_rng.next_nonce())
-        self._deliver(INSECURE, self.network.attacker_send(V2T, forged.encode()))
+        self._deliver(self.network.attacker_send(V2T, forged.encode()))
         held = self.server.accepted == accepted_before
         self._check(
             "probe splice-auth",
@@ -776,31 +764,31 @@ class ScenarioRunner:
 
     # -- vehicle references ----------------------------------------------
 
-    def _resolve_vehicle(self, ref, lineno):
+    def _resolve_vehicle(self, ref):
         vehicles = self.registry.vehicles
         if not vehicles:
-            raise ConfigError(f"line {lineno}: registry has no enrolled vehicles")
+            raise ConfigError("registry has no enrolled vehicles")
         if ref == "*":
             return vehicles[0]
         if ref.startswith("#"):
             try:
                 index = int(ref[1:])
             except ValueError:
-                raise ConfigError(f"line {lineno}: bad vehicle reference {ref!r}") from None
+                raise ConfigError(f"bad vehicle reference {ref!r}") from None
             if not 1 <= index <= len(vehicles):
-                raise ConfigError(f"line {lineno}: no vehicle {ref}")
+                raise ConfigError(f"no vehicle {ref}")
             return vehicles[index - 1]
         try:
             return self.registry.find(bytes.fromhex(ref))
         except ValueError:
-            raise ConfigError(f"line {lineno}: bad vehicle reference {ref!r}") from None
+            raise ConfigError(f"bad vehicle reference {ref!r}") from None
         except NotFound:
-            raise ConfigError(f"line {lineno}: no vehicle {ref}") from None
+            raise ConfigError(f"no vehicle {ref}") from None
 
-    def _with_vehicle(self, ref, lineno, act, *args):
+    def _with_vehicle(self, ref, act, *args):
         """act(self, record, *args) on the vehicle `ref` names: the one part
         of a step resolved when it runs, since it needs the registry."""
-        act(self, self._resolve_vehicle(ref, lineno), *args)
+        act(self, self._resolve_vehicle(ref), *args)
 
     # -- expectations ------------------------------------------------------
 
@@ -937,9 +925,8 @@ class ScenarioRunner:
     def _take_snapshot(self):
         self._snapshot = self.registry.snapshot()
 
-    def _add_rule(self, rule, lineno, line):
+    def _add_rule(self, rule):
         self.script.add_rule(rule)
-        self._rule_lines.append((lineno, line))
 
     def _report_nonce_store(self):
         sizes = ", ".join(
@@ -954,13 +941,21 @@ class ScenarioRunner:
         )
 
     def execute(self, scenario):
-        for _, _, method, args in scenario.steps:
-            method(self, *args)
+        """Run the steps in order; what step N raises gains `line N: `."""
+        earlier = len(self.script.rules)
+        for lineno, _, method, args in scenario.steps:
+            try:
+                method(self, *args)
+            except (ConfigError, InvalidInput, ScriptError) as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from None
         # a rule that never fired tested nothing; its line must not read as
-        # a defense that held
+        # a defense that held. This run's rules follow the script's earlier
+        # ones, in the order of their lines
+        rule_steps = [step for step in scenario.steps if step[2] is ScenarioRunner._add_rule]
         for index in self.script.unfired():
-            lineno, line = self._rule_lines[index]
-            self._check(line, False, f"line {lineno}: rule never fired")
+            if index >= earlier:
+                lineno, tokens, _, _ = rule_steps[index - earlier]
+                self._check(" ".join(tokens), False, f"line {lineno}: rule never fired")
         return ScenarioReport(
             name=scenario.name,
             seed=self.seed,
@@ -987,13 +982,16 @@ _UNCOUNTED = {
     "sweep": (ScenarioRunner._expect_sweep, ("no-charging", "mac-invalid")),
 }
 
-# the receiver of each delivery, by (channel, direction): open-link receivers
-# get a frame and decode it, protected-line receivers get the message itself
+# the one link each direction runs on
+_LINK = {V2T: INSECURE, T2V: INSECURE, T2S: SECURE, S2T: SECURE}
+
+# the receiver of each delivery, by direction: open-link receivers get a
+# frame and decode it, protected-line receivers get the message itself
 _RECEIVERS = {
-    (INSECURE, V2T): ScenarioRunner._terminal_hears_vehicle,
-    (INSECURE, T2V): ScenarioRunner._vehicle_hears_terminal,
-    (SECURE, T2S): ScenarioRunner._server_hears_terminal,
-    (SECURE, S2T): ScenarioRunner._terminal_hears_server,
+    V2T: ScenarioRunner._terminal_hears_vehicle,
+    T2V: ScenarioRunner._vehicle_hears_terminal,
+    T2S: ScenarioRunner._server_hears_terminal,
+    S2T: ScenarioRunner._terminal_hears_server,
 }
 
 

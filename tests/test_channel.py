@@ -270,17 +270,27 @@ class TestActions:
         assert out == [("to_vehicle", START), ("to_terminal", AUTH)]
 
     def test_replay_of_unseen_seq_is_a_script_error(self):
+        # refused before the trigger is transcribed: nothing is recorded
+        # that was delivered to no one
         net = _network([Rule("auth_request", 1, Replay(of_seq=7))])
         with pytest.raises(ScriptError):
             net.send(INSECURE, "to_terminal", AUTH)
+        assert len(net.transcript) == 0
 
     def test_replay_of_secure_entry_is_a_script_error(self):
         net = _network([Rule("auth_request", 1, Replay(of_seq=0))])
         net.send(SECURE, "to_server", LOOKUP_MSG)
         with pytest.raises(ScriptError):
             net.send(INSECURE, "to_terminal", AUTH)
+        assert len(net.transcript) == 1
         with pytest.raises(ScriptError):
             net.replay_entry(0)
+        assert len(net.transcript) == 1
+
+    def test_replay_of_its_own_seq_copies_the_trigger(self):
+        net = _network([Rule("auth_request", 1, Replay(of_seq=0))])
+        assert net.send(INSECURE, "to_terminal", AUTH) == [("to_terminal", AUTH)] * 2
+        assert net.transcript.get(1).adversary_action == {"kind": "replayed", "of_seq": 0}
 
     def test_attacker_send_is_marked_injected(self):
         net = _network()

@@ -4,8 +4,11 @@ Every shipped scenario must end DEFENSE HELD: the only tolerated non-PASS
 statuses are INFO (measurements) and EXPECTED-WEAKNESS (the documented
 missing freshness check on the terminal nonce)."""
 
+import ast
 import hashlib
 import logging
+import pathlib
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -143,6 +146,11 @@ BAD_LINES = [
     "expect accepted -1\n",
     "expect rejected -2 reason=unknown_vehicle\n",
     "expect invoices 1 total=-4\n",
+    # a repeated KEY=VALUE would let the last one silently win
+    "session * duration=1000 duration=2000\n",
+    "expect invoices 1 total=2 total=3\n",
+    "flood 1 style=garbage style=mixed\n",
+    "sweep auth_request mask=01 mask=02\n",
 ]
 
 
@@ -231,6 +239,15 @@ class TestUnfiredRules:
             ("rule insecure auth_request drop", "line 2: rule never fired")
         ]
 
+    def test_a_second_run_names_its_own_rule_lines(self):
+        runner = _runner()
+        runner.execute(parse_scenario("rule insecure auth_request nth=9 drop\n"))
+        report = runner.execute(parse_scenario("# a note\nrule insecure start_charge drop\n"))
+        assert [(c.name, c.detail) for c in report.checks] == [
+            ("rule insecure auth_request nth=9 drop", "line 1: rule never fired"),
+            ("rule insecure start_charge drop", "line 2: rule never fired"),
+        ]
+
     def test_fired_rules_add_no_check(self):
         report = _runner().execute(
             parse_scenario(
@@ -246,6 +263,71 @@ class TestUnfiredRules:
     def test_every_shipped_rule_fires(self, name):
         [report] = run_named_scenario(lambda: seeded_registry(), name, seed=11)
         assert not any(c.name.startswith("rule ") for c in report.checks)
+
+
+class TestStepRefusalsNameTheLine:
+    """What only a running step can refuse keeps its error class, so the
+    exit code is unchanged, and names the step's line."""
+
+    @pytest.mark.parametrize(
+        "seq, message",
+        [("99", "replay references seq 99 "), ("1", "cannot replay protected-line frames")],
+    )
+    def test_refused_replay_records_no_trigger(self, seq, message):
+        runner = _runner()
+        text = f"rule insecure auth_request nth=2 replay={seq}\nsession *\nsession *\n"
+        with pytest.raises(ScriptError, match=rf"^line 3: {message}"):
+            runner.execute(parse_scenario(text))
+        # the second session's auth request was the trigger: not recorded
+        auth = [e for e in runner.transcript if wire.frame_variant(e.frame) == "auth_request"]
+        assert len(auth) == 1
+
+    def test_charge_time_out_of_range(self):
+        with pytest.raises(InvalidInput, match=r"^line 1: charge time "):
+            _runner().execute(parse_scenario("session * duration=18446744073709551000\n"))
+
+    @pytest.mark.parametrize(
+        "ref, message",
+        [
+            ("#9", "no vehicle #9"),
+            ("zz", "bad vehicle reference 'zz'"),
+            ("ff" * 16, "no vehicle ff"),
+        ],
+    )
+    def test_vehicle_reference(self, ref, message):
+        with pytest.raises(ConfigError, match=rf"^line 3: {message}"):
+            _runner().execute(parse_scenario(f"# a note\n\nsessions 2 {ref}\n"))
+
+
+def test_only_the_line_loops_name_a_line():
+    # parse_scenario and ScenarioRunner.execute add `line N: ` to what a
+    # line raises, and execute names an unfired rule's line: no other
+    # function in the module takes a line number or writes one
+    takes, naming = [], []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{owner}.{child.name}" if owner else child.name
+                if isinstance(child, ast.FunctionDef):
+                    a = child.args
+                    params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                    if "lineno" in [p.arg for p in params if p]:
+                        takes.append(name)
+                visit(child, name)
+                continue
+            if isinstance(child, ast.JoinedStr):
+                head = child.values[0] if child.values else None
+                if isinstance(head, ast.Constant) and head.value.startswith("line "):
+                    naming.append(owner)
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                if re.match(r"line \S*:", child.value):
+                    naming.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(pathlib.Path(scenario.__file__).read_text()), "")
+    assert takes == []
+    assert naming == ["parse_scenario", "ScenarioRunner.execute", "ScenarioRunner.execute"]
 
 
 class TestSecureLineCarriesMessages:
@@ -502,16 +584,16 @@ class TestRunnerSessions:
     def test_vehicle_references(self):
         registry = seeded_registry(vehicles=3)
         runner = ScenarioRunner(registry, seed=3)
-        assert runner._resolve_vehicle("*", 1) is registry.vehicles[0]
-        assert runner._resolve_vehicle("#2", 1) is registry.vehicles[1]
+        assert runner._resolve_vehicle("*") is registry.vehicles[0]
+        assert runner._resolve_vehicle("#2") is registry.vehicles[1]
         hex_ref = registry.vehicles[2].id_a.hex()
-        assert runner._resolve_vehicle(hex_ref, 1) is registry.vehicles[2]
+        assert runner._resolve_vehicle(hex_ref) is registry.vehicles[2]
         with pytest.raises(ConfigError):
-            runner._resolve_vehicle("#9", 1)
+            runner._resolve_vehicle("#9")
         with pytest.raises(ConfigError):
-            runner._resolve_vehicle("zz", 1)
+            runner._resolve_vehicle("zz")
         with pytest.raises(ConfigError):
-            runner._resolve_vehicle("ff" * 16, 1)
+            runner._resolve_vehicle("ff" * 16)
 
     def test_failed_expectation_breaches(self):
         report = _runner().execute(parse_scenario("session *\nexpect completed 2\n"))
