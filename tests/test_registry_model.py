@@ -1,0 +1,220 @@
+"""Registry.open on a file, checked step by step against a dict model.
+
+A hypothesis state machine drives one registry file: register, revoke,
+authenticate with a fresh or a repeated nonce, bill, and reopen. Each
+change may be a failure step: its k-th os.write, os.fsync or os.replace
+call, counted together, raises OSError. A change whose fault fired raises
+StorageError, and the model says it did not happen: the registry in memory
+must match the model without it.
+
+A fault that fires after a rename onto the registry file succeeded leaves
+the file holding the undone change: the rename is the point from which a
+whole save is visible. The next change that succeeds writes the file from
+memory again, so from then on the file holds exactly what the model holds.
+The model tracks what the file holds separately, and every reopen must
+load exactly that."""
+
+import errno
+import os
+import shutil
+import tempfile
+from unittest import mock
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from evabs import crypto
+from evabs.errors import DuplicateVehicle, NotFound, StorageError
+from evabs.registry import Registry
+from evabs.wire import Reason
+
+TARIFF = 3
+IDS = [bytes([i]) * crypto.BLOCK_SIZE for i in range(1, 4)]
+MAX_DURATION = 2**40
+# no fault, or the call of the change that fails
+FAULTS = st.none() | st.integers(1, 8)
+
+
+def _key(id_a):
+    return bytes(reversed(id_a * 2))
+
+
+def _lookup_key(id_a):
+    return crypto.encrypt_block(id_a, _key(id_a))
+
+
+def _state(registry):
+    """What a registry holds, in the model's form."""
+    vehicles = {
+        rec.id_a: (rec.balance, rec.revoked, frozenset(rec.used_nonces))
+        for rec in registry.vehicles
+    }
+    invoices = [
+        (inv.id_a, inv.t1, inv.t5, inv.duration_ms, inv.amount, inv.issued_at)
+        for inv in registry.invoices
+    ]
+    return vehicles, invoices
+
+
+class _Faults:
+    """Make the k-th os.write, os.fsync or os.replace raise while patched
+    in, and note whether an os.replace succeeded before it."""
+
+    def __init__(self, k):
+        self.k = k
+        self.calls = 0
+        self.fired = False
+        self.replaced = False
+
+    def _wrap(self, name, real):
+        def wrapper(*args, **kwargs):
+            self.calls += 1
+            if self.calls == self.k:
+                self.fired = True
+                raise OSError(errno.EIO, f"injected fault in os.{name}")
+            result = real(*args, **kwargs)
+            if name == "replace":
+                self.replaced = True
+            return result
+
+        return wrapper
+
+    def patches(self):
+        return [
+            mock.patch.object(os, name, self._wrap(name, getattr(os, name)))
+            for name in ("write", "fsync", "replace")
+        ]
+
+
+class RegistryModel(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.dir = tempfile.mkdtemp(prefix="evabs-model-")
+        self.path = os.path.join(self.dir, "registry.json")
+        Registry(bytes(range(crypto.KEY_SIZE)), TARIFF).save(self.path)
+        self.vehicles = {}  # id -> (balance, revoked, frozenset of nonces)
+        self.invoices = []
+        self.on_disk = ({}, [])
+        self._open()
+
+    def _open(self):
+        self.context = Registry.open(self.path)
+        self.registry = self.context.__enter__()
+
+    def teardown(self):
+        try:
+            self.context.__exit__(None, None, None)
+        finally:
+            shutil.rmtree(self.dir)
+
+    def _change(self, fault, call, *args):
+        """call(*args) with its fault-th call failing, if any: (result, faults)."""
+        faults = _Faults(fault or 0)
+        patches = faults.patches()
+        for patch in patches:
+            patch.start()
+        try:
+            return call(*args), faults
+        except StorageError:
+            assert faults.fired
+            return StorageError, faults
+        finally:
+            for patch in reversed(patches):
+                patch.stop()
+
+    def _settle(self, outcome, faults, vehicles, invoices):
+        """Adopt the state after a change unless its fault fired."""
+        if outcome is StorageError:
+            if faults.replaced:
+                self.on_disk = (vehicles, invoices)
+            return
+        assert not faults.fired
+        self.vehicles, self.invoices = vehicles, invoices
+        self.on_disk = (dict(vehicles), list(invoices))
+
+    # -- steps -------------------------------------------------------------
+
+    @rule(id_a=st.sampled_from(IDS), balance=st.integers(0, 10**6), fault=FAULTS)
+    def register(self, id_a, balance, fault):
+        if id_a in self.vehicles:
+            try:
+                self.registry.register(id_a, _key(id_a), balance=balance)
+            except DuplicateVehicle:
+                return
+            raise AssertionError("a second enrollment of one id was accepted")
+        outcome, faults = self._change(fault, self.registry.register, id_a, _key(id_a), balance)
+        vehicles = {**self.vehicles, id_a: (balance, False, frozenset())}
+        self._settle(outcome, faults, vehicles, list(self.invoices))
+
+    @rule(id_a=st.sampled_from(IDS), fault=FAULTS)
+    def revoke(self, id_a, fault):
+        if id_a not in self.vehicles:
+            try:
+                self.registry.revoke(id_a)
+            except NotFound:
+                return
+            raise AssertionError("an unknown vehicle was revoked")
+        outcome, faults = self._change(fault, self.registry.revoke, id_a)
+        balance, _, nonces = self.vehicles[id_a]
+        vehicles = {**self.vehicles, id_a: (balance, True, nonces)}
+        self._settle(outcome, faults, vehicles, list(self.invoices))
+
+    @rule(id_a=st.sampled_from(IDS), repeat=st.booleans(), data=st.data(), fault=FAULTS)
+    def authenticate(self, id_a, repeat, data, fault):
+        balance, revoked, nonces = self.vehicles.get(id_a, (0, False, frozenset()))
+        if repeat and nonces:
+            nonce = data.draw(st.sampled_from(sorted(nonces)))
+        else:
+            nonce = data.draw(st.binary(min_size=crypto.NONCE_SIZE, max_size=crypto.NONCE_SIZE))
+        lookup_key = _lookup_key(id_a)
+        outcome, faults = self._change(fault, self.registry.authenticate, lookup_key, nonce)
+        if id_a not in self.vehicles or revoked:
+            assert outcome == (None, Reason.UNKNOWN_VEHICLE)
+        elif nonce in nonces:
+            assert outcome == (None, Reason.REPLAY_DETECTED)
+        else:
+            if outcome is not StorageError:
+                assert outcome[0].id_a == id_a and outcome[1] is None
+            vehicles = {**self.vehicles, id_a: (balance, revoked, nonces | {nonce})}
+            self._settle(outcome, faults, vehicles, list(self.invoices))
+            return
+        assert not faults.calls
+
+    @rule(
+        id_a=st.sampled_from(IDS),
+        t1=st.integers(0, MAX_DURATION),
+        duration=st.integers(0, MAX_DURATION),
+        fault=FAULTS,
+    )
+    def bill(self, id_a, t1, duration, fault):
+        t5 = t1 + duration
+        if id_a not in self.vehicles:
+            try:
+                self.registry.bill(id_a, t1, t5, t5)
+            except NotFound:
+                return
+            raise AssertionError("an unknown vehicle was billed")
+        outcome, faults = self._change(fault, self.registry.bill, id_a, t1, t5, t5)
+        amount = -(-duration // 1000) * TARIFF
+        balance, revoked, nonces = self.vehicles[id_a]
+        vehicles = {**self.vehicles, id_a: (balance - amount, revoked, nonces)}
+        invoices = [*self.invoices, (id_a, t1, t5, duration, amount, t5)]
+        self._settle(outcome, faults, vehicles, invoices)
+
+    @rule()
+    def reopen(self):
+        self.context.__exit__(None, None, None)
+        self._open()
+        self.vehicles, self.invoices = self.on_disk
+        self.on_disk = (dict(self.vehicles), list(self.invoices))
+
+    @invariant()
+    def registry_matches_the_model(self):
+        assert _state(self.registry) == (self.vehicles, self.invoices)
+
+
+RegistryModel.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=30, deadline=None
+)
+test_registry_matches_its_model = RegistryModel.TestCase
