@@ -14,8 +14,15 @@ reproduced bit for bit; commands that generate a seed print it.
 
 init writes the file under an exclusive lock on `<registry>.lock`; register,
 revoke and session run in Registry.open, which holds it from the load on and
-saves each change before the call that made it returns, so concurrent
-commands on one registry file do not lose each other's changes.
+makes each change durable before the call that made it returns, so
+concurrent commands on one registry file do not lose each other's changes.
+register and revoke save the whole file. A session appends its nonce and its
+invoice, one fsynced line each, to the journal `<registry>.journal` (mode
+0600) bound to the snapshot that the registry last saved whole; it saves
+whole itself, starting a new journal, when none is live or the journal has
+grown larger than the snapshot (see evabs.registry). A snapshot that
+anything else wrote, such as init --force, orphans the journal. attack and
+invoices take no lock and replay the journal when they load.
 
 Exit codes: 0 success (or: every scenario defense held), 1 protocol or
 domain failure, 2 usage/configuration error, 3 storage error (a registry
@@ -166,8 +173,8 @@ def cmd_session(args):
         record = _pick_vehicle(registry, args.vehicle)
         seed = _fresh_seed(args)
         runner = ScenarioRunner(registry, seed=seed)
-        # the file is saved as soon as the nonce is consumed and again when
-        # the invoice is issued; nothing else in a session changes it
+        # the nonce is written as soon as it is consumed and the invoice as
+        # soon as it is issued; nothing else in a session changes the files
         outcome = runner.run_session(record, duration=args.duration, budget=args.budget)
     if args.transcript:
         saved = outcome.phase == "completed"

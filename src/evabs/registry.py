@@ -8,33 +8,52 @@ Concurrency and durability rules:
   * authenticate() is one atomic check-and-consume under a lock; two
     concurrent submissions of the same (lookup_key, nonce) cannot both win.
   * in a registry from Registry.open(path), register, revoke, authenticate
-    and bill save the file in the lock hold of their change, before they
-    return; a failed save undoes the change and raises StorageError, so a
-    crashy disk can neither open a replay window nor lose an invoice.
+    and bill make their change durable in the lock hold of the change,
+    before they return; a failed write undoes the change and raises
+    StorageError, so a crashy disk can neither open a replay window nor
+    lose an invoice.
   * a revoked vehicle is indistinguishable from an unknown one.
 
-On-disk form is a single JSON document: 2-space indentation, a fixed key
-order, hex lowercase, ASCII-escaped owners and nonces sorted, so files diff
-cleanly. The bytes are exactly json.dumps(obj, indent=2) + "\n" of that
-document (pinned by tests/test_registry.py); Registry._document() builds
-them straight from the fields. Saving writes and fsyncs a new temp file of
-mode 0600 (the file holds every vehicle key), `.<name>.tmp-<16 hex>` beside
-the target, renames it over the target and fsyncs the directory; the next
-Registry.open removes such files that a killed save left. Loading checks
-each field once, re-derives every lookup_key, refuses records that do not
-match their stored one and invoices that bill could not have issued, and
-takes hex only in lowercase of the exact length. Processes that load,
-change and save one file serialize on lock_file(path), an exclusive flock
-on the sidecar `<path>.lock` that Registry.open holds; the registry's own
-lock covers threads of one process only.
+On-disk form is a snapshot plus a journal. The snapshot is a single JSON
+document: 2-space indentation, a fixed key order, hex lowercase,
+ASCII-escaped owners and nonces sorted, so files diff cleanly. The bytes are
+exactly json.dumps(obj, indent=2) + "\n" of that document (pinned by
+tests/test_registry.py); Registry._document() builds them straight from the
+fields. Saving writes and fsyncs a new temp file of mode 0600 (the file holds
+every vehicle key), `.<name>.tmp-<16 hex>` beside the target, renames it
+over the target and fsyncs the directory; the next Registry.open removes
+such files that a killed save left. Loading checks each field once,
+re-derives every lookup_key, refuses records that do not match their stored
+one and invoices that bill could not have issued, and takes hex only in
+lowercase of the exact length.
+
+The journal, `<path>.journal` (mode 0600), holds the nonces and invoices
+made since a snapshot that a bound registry wrote itself. Its first line is
+the SHA-256 of that snapshot's bytes in hex; each later line is one event,
+`<length> <crc32> <payload>`, where the payload is `nonce <id> <nonce>` or
+`invoice <id> <t1> <t5> <issued_at>`, the length counts its bytes in
+decimal and the CRC-32 is 8 hex digits. Loading replays the journal only
+over exactly the snapshot its first line names, so a snapshot that anyone
+else restored or replaced orphans it; a torn last line is dropped, and any
+other bad line, or an event that authenticate or bill could not have made,
+is a StorageError naming the line. A nonce or invoice made in a bound
+registry whose journal is live is one fsynced append. A journal is started,
+after a whole save, by the first change after a load that found none live,
+by every register and revoke, and by the first change after the journal
+grew larger than its snapshot (a compaction). Processes that load, change
+and save one file serialize on lock_file(path), an exclusive flock on the
+sidecar `<path>.lock` that Registry.open holds; the registry's own lock
+covers threads of one process only.
 """
 
 import fcntl
+import hashlib
 import json
 import logging
 import os
 import re
 import threading
+import zlib
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -237,6 +256,97 @@ def _remove_stale_temps(path):
         raise StorageError(f"cannot remove temp files of registry {path}: {exc}") from exc
 
 
+def _write_all(fd, data):
+    """os.write until all of `data` is written."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _fsync_directory(directory):
+    """fsync `directory`, so the names just made in it survive a crash."""
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
+# O_NOFOLLOW: never append to a file that a symlink at the name points to
+_JOURNAL_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_NOFOLLOW | os.O_CLOEXEC
+# an event line without its newline: the payload's length and CRC-32, then it
+_EVENT_LINE = re.compile(rb"(0|[1-9][0-9]{0,5}) ([0-9a-f]{8}) ([ -~]*)")
+_INT = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _journal_header(snapshot):
+    """The first line of a journal bound to the snapshot bytes `snapshot`."""
+    return hashlib.sha256(snapshot).hexdigest().encode("ascii") + b"\n"
+
+
+def _journal_int(text):
+    if _INT.fullmatch(text):
+        with suppress(ValueError):  # more digits than int() takes
+            return int(text)
+    raise StorageError(f"{text!r} must be a decimal integer")
+
+
+class _Journal:
+    """The journal a bound registry appends to: `end` is the length of its
+    valid lines, `limit` the size of the snapshot it is bound to. Opened for
+    appends on the first one, closed when the registry is unbound."""
+
+    def __init__(self, path, end, limit, fd=None):
+        self.path = path
+        self.end = end
+        self.limit = limit
+        self.fd = fd
+
+    @classmethod
+    def start(cls, path, snapshot):
+        """Empty the journal at `path` and bind it to the snapshot bytes just
+        written; the directory is fsynced, so a journal made here survives a
+        crash."""
+        try:
+            fd = os.open(path, _JOURNAL_FLAGS | os.O_CREAT | os.O_TRUNC, 0o600)
+            try:
+                header = _journal_header(snapshot)
+                _write_all(fd, header)
+                os.fsync(fd)
+                _fsync_directory(os.path.dirname(os.path.abspath(path)))
+            except BaseException:
+                os.close(fd)
+                raise
+        except OSError as exc:
+            raise StorageError(f"cannot start journal {path}: {exc}") from exc
+        return cls(path, len(header), len(snapshot), fd)
+
+    def append(self, fields):
+        """One fsynced event line of `fields`, bytes in hex; if that fails,
+        the file is cut back to its valid lines."""
+        payload = " ".join(f.hex() if type(f) is bytes else str(f) for f in fields).encode()
+        line = b"%d %08x %s\n" % (len(payload), zlib.crc32(payload), payload)
+        try:
+            if self.fd is None:
+                self.fd = os.open(self.path, _JOURNAL_FLAGS)
+                os.ftruncate(self.fd, self.end)  # drop a torn last line
+            try:
+                _write_all(self.fd, line)
+                os.fsync(self.fd)
+            except BaseException:
+                with suppress(OSError):
+                    os.ftruncate(self.fd, self.end)
+                raise
+        except OSError as exc:
+            raise StorageError(f"cannot append to journal {self.path}: {exc}") from exc
+        self.end += len(line)
+
+    def close(self):
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+
+
 def _json_array(items, pad):
     """Already-encoded items laid out as json.dumps(..., indent=2) lays out
     an array whose members sit `pad` spaces in."""
@@ -259,14 +369,16 @@ class Registry:
         self.invoices = []
         self._lock = threading.Lock()
         self._path = None  # the file each change is saved to, inside open()
+        self._journal = None  # a live journal beside that file, if any
 
     @classmethod
     @contextmanager
     def open(cls, path):
         """The registry in the file at `path`, under lock_file(path) for the
-        block, each change saved to `path` before the call that made it
-        returns. Temp files that killed saves of `path` left are removed
-        first. On exit the path is unbound: no save after the unlock."""
+        block, each change made durable in `path` and its journal before
+        the call that made it returns. Temp files that killed saves of
+        `path` left are removed first. On exit the path is unbound: no write
+        after the unlock."""
         with lock_file(path):
             _remove_stale_temps(path)
             registry = cls.load(path)
@@ -276,17 +388,38 @@ class Registry:
             finally:
                 with registry._lock:
                     registry._path = None
+                    registry._end_journal()
 
-    def _commit(self, what, undo, *args):
-        """Save the change just made, in its lock hold, to the bound file;
-        if that fails, undo(*args) it and raise StorageError saying `what`."""
+    def _commit(self, what, event, undo, *args):
+        """Make the change just made durable in the bound file, in its lock
+        hold: the fields of `event` appended to the live journal, unless the
+        change has none or the journal grew larger than its snapshot; else a
+        whole save that starts a new journal. If that fails, undo(*args) it
+        and raise StorageError saying `what`; the next change saves whole."""
         if self._path is None:
             return
+        journal = self._journal
         try:
-            self.save(self._path)
+            if event is not None and journal is not None and journal.end <= journal.limit:
+                journal.append(event)
+            else:
+                self._compact()
         except StorageError as exc:
+            self._end_journal()
             undo(*args)
             raise StorageError(f"persist failed, {what}: {exc}") from exc
+
+    def _compact(self):
+        """Save the whole registry to the bound file and start a journal
+        bound to the bytes written."""
+        snapshot = self.save(self._path)
+        self._journal = _Journal.start(f"{self._path}.journal", snapshot)
+
+    def _end_journal(self):
+        """Append no more: the next change in a bound registry saves whole."""
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
 
     # -- enrollment ---------------------------------------------------
 
@@ -312,7 +445,7 @@ class Registry:
                 raise DuplicateVehicle(f"lookup key collision for {record.id_a.hex()}")
             self._by_id[record.id_a] = record
             self._by_lookup[record.lookup_key] = record
-            self._commit("vehicle not enrolled", self._unindex, record)
+            self._commit("vehicle not enrolled", None, self._unindex, record)
         return record
 
     def _unindex(self, record):
@@ -326,7 +459,7 @@ class Registry:
             record = self.find(id_a)
             was_revoked = record.revoked
             record.revoked = True
-            self._commit("vehicle not revoked", setattr, record, "revoked", was_revoked)
+            self._commit("vehicle not revoked", None, setattr, record, "revoked", was_revoked)
         return record
 
     @property
@@ -345,7 +478,7 @@ class Registry:
     def authenticate(self, lookup_key, nonce):
         """Atomic check-and-consume. Returns (record, None) on success or
         (None, reason) on rejection. In a bound registry the nonce is
-        consumed only if the save succeeds. A lookup key of any size is
+        consumed only if it is written. A lookup key of any size is
         taken, since one that is not 16 bytes is only an unknown vehicle;
         the nonce must be 16 bytes."""
         lookup_key = checked_bytes("lookup key", lookup_key)
@@ -357,7 +490,8 @@ class Registry:
             if nonce in record.used_nonces:
                 return None, Reason.REPLAY_DETECTED
             record.used_nonces.add(nonce)
-            self._commit("nonce not consumed", record.used_nonces.discard, nonce)
+            event = ("nonce", record.id_a, nonce)
+            self._commit("nonce not consumed", event, record.used_nonces.discard, nonce)
             return record, None
 
     # -- billing --------------------------------------------------------
@@ -385,7 +519,8 @@ class Registry:
             )
             record.balance -= amount
             self.invoices.append(invoice)
-            self._commit("invoice dropped", self._refund, record, amount)
+            event = ("invoice", record.id_a, t1, t5, issued_at)
+            self._commit("invoice dropped", event, self._refund, record, amount)
         log.info(
             "invoice: duration_ms=%d amount=%d balance=%d", duration, amount, record.balance
         )
@@ -458,22 +593,23 @@ class Registry:
         )
 
     def save(self, path):
-        """Write atomically and durably: a new temp file of mode 0600 in the
-        same directory, written with raw os.write calls, fsynced and renamed
-        over the target, then fsync the directory so the rename survives a
-        crash. On failure the temp file is removed and StorageError raised.
-        A save made without lock_file(path) can race a Registry.open of the
-        same path, which may remove its temp file; the save then fails with
-        StorageError and never renames a partly written file."""
+        """Write atomically and durably, and return the bytes written: a new
+        temp file of mode 0600 in the same directory, written with raw
+        os.write calls, fsynced and renamed over the target, then fsync the
+        directory so the rename survives a crash. On failure the temp file is
+        removed and StorageError raised. A save made without lock_file(path)
+        can race a Registry.open of the same path, which may remove its temp
+        file; the save then fails with StorageError and never renames a
+        partly written file. A bound registry appends to its journal no more
+        after any save: the journal may be bound to the file just replaced."""
+        self._end_journal()
         payload = self._document().encode("ascii")
         directory = os.path.dirname(os.path.abspath(path))
         try:
             fd, tmp = _create_temp(directory, _temp_prefix(path))
             try:
                 try:
-                    view = memoryview(payload)
-                    while view:
-                        view = view[os.write(fd, view):]
+                    _write_all(fd, payload)
                     os.fsync(fd)
                 finally:
                     os.close(fd)
@@ -482,26 +618,34 @@ class Registry:
                 with suppress(FileNotFoundError):  # Registry.open may have removed it
                     os.unlink(tmp)
                 raise
-            dir_fd = os.open(directory, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
+            _fsync_directory(directory)
         except OSError as exc:
             raise StorageError(f"cannot write registry {path}: {exc}") from exc
+        return payload
 
     @classmethod
     def load(cls, path):
-        """Read a registry file, checking each field once. The file is the
-        trust boundary: every lookup_key is re-derived as E(id_a, k_a) and a
-        record whose stored one differs is refused, as is an invoice that no
-        bill of this registry could have issued."""
+        """Read a registry file and replay its journal if that is bound to
+        exactly these bytes, checking each field and event once. The files
+        are the trust boundary: every lookup_key is re-derived as E(id_a,
+        k_a) and a record whose stored one differs is refused, as is an
+        invoice that no bill of this registry could have issued."""
+        journal_path = f"{path}.journal"
         try:
+            # the journal first: a compaction meanwhile replaces the snapshot
+            # before the journal, so an early read is orphaned, never misplayed
+            try:
+                with open(journal_path, "rb") as fh:
+                    journal = fh.read()
+            except FileNotFoundError:
+                journal = b""
             with open(path, "rb") as fh:
-                # UTF-8 whatever the locale; json.loads would take UTF-16 bytes
-                obj = json.loads(fh.read().decode())
+                snapshot = fh.read()
         except OSError as exc:
             raise StorageError(f"cannot read registry {path}: {exc}") from exc
+        try:
+            # UTF-8 whatever the locale; json.loads would take UTF-16 bytes
+            obj = json.loads(snapshot.decode())
         except (ValueError, RecursionError) as exc:  # also undecodable or too deep
             raise StorageError(f"registry {path} is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
@@ -527,4 +671,59 @@ class Registry:
                 reg.invoices.append(_invoice(iobj, tariff, reg._by_id))
             except StorageError as exc:
                 raise StorageError(f"{path} invoices[{i}]: {exc}") from None
+        if journal and journal.startswith(_journal_header(snapshot)):
+            reg._replay(journal_path, journal, len(snapshot))
         return reg
+
+    def _replay(self, path, journal, limit):
+        """Apply the event lines of the journal bytes `journal`, read from
+        `path` and bound to a snapshot of `limit` bytes, and keep it live. A
+        last line without its newline, or whose length or CRC does not match,
+        is torn and dropped."""
+        header_end = journal.index(b"\n") + 1
+        lines = journal[header_end:].split(b"\n")
+        torn = lines.pop()  # the bytes after the last newline
+        end = header_end
+        for number, line in enumerate(lines, 2):
+            event = _EVENT_LINE.fullmatch(line)
+            if (
+                event is None
+                or int(event[1]) != len(event[3])
+                or int(event[2], 16) != zlib.crc32(event[3])
+            ):
+                if number == len(lines) + 1 and not torn:
+                    break
+                raise StorageError(f"{path} line {number}: length or checksum does not match")
+            try:
+                self._apply(event[3].decode("ascii"))
+            except StorageError as exc:
+                raise StorageError(f"{path} line {number}: {exc}") from None
+            end += len(line) + 1
+        self._journal = _Journal(path, end, limit)
+
+    def _apply(self, payload):
+        """One journaled event, refused unless authenticate or bill could
+        have made it on this registry."""
+        kind, *fields = payload.split(" ")
+        if (kind, len(fields)) not in (("nonce", 2), ("invoice", 4)):
+            raise StorageError(f"unknown event {payload[:40]!r}")
+        id_a = _canonical_hex(fields[0], crypto.BLOCK_SIZE)
+        record = self._by_id.get(id_a)
+        if record is None:
+            raise StorageError(f"no vehicle {fields[0][:40]!r}")
+        if kind == "nonce":
+            nonce = _canonical_hex(fields[1], crypto.NONCE_SIZE)
+            if nonce is None:
+                raise StorageError(f"nonce must be {crypto.NONCE_SIZE} bytes of lowercase hex")
+            if record.revoked:
+                raise StorageError(f"nonce for revoked vehicle {fields[0]}")
+            if nonce in record.used_nonces:
+                raise StorageError(f"nonce {fields[1]} already used")
+            record.used_nonces.add(nonce)
+            return
+        t1, t5, issued_at = map(_journal_int, fields[1:])
+        if t5 < t1:
+            raise StorageError(f"t5 {t5} precedes t1 {t1}")
+        amount = _charge(t5 - t1, self.tariff_per_second)
+        record.balance -= amount
+        self.invoices.append(Invoice(record.id_a, t1, t5, t5 - t1, amount, issued_at))

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import evabs
 from evabs.cli import build_parser, main, parse_args
-from evabs.registry import Registry
+from evabs.registry import Registry, _Journal
 
 from conftest import seeded_registry
 
@@ -198,20 +198,27 @@ class TestSession:
         assert len(Registry.load(registry_path).invoices) == 2
 
     def test_session_saves_once_per_registry_change(self, cli, registry_path, monkeypatch):
-        # one save when the nonce is consumed, one when the invoice is issued
-        saves = []
-        save = Registry.save
+        # `register` started the journal: one append when the nonce is
+        # consumed, one when the invoice is issued, and no whole save
+        saves, appends = [], []
+        save, append = Registry.save, _Journal.append
 
         def counting_save(registry, path):
             saves.append(path)
-            save(registry, path)
+            return save(registry, path)
+
+        def counting_append(journal, fields):
+            appends.append(fields[0])
+            append(journal, fields)
 
         monkeypatch.setattr(Registry, "save", counting_save)
+        monkeypatch.setattr(_Journal, "append", counting_append)
         code, _, _ = cli(
             "session", "--registry", registry_path, "--duration", "1000", "--seed", "11"
         )
         assert code == 0
-        assert saves == [registry_path, registry_path]
+        assert saves == []
+        assert appends == ["nonce", "invoice"]
         loaded = Registry.load(registry_path)
         assert len(loaded.vehicles[0].used_nonces) == 1
         assert [inv.duration_ms for inv in loaded.invoices] == [1000]
@@ -287,25 +294,30 @@ class TestRegistryLock:
     def test_writing_commands_save_under_the_lock_file(
         self, cli, registry_path, monkeypatch, argv
     ):
+        # `register` started the journal, so a session only appends to it
+        writes = ["append", "append"] if argv[0] == "session" else ["save"]
         held = []
-        save = Registry.save
 
-        def probing_save(registry, path):
-            # flock conflicts between two open files, even in one process
-            fd = os.open(f"{path}.lock", os.O_RDWR)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                held.append(False)
-            except BlockingIOError:
-                held.append(True)
-            finally:
-                os.close(fd)
-            save(registry, path)
+        def probing(name, write):
+            def probe(target, *args):
+                # flock conflicts between two open files, even in one process
+                fd = os.open(f"{registry_path}.lock", os.O_RDWR)
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    held.append((name, False))
+                except BlockingIOError:
+                    held.append((name, True))
+                finally:
+                    os.close(fd)
+                return write(target, *args)
 
-        monkeypatch.setattr(Registry, "save", probing_save)
+            return probe
+
+        monkeypatch.setattr(Registry, "save", probing("save", Registry.save))
+        monkeypatch.setattr(_Journal, "append", probing("append", _Journal.append))
         code, _, _ = cli(argv[0], "--registry", registry_path, *argv[1:])
         assert code == 0
-        assert held and all(held)
+        assert held == [(name, True) for name in writes]
 
     def test_lock_file_that_cannot_be_made_is_a_storage_error(self, cli, tmp_path):
         path = str(tmp_path / "missing-dir" / "registry.json")

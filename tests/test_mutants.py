@@ -10,7 +10,6 @@ from types import SimpleNamespace
 import pytest
 
 from evabs import crypto, protocol
-from evabs.errors import ClockSkew
 from evabs.registry import Registry
 from evabs.scenario import ScenarioRunner, builtin_scenarios, run_named_scenario
 
@@ -113,14 +112,9 @@ def test_each_defense_carries_weight(mutant, monkeypatch):
     assert [name for name in names if _held(name)] == []
 
 
-@pytest.mark.xfail(
-    raises=ClockSkew,
-    strict=True,
-    reason="ROADMAP item 2: with the vehicle's start-tag check off, a tampered "
-    "timestamp makes unplug raise ClockSkew out of run_session; a failed defense "
-    "must show as a FAIL check in the report instead",
-)
 def test_tamper_m8_reports_the_missing_start_tag_check(monkeypatch):
+    # a tampered timestamp can put t2 after the unplug: the vehicle stays
+    # charging, and the sweep's checks report it instead of a ClockSkew
     _skip_vehicle_tag_check(monkeypatch)
     assert not _held("tamper-m8")
 
