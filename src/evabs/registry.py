@@ -9,9 +9,14 @@ Concurrency and durability rules:
     concurrent submissions of the same (lookup_key, nonce) cannot both win.
   * in a registry from Registry.open(path), register, revoke, authenticate
     and bill make their change durable in the lock hold of the change,
-    before they return; a failed write undoes the change and raises
-    StorageError, so a crashy disk can neither open a replay window nor
-    lose an invoice.
+    before they return. Each change has one commit point: the fsynced
+    journal append, or the os.replace of a whole save. A change is in
+    memory exactly when the file holds it. A failure before the commit
+    point (building the snapshot or journal line included) undoes the
+    change and raises StorageError "persist failed, ..."; one after it (the
+    directory fsync, or starting the new journal) keeps the change, leaves
+    no journal live and raises StorageError "persist incomplete, ...". So a
+    crashy disk can neither open a replay window nor lose an invoice.
   * a revoked vehicle is indistinguishable from an unknown one.
 
 On-disk form is a snapshot plus a journal. The snapshot is a single JSON
@@ -83,6 +88,7 @@ class VehicleRecord:
     owner: str = ""
     revoked: bool = False
     used_nonces: set = field(default_factory=set)
+    position: int = None  # index in enrollment order, set when enrolled
 
 
 @dataclass(frozen=True)
@@ -291,6 +297,10 @@ def _journal_int(text):
     raise StorageError(f"{text!r} must be a decimal integer")
 
 
+class _Written(StorageError):
+    """A whole save failed after its rename: the file holds the change."""
+
+
 class _Journal:
     """The journal a bound registry appends to: `end` is the length of its
     valid lines, `limit` the size of the snapshot it is bound to. Opened for
@@ -324,7 +334,10 @@ class _Journal:
     def append(self, fields):
         """One fsynced event line of `fields`, bytes in hex; if that fails,
         the file is cut back to its valid lines."""
-        payload = " ".join(f.hex() if type(f) is bytes else str(f) for f in fields).encode()
+        try:
+            payload = " ".join(f.hex() if type(f) is bytes else str(f) for f in fields).encode()
+        except ValueError as exc:  # an int with more digits than str() writes
+            raise StorageError(f"cannot append to journal {self.path}: {exc}") from exc
         line = b"%d %08x %s\n" % (len(payload), zlib.crc32(payload), payload)
         try:
             if self.fd is None:
@@ -394,8 +407,10 @@ class Registry:
         """Make the change just made durable in the bound file, in its lock
         hold: the fields of `event` appended to the live journal, unless the
         change has none or the journal grew larger than its snapshot; else a
-        whole save that starts a new journal. If that fails, undo(*args) it
-        and raise StorageError saying `what`; the next change saves whole."""
+        whole save that starts a new journal. If that fails before its
+        commit point, undo(*args) it and raise StorageError saying `what`;
+        if after, keep it and raise StorageError saying the file holds it.
+        Either way no journal stays live, so the next change saves whole."""
         if self._path is None:
             return
         journal = self._journal
@@ -404,6 +419,8 @@ class Registry:
                 journal.append(event)
             else:
                 self._compact()
+        except _Written as exc:
+            raise StorageError(f"persist incomplete, change kept: {exc}") from exc
         except StorageError as exc:
             self._end_journal()
             undo(*args)
@@ -413,7 +430,10 @@ class Registry:
         """Save the whole registry to the bound file and start a journal
         bound to the bytes written."""
         snapshot = self.save(self._path)
-        self._journal = _Journal.start(f"{self._path}.journal", snapshot)
+        try:
+            self._journal = _Journal.start(f"{self._path}.journal", snapshot)
+        except StorageError as exc:
+            raise _Written(f"registry {self._path} is written, but {exc}") from exc
 
     def _end_journal(self):
         """Append no more: the next change in a bound registry saves whole."""
@@ -443,6 +463,7 @@ class Registry:
                 raise DuplicateVehicle(f"vehicle {record.id_a.hex()} already enrolled")
             if record.lookup_key in self._by_lookup:
                 raise DuplicateVehicle(f"lookup key collision for {record.id_a.hex()}")
+            record.position = len(self._by_id)
             self._by_id[record.id_a] = record
             self._by_lookup[record.lookup_key] = record
             self._commit("vehicle not enrolled", None, self._unindex, record)
@@ -465,6 +486,11 @@ class Registry:
     @property
     def vehicles(self):
         return list(self._by_id.values())
+
+    @property
+    def fleet_size(self):
+        """How many vehicles are enrolled: the next one gets this position."""
+        return len(self._by_id)
 
     def find(self, id_a):
         id_a = checked_bytes("vehicle id", id_a)
@@ -596,14 +622,19 @@ class Registry:
         """Write atomically and durably, and return the bytes written: a new
         temp file of mode 0600 in the same directory, written with raw
         os.write calls, fsynced and renamed over the target, then fsync the
-        directory so the rename survives a crash. On failure the temp file is
-        removed and StorageError raised. A save made without lock_file(path)
-        can race a Registry.open of the same path, which may remove its temp
-        file; the save then fails with StorageError and never renames a
-        partly written file. A bound registry appends to its journal no more
-        after any save: the journal may be bound to the file just replaced."""
+        directory so the rename survives a crash. On failure before the
+        rename the temp file is removed and StorageError raised; a failed
+        directory fsync raises it too, with the file already replaced. A
+        save made without lock_file(path) can race a Registry.open of the
+        same path, which may remove its temp file; the save then fails with
+        StorageError and never renames a partly written file. A bound
+        registry appends to its journal no more after any save: the journal
+        may be bound to the file just replaced."""
         self._end_journal()
-        payload = self._document().encode("ascii")
+        try:
+            payload = self._document().encode("ascii")
+        except ValueError as exc:  # an int with more digits than repr() writes
+            raise StorageError(f"cannot write registry {path}: {exc}") from exc
         directory = os.path.dirname(os.path.abspath(path))
         try:
             fd, tmp = _create_temp(directory, _temp_prefix(path))
@@ -618,9 +649,12 @@ class Registry:
                 with suppress(FileNotFoundError):  # Registry.open may have removed it
                     os.unlink(tmp)
                 raise
-            _fsync_directory(directory)
         except OSError as exc:
             raise StorageError(f"cannot write registry {path}: {exc}") from exc
+        try:
+            _fsync_directory(directory)
+        except OSError as exc:
+            raise _Written(f"registry {path} is written, but not its directory: {exc}") from exc
         return payload
 
     @classmethod

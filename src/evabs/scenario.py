@@ -486,8 +486,10 @@ class ScenarioRunner:
     in enrollment order. A vehicle's stream is derived on its first session:
     splitmix64 adds a fixed gamma to its state per step, so the seed of the
     vehicle at position k is one splitmix64 step from base + k * gamma, base
-    being the state after the adversary's seed. A vehicle enrolled later
-    gets a stream seeded from its id and the run seed."""
+    being the state after the adversary's seed. The registry records each
+    vehicle's position; a vehicle enrolled later (at a position past the
+    fleet size the runner saw) gets a stream seeded from its id and the run
+    seed."""
 
     def __init__(self, registry, seed=1):
         self.registry = registry
@@ -506,7 +508,7 @@ class ScenarioRunner:
         self.terminal = Terminal(registry.group_key, crypto.NonceSource.from_seed(terminal_seed))
         self.adversary_rng = crypto.NonceSource.from_seed(adversary_seed)
         self._streams_base = state
-        self._positions = {record.id_a: k for k, record in enumerate(registry.vehicles)}
+        self._fleet_size = registry.fleet_size
         self._vehicle_rng = {}
         self.outcomes = []
         self.checks = []
@@ -522,12 +524,12 @@ class ScenarioRunner:
     def _rng_for(self, record):
         rng = self._vehicle_rng.get(record.id_a)
         if rng is None:
-            k = self._positions.get(record.id_a)
-            if k is None:
+            k = record.position
+            if k < self._fleet_size:
+                state = (self._streams_base + k * crypto.SPLITMIX64_GAMMA) & _MASK64
+            else:
                 # enrolled after runner creation: still a stable stream
                 state = int.from_bytes(record.id_a[:8], "big") ^ self.seed
-            else:
-                state = (self._streams_base + k * crypto.SPLITMIX64_GAMMA) & _MASK64
             rng = crypto.NonceSource.from_seed(crypto.splitmix64(state)[1])
             self._vehicle_rng[record.id_a] = rng
         return rng

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import evabs
 from evabs.cli import build_parser, main, parse_args
+from evabs.errors import StorageError
 from evabs.registry import Registry, _Journal
 
 from conftest import seeded_registry
@@ -268,6 +269,45 @@ class TestSession:
         assert "the invoice is already saved" in err
         assert "Traceback" not in err
         assert [inv.duration_ms for inv in Registry.load(registry_path).invoices] == [1000]
+
+    @pytest.mark.parametrize("change", ["nonce", "invoice"])
+    def test_journal_that_cannot_start_after_a_save_keeps_the_change(
+        self, cli, tmp_path, monkeypatch, change
+    ):
+        path = tmp_path / "registry.json"
+        seeded_registry(vehicles=1).save(path)  # no live journal
+        if change == "invoice":
+            # fill a journal to one nonce line short of its snapshot's size:
+            # the session's nonce is appended and its invoice saves whole
+            journal, nonce_line = tmp_path / "registry.json.journal", 84
+            with Registry.open(path) as registry:
+                record = registry.vehicles[0]
+                registry.authenticate(record.lookup_key, bytes(16))  # starts the journal
+                nonce = 1
+                while journal.stat().st_size + nonce_line <= path.stat().st_size:
+                    registry.authenticate(record.lookup_key, nonce.to_bytes(16, "big"))
+                    nonce += 1
+
+        def refuse(journal_path, snapshot):
+            raise StorageError(f"cannot start journal {journal_path}: [Errno 28] disk full")
+
+        monkeypatch.setattr(_Journal, "start", refuse)
+        argv = ("session", "--registry", str(path), "--duration", "1000", "--seed", "11")
+        code, _, err = cli(*argv)
+        monkeypatch.undo()
+        assert code == 3
+        assert err.startswith(
+            f"storage error: persist incomplete, change kept: registry {path} is written, but "
+        )
+        assert "dropped" not in err and "not consumed" not in err
+        _, out, _ = cli("invoices", "--registry", str(path))
+        if change == "invoice":
+            assert "total: 2" in out
+        else:
+            assert out == "no invoices\n"
+            # the kept nonce is spent: the same session again is a replay
+            code, _, err = cli(*argv)
+            assert code == 1 and "replay_detected" in err
 
 
 class TestRevoke:

@@ -1,18 +1,15 @@
 """Registry.open on a file, checked step by step against a dict model.
 
 A hypothesis state machine drives one registry file: register, revoke,
-authenticate with a fresh or a repeated nonce, bill, and reopen. Each
-change may be a failure step: its k-th os.write, os.fsync or os.replace
-call, counted together, raises OSError. A change whose fault fired raises
-StorageError, and the model says it did not happen: the registry in memory
-must match the model without it.
-
-A fault that fires after a rename onto the registry file succeeded leaves
-the file holding the undone change: the rename is the point from which a
-whole save is visible. The next change that succeeds writes the file from
-memory again, so from then on the file holds exactly what the model holds.
-The model tracks what the file holds separately, and every reopen must
-load exactly that."""
+authenticate with a fresh or a repeated nonce, bill, write an int too large
+to write, and reopen. Each change may be a failure step: its k-th os.write,
+os.fsync or os.replace call, counted together, raises OSError. A change
+whose fault fired raises StorageError. It says "persist failed" when the
+fault came before the change's commit point, and the model then says the
+change did not happen; it says "persist incomplete" when the fault came
+after, and the model keeps the change. After every step the file loads to
+exactly what the registry holds in memory, and that is what the model
+holds."""
 
 import errno
 import os
@@ -20,6 +17,7 @@ import shutil
 import tempfile
 from unittest import mock
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -32,6 +30,7 @@ from evabs.wire import Reason
 TARIFF = 3
 IDS = [bytes([i]) * crypto.BLOCK_SIZE for i in range(1, 4)]
 MAX_DURATION = 2**40
+_Kept = object()  # a change's StorageError said the file holds it
 # no fault, or the call of the change that fails
 FAULTS = st.none() | st.integers(1, 8)
 
@@ -58,14 +57,12 @@ def _state(registry):
 
 
 class _Faults:
-    """Make the k-th os.write, os.fsync or os.replace raise while patched
-    in, and note whether an os.replace succeeded before it."""
+    """Make the k-th os.write, os.fsync or os.replace raise while patched in."""
 
     def __init__(self, k):
         self.k = k
         self.calls = 0
         self.fired = False
-        self.replaced = False
 
     def _wrap(self, name, real):
         def wrapper(*args, **kwargs):
@@ -73,10 +70,7 @@ class _Faults:
             if self.calls == self.k:
                 self.fired = True
                 raise OSError(errno.EIO, f"injected fault in os.{name}")
-            result = real(*args, **kwargs)
-            if name == "replace":
-                self.replaced = True
-            return result
+            return real(*args, **kwargs)
 
         return wrapper
 
@@ -95,7 +89,6 @@ class RegistryModel(RuleBasedStateMachine):
         Registry(bytes(range(crypto.KEY_SIZE)), TARIFF).save(self.path)
         self.vehicles = {}  # id -> (balance, revoked, frozenset of nonces)
         self.invoices = []
-        self.on_disk = ({}, [])
         self._open()
 
     def _open(self):
@@ -109,29 +102,32 @@ class RegistryModel(RuleBasedStateMachine):
             shutil.rmtree(self.dir)
 
     def _change(self, fault, call, *args):
-        """call(*args) with its fault-th call failing, if any: (result, faults)."""
+        """call(*args) with its fault-th call failing, if any: its result,
+        or whether a StorageError said the change was kept."""
         faults = _Faults(fault or 0)
         patches = faults.patches()
         for patch in patches:
             patch.start()
         try:
             return call(*args), faults
-        except StorageError:
+        except StorageError as exc:
             assert faults.fired
+            if str(exc).startswith("persist incomplete, "):
+                assert "dropped" not in str(exc)
+                return _Kept, faults
+            assert str(exc).startswith("persist failed, "), exc
             return StorageError, faults
         finally:
             for patch in reversed(patches):
                 patch.stop()
 
     def _settle(self, outcome, faults, vehicles, invoices):
-        """Adopt the state after a change unless its fault fired."""
+        """Adopt the state after a change unless it failed before its
+        commit point."""
         if outcome is StorageError:
-            if faults.replaced:
-                self.on_disk = (vehicles, invoices)
             return
-        assert not faults.fired
+        assert outcome is _Kept or not faults.fired
         self.vehicles, self.invoices = vehicles, invoices
-        self.on_disk = (dict(vehicles), list(invoices))
 
     # -- steps -------------------------------------------------------------
 
@@ -174,7 +170,7 @@ class RegistryModel(RuleBasedStateMachine):
         elif nonce in nonces:
             assert outcome == (None, Reason.REPLAY_DETECTED)
         else:
-            if outcome is not StorageError:
+            if outcome not in (StorageError, _Kept):
                 assert outcome[0].id_a == id_a and outcome[1] is None
             vehicles = {**self.vehicles, id_a: (balance, revoked, nonces | {nonce})}
             self._settle(outcome, faults, vehicles, list(self.invoices))
@@ -202,15 +198,25 @@ class RegistryModel(RuleBasedStateMachine):
         invoices = [*self.invoices, (id_a, t1, t5, duration, amount, t5)]
         self._settle(outcome, faults, vehicles, invoices)
 
+    @rule(id_a=st.sampled_from(IDS))
+    def write_too_large_int(self, id_a):
+        """An int with more digits than str() writes: refused before the
+        commit point, so nothing changes."""
+        huge = 10**5000
+        with pytest.raises(StorageError, match="^persist failed, .*: cannot "):
+            if id_a in self.vehicles:
+                self.registry.bill(id_a, 0, huge, huge)
+            else:
+                self.registry.register(id_a, _key(id_a), balance=huge)
+
     @rule()
     def reopen(self):
         self.context.__exit__(None, None, None)
         self._open()
-        self.vehicles, self.invoices = self.on_disk
-        self.on_disk = (dict(self.vehicles), list(self.invoices))
 
     @invariant()
-    def registry_matches_the_model(self):
+    def file_and_registry_match_the_model(self):
+        assert _state(Registry.load(self.path)) == _state(self.registry)
         assert _state(self.registry) == (self.vehicles, self.invoices)
 
 

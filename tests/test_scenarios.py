@@ -665,11 +665,16 @@ class TestVehicleStreams:
             calls.append(state)
             return splitmix64(state)
 
+        def no_fleet_walk(registry):
+            raise AssertionError("runner construction read every vehicle")
+
         # count the runner's own calls, not those inside NonceSource.from_seed
         monkeypatch.setattr(
             scenario, "crypto", SimpleNamespace(**{**vars(crypto), "splitmix64": counting_splitmix64})
         )
-        runner = ScenarioRunner(registry, seed=11)
+        with monkeypatch.context() as fleet:
+            fleet.setattr(Registry, "vehicles", property(no_fleet_walk))
+            runner = ScenarioRunner(registry, seed=11)
         assert len(calls) <= 2
         assert runner.run_session(registry.vehicles[999], duration=1000).phase == "completed"
 
