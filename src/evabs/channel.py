@@ -37,7 +37,7 @@ order, the transcript is byte-identical.
 import json
 from dataclasses import dataclass
 
-from evabs.errors import InvalidInput, ScriptError, checked_bytes
+from evabs.errors import InvalidInput, ScriptError, checked_bytes, checked_int
 from evabs.wire import FRAME_LENGTHS, frame_variant
 
 __all__ = [
@@ -72,9 +72,7 @@ class SimClock:
         self.now = start
 
     def advance(self, ms):
-        if type(ms) is not int or ms < 0:
-            raise InvalidInput("clock can only advance by a non-negative integer")
-        self.now += ms
+        self.now += checked_int("clock step", ms)
         return self.now
 
 
@@ -118,25 +116,17 @@ class Rule:
         variant, nth, action = self.variant, self.nth, self.action
         if variant not in RULE_VARIANTS:
             raise ScriptError(f"a rule takes {', '.join(RULE_VARIANTS)}, got {variant!r}")
-        if nth is not None and (type(nth) is not int or nth < 1):
-            raise ScriptError(f"nth counts from 1, got {nth!r}")
+        if nth is not None:
+            checked_int("nth", nth, 1, error=ScriptError)
         if isinstance(action, Delay):
-            if type(action.by_ms) is not int or action.by_ms < 0:
-                raise ScriptError(f"delay must be a non-negative integer, got {action.by_ms!r}")
+            checked_int("delay", action.by_ms, error=ScriptError)
         elif isinstance(action, Replay):
-            seq = action.of_seq
-            if seq is not None and (type(seq) is not int or seq < 0):
-                raise ScriptError(f"replay seq must be a non-negative integer, got {seq!r}")
+            if action.of_seq is not None:
+                checked_int("replay seq", action.of_seq, error=ScriptError)
         elif isinstance(action, Tamper):
-            size = FRAME_LENGTHS[variant]
-            if type(action.index) is not int or not 0 <= action.index < size:
-                raise ScriptError(
-                    f"tamper index {action.index!r} is outside the {size}-byte {variant} frame"
-                )
-            mask = action.mask
-            if type(mask) is not int or not 1 <= mask <= 0xFF:
-                shown = f"{mask:#x}" if type(mask) is int else repr(mask)
-                raise ScriptError(f"tamper mask must be 0x01..0xff, got {shown}")
+            last = FRAME_LENGTHS[variant] - 1
+            checked_int(f"{variant} tamper index", action.index, 0, last, ScriptError)
+            checked_int("tamper mask", action.mask, 1, 0xFF, ScriptError)
         elif isinstance(action, Inject):
             frame = checked_bytes("injected frame", action.frame, error=ScriptError)
             object.__setattr__(self, "action", Inject(frame))  # held as bytes

@@ -32,7 +32,7 @@ try:
     from evabs import _osslkernels as kernels
 except (ImportError, OSError, AttributeError):
     from evabs import _pykernels as kernels
-from evabs.errors import InvalidInput, InvalidSeed, checked_bytes
+from evabs.errors import InvalidInput, InvalidSeed, checked_bytes, checked_int
 
 __all__ = [
     "BACKEND",
@@ -125,9 +125,8 @@ class NonceSource:
     __slots__ = ("_s0", "_s1")
 
     def __init__(self, s0, s1):
-        for name, word in (("s0", s0), ("s1", s1)):
-            if not isinstance(word, int) or not 0 <= word <= _MASK64:
-                raise InvalidSeed(f"{name} must be a 64-bit unsigned integer")
+        checked_int("s0", s0, 0, _MASK64, InvalidSeed)
+        checked_int("s1", s1, 0, _MASK64, InvalidSeed)
         if s0 == 0 and s1 == 0:
             raise InvalidSeed("all-zero state is the xorshift fixed point")
         self._s0 = s0
@@ -136,9 +135,7 @@ class NonceSource:
     @classmethod
     def from_seed(cls, seed):
         """Expand one 64-bit seed into the two state words via splitmix64."""
-        if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
-            raise InvalidSeed("seed must be a 64-bit unsigned integer")
-        state, s0 = splitmix64(seed)
+        state, s0 = splitmix64(checked_int("seed", seed, 0, _MASK64, InvalidSeed))
         _, s1 = splitmix64(state)
         return cls(s0, s1)
 
@@ -158,8 +155,8 @@ class NonceSource:
 
     def next_bytes(self, n):
         """n bytes from successive outputs; n must be a positive multiple of 8."""
-        if n <= 0 or n % 8:
-            raise InvalidInput("byte count must be a positive multiple of 8")
+        if checked_int("byte count", n, 8) % 8:
+            raise InvalidInput(f"byte count must be a multiple of 8, got {n}")
         step = kernels.xorshift128p_next  # per draw, so a patched kernels is seen
         s0, s1 = self._s0, self._s1
         acc = 0

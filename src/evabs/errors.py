@@ -2,9 +2,10 @@
 
 Everything raised on purpose derives from EvabsError so callers (and the
 CLI exit-code mapping) can tell our failures from genuine bugs.
-checked_bytes is the one check of a byte-string argument, for the kernels,
-evabs.crypto, the registry, wire messages, vehicle credentials and the open
-link alike.
+checked_bytes is the one check of a byte-string argument and checked_int of
+an integer one, for the kernels, evabs.crypto, the registry, wire messages,
+the clock, adversary rules and the scenario runner alike; a text parser
+turns text into a value before either sees it.
 """
 
 
@@ -28,6 +29,20 @@ def checked_bytes(name, value, size=None, error=InvalidInput):
     if size is not None and len(value) != size:
         raise error(f"{name} must be {size} bytes, got {len(value)}")
     return value
+
+
+def checked_int(name, value, lo=0, hi=None, error=InvalidInput):
+    """`value` unchanged when it is an int, which a bool is not, in lo..hi
+    inclusive; a bound of None is no bound. Anything else raises `error`
+    naming the argument and its bounds."""
+    if type(value) is int and (lo is None or lo <= value) and (hi is None or value <= hi):
+        return value
+    bounds = " and".join(f" {op} {end}" for op, end in ((">=", lo), ("<=", hi)) if end is not None)
+    if type(value) is not int:
+        value = type(value).__name__
+    elif value.bit_length() > 64:  # may have more digits than str() writes
+        value = f"a {value.bit_length()}-bit int"
+    raise error(f"{name} must be an integer{bounds}, got {value}")
 
 
 class InvalidSeed(EvabsError):

@@ -29,7 +29,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from evabs import crypto
-from evabs.errors import ClockSkew, HandshakeError, InvalidInput, checked_bytes
+from evabs.errors import ClockSkew, HandshakeError, InvalidInput, checked_bytes, checked_int
 from evabs.wire import (
     TS_MAX,
     AuthRequest,
@@ -75,9 +75,7 @@ class VehicleCredentials:
 
 def pack_timestamp(ms):
     """Millisecond count -> 16-byte block: 8 zero bytes then 8 big-endian."""
-    if type(ms) is not int or not 0 <= ms <= TS_MAX:
-        raise InvalidInput("timestamp must be an unsigned 64-bit millisecond count")
-    return _TS_PAD + ms.to_bytes(8, "big")
+    return _TS_PAD + checked_int("timestamp", ms, 0, TS_MAX).to_bytes(8, "big")
 
 
 def unpack_timestamp(block):

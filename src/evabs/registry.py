@@ -14,8 +14,9 @@ Concurrency and durability rules:
     memory exactly when the file holds it. A failure before the commit
     point (building the snapshot or journal line included) undoes the
     change and raises StorageError "persist failed, ..."; one after it (the
-    directory fsync, or starting the new journal) keeps the change, leaves
-    no journal live and raises StorageError "persist incomplete, ...". So a
+    directory fsync, starting the new journal, or a failed fsync of a whole
+    journal line that cannot be cut back) keeps the change, leaves no
+    journal live and raises StorageError "persist incomplete, ...". So a
     crashy disk can neither open a replay window nor lose an invoice.
   * a revoked vehicle is indistinguishable from an unknown one.
 
@@ -71,6 +72,7 @@ from evabs.errors import (
     NotFound,
     StorageError,
     checked_bytes,
+    checked_int,
 )
 from evabs.wire import Reason
 
@@ -199,9 +201,14 @@ _INVOICE_KEYS = frozenset(("id_a", *_INVOICE_INTS))
 _REGISTRY_KEYS = frozenset(("group_key", "tariff_per_second", "vehicles", "invoices"))
 
 
-def _charge(duration_ms, tariff):
-    """The amount billed for duration_ms: every started second in full."""
-    return -(-duration_ms // 1000) * tariff
+def _issue(id_a, t1, t5, issued_at, tariff, error):
+    """The invoice for a charge from t1 to t5 at `tariff`, every started
+    second billed in full; a t5 before t1 raises `error`. bill, the loader
+    and journal replay all derive an invoice here."""
+    if t5 < t1:
+        raise error(f"t5 {t5} precedes t1 {t1}")
+    duration = t5 - t1
+    return Invoice(id_a, t1, t5, duration, -(-duration // 1000) * tariff, issued_at)
 
 
 def _invoice(iobj, tariff, ids):
@@ -211,16 +218,16 @@ def _invoice(iobj, tariff, ids):
         raise StorageError("must be a JSON object")
     _known_fields(iobj, _INVOICE_KEYS)
     id_a = _hex_field(iobj, "id_a", crypto.BLOCK_SIZE)
-    invoice = Invoice(id_a, *(_field(iobj, key, int, None, "an integer") for key in _INVOICE_INTS))
+    t1, t5, duration, amount, issued_at = (
+        _field(iobj, key, int, None, "an integer") for key in _INVOICE_INTS
+    )
     if id_a not in ids:
         raise StorageError(f"no vehicle {id_a.hex()} in the file")
-    if invoice.t5 < invoice.t1:
-        raise StorageError(f"t5 {invoice.t5} precedes t1 {invoice.t1}")
-    if invoice.duration_ms != invoice.t5 - invoice.t1:
-        raise StorageError(f"duration_ms {invoice.duration_ms} is not t5 - t1")
-    amount = _charge(invoice.duration_ms, tariff)
-    if invoice.amount != amount:
-        raise StorageError(f"amount {invoice.amount} is not {amount}, the charge at the tariff")
+    invoice = _issue(id_a, t1, t5, issued_at, tariff, StorageError)
+    if duration != invoice.duration_ms:
+        raise StorageError(f"duration_ms {duration} is not t5 - t1")
+    if amount != invoice.amount:
+        raise StorageError(f"amount {amount} is not {invoice.amount}, the charge at the tariff")
     return invoice
 
 
@@ -298,7 +305,8 @@ def _journal_int(text):
 
 
 class _Written(StorageError):
-    """A whole save failed after its rename: the file holds the change."""
+    """A write failed after the file came to hold the change: a whole save
+    after its rename, or a journal line written whole that cannot be cut."""
 
 
 class _Journal:
@@ -333,7 +341,8 @@ class _Journal:
 
     def append(self, fields):
         """One fsynced event line of `fields`, bytes in hex; if that fails,
-        the file is cut back to its valid lines."""
+        the file is cut back to its valid lines. A whole line that cannot be
+        cut is _Written; a torn one is dropped when the journal is read."""
         try:
             payload = " ".join(f.hex() if type(f) is bytes else str(f) for f in fields).encode()
         except ValueError as exc:  # an int with more digits than str() writes
@@ -343,12 +352,17 @@ class _Journal:
             if self.fd is None:
                 self.fd = os.open(self.path, _JOURNAL_FLAGS)
                 os.ftruncate(self.fd, self.end)  # drop a torn last line
+            written = False
             try:
                 _write_all(self.fd, line)
+                written = True
                 os.fsync(self.fd)
-            except BaseException:
-                with suppress(OSError):
+            except BaseException as exc:
+                try:
                     os.ftruncate(self.fd, self.end)
+                except OSError as cut:
+                    if written and isinstance(exc, OSError):  # the file holds the line
+                        raise _Written(f"journal {self.path} is written, but not synced: {exc}")
                 raise
         except OSError as exc:
             raise StorageError(f"cannot append to journal {self.path}: {exc}") from exc
@@ -374,9 +388,7 @@ class Registry:
 
     def __init__(self, group_key, tariff_per_second):
         self.group_key = checked_bytes("group key", group_key, crypto.KEY_SIZE)
-        if type(tariff_per_second) is not int or tariff_per_second < 0:
-            raise InvalidInput("tariff must be a non-negative integer")
-        self.tariff_per_second = tariff_per_second
+        self.tariff_per_second = checked_int("tariff", tariff_per_second)
         self._by_lookup = {}
         self._by_id = {}
         self.invoices = []
@@ -419,10 +431,10 @@ class Registry:
                 journal.append(event)
             else:
                 self._compact()
-        except _Written as exc:
-            raise StorageError(f"persist incomplete, change kept: {exc}") from exc
         except StorageError as exc:
             self._end_journal()
+            if isinstance(exc, _Written):
+                raise StorageError(f"persist incomplete, change kept: {exc}") from exc
             undo(*args)
             raise StorageError(f"persist failed, {what}: {exc}") from exc
 
@@ -446,8 +458,7 @@ class Registry:
     def register(self, id_a, k_a, balance=0, owner=""):
         id_a = checked_bytes("vehicle id", id_a, crypto.BLOCK_SIZE)
         k_a = checked_bytes("vehicle key", k_a, crypto.KEY_SIZE)
-        if type(balance) is not int or balance < 0:
-            raise InvalidInput("opening balance must be a non-negative integer")
+        checked_int("opening balance", balance)
         if type(owner) is not str:
             raise InvalidInput("owner must be a string")
         lookup_key = crypto.encrypt_block(id_a, k_a)
@@ -527,28 +538,17 @@ class Registry:
         second is charged in full; the balance may go negative. The times
         must be ints, as the loader demands of a stored invoice."""
         for name, value in (("t1", t1), ("t5", t5), ("issued_at", issued_at)):
-            if type(value) is not int:
-                raise InvalidReport(f"{name} must be an integer, got {type(value).__name__}")
+            checked_int(name, value, None, error=InvalidReport)
         with self._lock:
             record = self.find(id_a)
-            if t5 < t1:
-                raise InvalidReport(f"t5 {t5} precedes t1 {t1}")
-            duration = t5 - t1
-            amount = _charge(duration, self.tariff_per_second)
-            invoice = Invoice(
-                id_a=record.id_a,
-                t1=t1,
-                t5=t5,
-                duration_ms=duration,
-                amount=amount,
-                issued_at=issued_at,
-            )
-            record.balance -= amount
+            invoice = _issue(record.id_a, t1, t5, issued_at, self.tariff_per_second, InvalidReport)
+            record.balance -= invoice.amount
             self.invoices.append(invoice)
             event = ("invoice", record.id_a, t1, t5, issued_at)
-            self._commit("invoice dropped", event, self._refund, record, amount)
+            self._commit("invoice dropped", event, self._refund, record, invoice.amount)
         log.info(
-            "invoice: duration_ms=%d amount=%d balance=%d", duration, amount, record.balance
+            "invoice: duration_ms=%d amount=%d balance=%d",
+            invoice.duration_ms, invoice.amount, record.balance,
         )
         return invoice
 
@@ -688,8 +688,7 @@ class Registry:
             _known_fields(obj, _REGISTRY_KEYS)
             group_key = _hex_field(obj, "group_key", crypto.KEY_SIZE)
             tariff = obj.get("tariff_per_second")
-            if type(tariff) is not int or tariff < 0:
-                raise StorageError("tariff_per_second must be a non-negative integer")
+            checked_int("tariff_per_second", tariff, error=StorageError)
             vehicles = _field(obj, "vehicles", list, [], "a list")
             invoices = _field(obj, "invoices", list, [], "a list")
         except StorageError as exc:
@@ -756,8 +755,6 @@ class Registry:
             record.used_nonces.add(nonce)
             return
         t1, t5, issued_at = map(_journal_int, fields[1:])
-        if t5 < t1:
-            raise StorageError(f"t5 {t5} precedes t1 {t1}")
-        amount = _charge(t5 - t1, self.tariff_per_second)
-        record.balance -= amount
-        self.invoices.append(Invoice(record.id_a, t1, t5, t5 - t1, amount, issued_at))
+        invoice = _issue(record.id_a, t1, t5, issued_at, self.tariff_per_second, StorageError)
+        record.balance -= invoice.amount
+        self.invoices.append(invoice)

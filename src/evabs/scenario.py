@@ -78,7 +78,16 @@ from evabs.channel import (
     Tamper,
     Transcript,
 )
-from evabs.errors import ClockSkew, ConfigError, FrameError, InvalidInput, NotFound, ScriptError
+from evabs.errors import (
+    ClockSkew,
+    ConfigError,
+    FrameError,
+    InvalidInput,
+    InvalidSeed,
+    NotFound,
+    ScriptError,
+    checked_int,
+)
 from evabs.protocol import Phase, Server, Terminal, VehicleCredentials, VehicleSession
 from evabs.wire import FRAME_LENGTHS, TS_MAX, AuthRequest, Reason, StartCharge, decode_frame
 
@@ -479,7 +488,7 @@ def load_scenario(name_or_path):
 
 class ScenarioRunner:
     """One registry + one terminal + one server + one adversary, driven by
-    directives. All randomness derives from the single seed.
+    directives. All randomness derives from the single seed, 0..2**64-1.
 
     The seed's splitmix64 chain gives, in order, the terminal's stream seed,
     the adversary's, then one per vehicle enrolled when the runner was made,
@@ -492,18 +501,17 @@ class ScenarioRunner:
     seed."""
 
     def __init__(self, registry, seed=1):
+        self.seed = checked_int("seed", seed, 0, _MASK64, InvalidSeed)
         self.registry = registry
         # expectations and counters report invoices issued by this run, not
         # whatever billing history the registry already carries
         self._invoices_start = len(registry.invoices)
-        self.seed = seed
         self.clock = SimClock()
         self.script = AdversaryScript()
         self.transcript = Transcript()
         self.network = Network(self.clock, script=self.script, transcript=self.transcript)
         self.server = Server(registry)
-        state = seed & _MASK64
-        state, terminal_seed = crypto.splitmix64(state)
+        state, terminal_seed = crypto.splitmix64(seed)
         state, adversary_seed = crypto.splitmix64(state)
         self.terminal = Terminal(registry.group_key, crypto.NonceSource.from_seed(terminal_seed))
         self.adversary_rng = crypto.NonceSource.from_seed(adversary_seed)
@@ -645,18 +653,16 @@ class ScenarioRunner:
     def run_session(self, record, duration, budget=None, record_outcome=True):
         """One charge attempt, end to end, through the adversary.
 
-        The charge time is checked before anything happens: charging starts
-        1000 ms from now, and a session whose end t5 would not fit a 64-bit
-        timestamp must not consume a nonce it can never bill for."""
-        effective = duration
+        Arguments and charge time are checked before anything happens:
+        charging starts 1000 ms from now, and a session whose end t5 would not
+        fit a 64-bit timestamp must not consume a nonce it can never bill for."""
+        effective = checked_int("duration", duration)
+        if budget is not None:
+            checked_int("budget", budget)
         cutoff = self.budget_cutoff_ms(budget, self.registry.tariff_per_second)
         if cutoff is not None:
             effective = min(effective, cutoff)
-        if not 0 <= effective <= TS_MAX - self.clock.now - 1000:
-            raise InvalidInput(
-                "charge time must be non-negative and end within the 64-bit millisecond"
-                f" timestamp range, got {effective} ms"
-            )
+        checked_int("charge time", effective, 0, TS_MAX - self.clock.now - 1000)
         self._advance(1000)
         vehicle = self._begin_session(record)
         if vehicle.phase is Phase.CHARGING:
@@ -696,7 +702,7 @@ class ScenarioRunner:
         for m3, mac and n_a drawn in turn, since the stream reads the same
         in one draw or three."""
         rng = self.adversary_rng
-        for i in range(count):
+        for i in range(checked_int("flood count", count)):
             if style == "garbage" or (style == "mixed" and i % 2):
                 length = 1 + rng.next_u64() % 96
                 frame = rng.next_bytes(8 * ((length + 7) // 8))[:length]

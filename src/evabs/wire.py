@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from evabs.crypto import BLOCK_SIZE, KEY_SIZE, NONCE_SIZE, TAG_SIZE
-from evabs.errors import FrameError, checked_bytes
+from evabs.errors import FrameError, checked_bytes, checked_int
 
 __all__ = [
     "Reason",
@@ -81,11 +81,6 @@ def _keep(msg, name, value, size):
     """Hold byte field `name` of frozen `msg` as exactly `size` bytes."""
     if type(value) is not bytes or len(value) != size:
         object.__setattr__(msg, name, checked_bytes(name, value, size, FrameError))
-
-
-def _want_ts(name, value):
-    if type(value) is not int or not 0 <= value <= TS_MAX:
-        raise FrameError(f"{name} must be an unsigned 64-bit millisecond count")
 
 
 @dataclass(frozen=True)
@@ -191,8 +186,8 @@ class ChargeReport:
 
     def __post_init__(self):
         _keep(self, "id_a", self.id_a, BLOCK_SIZE)
-        _want_ts("t1", self.t1)
-        _want_ts("t5", self.t5)
+        checked_int("t1", self.t1, 0, TS_MAX, FrameError)
+        checked_int("t5", self.t5, 0, TS_MAX, FrameError)
 
     def encode(self):
         return (

@@ -269,7 +269,7 @@ class TestNonceSource:
         assert src.next_nonce() == twin.next_bytes(16)
         assert src.state == twin.state
 
-    @pytest.mark.parametrize("size", [0, -8, 12])
+    @pytest.mark.parametrize("size", [0, -8, 12, 16.0, True])
     def test_next_bytes_refuses_size(self, size):
         src = crypto.NonceSource.from_seed(1)
         with pytest.raises(InvalidInput):
@@ -280,14 +280,15 @@ class TestNonceSource:
         with pytest.raises(InvalidSeed):
             crypto.NonceSource(0, 0)
 
-    @pytest.mark.parametrize("bad", [-1, 2**64, "1", None, 1.5])
+    @pytest.mark.parametrize("bad", [-1, 2**64, "1", None, 1.5, True])
     def test_rejects_bad_seed(self, bad):
         with pytest.raises(InvalidSeed):
             crypto.NonceSource.from_seed(bad)
 
-    def test_rejects_bad_state_word(self):
+    @pytest.mark.parametrize("state", [(2**64, 1), (True, 0), (0, True), (1, -1)])
+    def test_rejects_bad_state_word(self, state):
         with pytest.raises(InvalidSeed):
-            crypto.NonceSource(2**64, 1)
+            crypto.NonceSource(*state)
 
     def test_splitmix64_is_mask64(self):
         state, out = crypto.splitmix64(2**64 - 1)

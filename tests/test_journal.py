@@ -1,6 +1,7 @@
 """The journal beside a registry file: its format, what binds it to a
 snapshot, what replays it, and what it refuses."""
 
+import errno
 import hashlib
 import json
 import os
@@ -206,6 +207,65 @@ class TestRefused:
         journal.write_bytes(journal.read_bytes() + _line(f"nonce {other} {'05' * 16}".encode()))
         with pytest.raises(StorageError, match=f"^{journal} line 2: nonce for revoked vehicle"):
             Registry.load(path)
+
+
+def _fail(*args):
+    raise OSError(errno.EIO, "injected fault")
+
+
+class TestFailingCut:
+    """An append whose fsync fails is cut back to the journal's valid lines.
+    When that cut fails too, the file holds the whole line: the change is
+    kept, and the next change saves whole."""
+
+    @pytest.mark.parametrize("change", ["nonce", "invoice"])
+    def test_whole_line_that_cannot_be_cut_is_kept(self, path, journal, change):
+        with Registry.open(path) as registry:
+            _charge(registry, 1)  # the nonce saves whole and starts the journal
+            _charge(registry, 2)
+            record = registry.vehicles[0]
+            if change == "invoice":
+                registry.authenticate(record.lookup_key, b"\x03" * 16)
+            with pytest.MonkeyPatch.context() as mp:
+                for name in ("fsync", "ftruncate"):
+                    mp.setattr(os, name, _fail)
+                with pytest.raises(StorageError, match="^persist incomplete, change kept: journal"):
+                    if change == "nonce":
+                        registry.authenticate(record.lookup_key, b"\x03" * 16)
+                    else:
+                        registry.bill(record.id_a, 0, 2500, issued_at=2500)
+            assert b"\x03" * 16 in record.used_nonces
+            assert len(registry.invoices) == (3 if change == "invoice" else 2)
+            assert _state(Registry.load(path)) == _state(registry)
+            before = path.read_bytes()
+            _charge(registry, 4)
+            assert path.read_bytes() != before  # no append to the stale journal
+        assert _state(Registry.load(path)) == _state(registry)
+
+    def test_torn_line_that_cannot_be_cut_is_undone(self, path, journal):
+        last = b"\x03" * 16
+        with Registry.open(path) as registry:
+            _charge(registry, 1)
+            write, calls = os.write, []
+
+            def torn(fd, data):
+                calls.append(fd)
+                if len(calls) > 1:
+                    raise OSError(errno.ENOSPC, "injected fault")
+                return write(fd, bytes(data[:5]))
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(os, "write", torn)
+                mp.setattr(os, "ftruncate", _fail)
+                with pytest.raises(StorageError, match="^persist failed, nonce not consumed"):
+                    registry.authenticate(registry.vehicles[0].lookup_key, last)
+        assert last not in registry.vehicles[0].used_nonces
+        assert not journal.read_bytes().endswith(b"\n")  # the torn part is there
+        assert _state(Registry.load(path)) == _state(registry)
+        with Registry.open(path) as registry:
+            _charge(registry, 3)  # appends after cutting the torn part off
+        assert journal.read_bytes().endswith(b"\n")
+        assert _state(Registry.load(path)) == _state(registry)
 
 
 class TestLockFreeReaders:

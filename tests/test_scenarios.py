@@ -15,7 +15,7 @@ import pytest
 
 from evabs import crypto, scenario, wire
 from evabs.channel import SECURE
-from evabs.errors import ConfigError, InvalidInput, ScriptError
+from evabs.errors import ConfigError, InvalidInput, InvalidSeed, ScriptError
 from evabs.registry import Registry
 from evabs.scenario import (
     SCENARIO_ALIASES,
@@ -462,13 +462,23 @@ class TestRunnerSessions:
         assert outcome.t4 == 2000
         assert outcome.amount == 4
 
-    @pytest.mark.parametrize("duration", [-1, 2**64 - 1000])
-    def test_charge_time_is_checked_before_the_session_starts(self, duration):
-        runner = _runner()
-        before = runner.registry.snapshot()
-        with pytest.raises(InvalidInput):
-            runner.run_session(runner.registry.vehicles[0], duration=duration)
-        assert runner.registry.snapshot() == before
+    @pytest.mark.parametrize(
+        "duration, budget",
+        [(-1, None), (2**64 - 1000, None), (1500.0, None), (True, None), (5000, 3.5)],
+    )
+    def test_charge_time_is_checked_before_the_session_starts(
+        self, tmp_path, duration, budget
+    ):
+        path = tmp_path / "registry.json"
+        seeded_registry().save(path)
+        with Registry.open(path) as registry:
+            runner = ScenarioRunner(registry, seed=3)
+            before = registry.snapshot()
+            with pytest.raises(InvalidInput):
+                runner.run_session(registry.vehicles[0], duration=duration, budget=budget)
+            assert registry.snapshot() == before
+            assert not runner.terminal.energy_on
+        assert Registry.load(path).snapshot() == before
         assert runner.clock.now == 0
         assert len(runner.transcript) == 0
 
@@ -521,6 +531,14 @@ class TestRunnerSessions:
         # nothing else; delivery from the delay queue is not a new send
         held = [e for e in runner.transcript if e.adversary_action]
         assert [e.adversary_action["kind"] for e in held] == ["delayed"]
+
+    @pytest.mark.parametrize("count", [-1, 1.5])
+    def test_flood_refuses_a_count_before_any_draw(self, count):
+        runner = _runner()
+        state = runner.adversary_rng.state
+        with pytest.raises(InvalidInput):
+            runner.flood(count)
+        assert runner.adversary_rng.state == state
 
     def test_flood_leaves_registry_unchanged(self):
         runner = _runner()
@@ -633,6 +651,11 @@ class TestVehicleStreams:
     def _first_nonces(vseed, count):
         stream = crypto.NonceSource.from_seed(vseed)
         return [stream.next_nonce() for _ in range(count)]
+
+    @pytest.mark.parametrize("seed", [True, -1, 2**64, 1.5])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        with pytest.raises(InvalidSeed):
+            ScenarioRunner(seeded_registry(), seed=seed)
 
     def test_first_use_order_does_not_change_any_stream(self):
         seed = 2**64 - 5  # the chain's state wraps past 2**64 within a few steps

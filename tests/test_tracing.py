@@ -49,5 +49,8 @@ def test_a_traced_session_records_registry_spans_and_restores_every_patch(tracin
         tracer.end_op()
     assert outcome.phase == "completed"
     names = {span[0] for span in tracer.spans}
-    assert {"registry.authenticate", "registry.bill", "kernels.aes_encrypt"} <= names
+    assert {
+        "channel.send", "protocol.server", "registry.authenticate", "registry.bill",
+        "kernels.aes_encrypt",
+    } <= names
     assert [vars(owner)[attr] for owner, attr in patched] == before
