@@ -16,8 +16,10 @@ Concurrency and durability rules:
     change and raises StorageError "persist failed, ..."; one after it (the
     directory fsync, starting the new journal, or a failed fsync of a whole
     journal line that cannot be cut back) keeps the change, leaves no
-    journal live and raises StorageError "persist incomplete, ...". So a
-    crashy disk can neither open a replay window nor lose an invoice.
+    journal live and raises StorageError "persist incomplete, ...". Any
+    other exception, such as a KeyboardInterrupt, follows the same rule and
+    is re-raised unchanged. So a crashy disk or an interrupt can neither
+    open a replay window nor lose an invoice.
   * a revoked vehicle is indistinguishable from an unknown one.
 
 On-disk form is a snapshot plus a journal. The snapshot is a single JSON
@@ -304,11 +306,6 @@ def _journal_int(text):
     raise StorageError(f"{text!r} must be a decimal integer")
 
 
-class _Written(StorageError):
-    """A write failed after the file came to hold the change: a whole save
-    after its rename, or a journal line written whole that cannot be cut."""
-
-
 class _Journal:
     """The journal a bound registry appends to: `end` is the length of its
     valid lines, `limit` the size of the snapshot it is bound to. Opened for
@@ -342,7 +339,8 @@ class _Journal:
     def append(self, fields):
         """One fsynced event line of `fields`, bytes in hex; if that fails,
         the file is cut back to its valid lines. A whole line that cannot be
-        cut is _Written; a torn one is dropped when the journal is read."""
+        cut stays, and `end` counts it (a StorageError says so if an OSError
+        left it); a torn one is dropped when the journal is read."""
         try:
             payload = " ".join(f.hex() if type(f) is bytes else str(f) for f in fields).encode()
         except ValueError as exc:  # an int with more digits than str() writes
@@ -360,9 +358,12 @@ class _Journal:
             except BaseException as exc:
                 try:
                     os.ftruncate(self.fd, self.end)
-                except OSError as cut:
-                    if written and isinstance(exc, OSError):  # the file holds the line
-                        raise _Written(f"journal {self.path} is written, but not synced: {exc}")
+                except OSError:
+                    if written:  # the file holds the line
+                        self.end += len(line)
+                        if isinstance(exc, OSError):
+                            text = f"journal {self.path} is written, but not synced: {exc}"
+                            raise StorageError(text)
                 raise
         except OSError as exc:
             raise StorageError(f"cannot append to journal {self.path}: {exc}") from exc
@@ -395,6 +396,7 @@ class Registry:
         self._lock = threading.Lock()
         self._path = None  # the file each change is saved to, inside open()
         self._journal = None  # a live journal beside that file, if any
+        self._renamed = False  # a save renamed its file since a change began to commit
 
     @classmethod
     @contextmanager
@@ -419,23 +421,32 @@ class Registry:
         """Make the change just made durable in the bound file, in its lock
         hold: the fields of `event` appended to the live journal, unless the
         change has none or the journal grew larger than its snapshot; else a
-        whole save that starts a new journal. If that fails before its
-        commit point, undo(*args) it and raise StorageError saying `what`;
-        if after, keep it and raise StorageError saying the file holds it.
+        whole save that starts a new journal. Whatever is raised before the
+        commit point undoes the change, undo(*args); whatever is raised after
+        it keeps the change. A StorageError becomes one that says which,
+        "persist failed, `what`" or "persist incomplete, change kept"; any
+        other exception, a KeyboardInterrupt say, is re-raised as it is.
         Either way no journal stays live, so the next change saves whole."""
         if self._path is None:
             return
-        journal = self._journal
+        journal, self._renamed = self._journal, False
+        end = journal.end if journal is not None else 0
         try:
             if event is not None and journal is not None and journal.end <= journal.limit:
                 journal.append(event)
             else:
                 self._compact()
-        except StorageError as exc:
+        except BaseException as exc:
             self._end_journal()
-            if isinstance(exc, _Written):
+            # the files hold the change: the whole save renamed its file, or
+            # the journal counts a line it could not cut back
+            kept = self._renamed or (journal is not None and journal.end > end)
+            if not kept:
+                undo(*args)
+            if not isinstance(exc, StorageError):
+                raise
+            if kept:
                 raise StorageError(f"persist incomplete, change kept: {exc}") from exc
-            undo(*args)
             raise StorageError(f"persist failed, {what}: {exc}") from exc
 
     def _compact(self):
@@ -445,7 +456,7 @@ class Registry:
         try:
             self._journal = _Journal.start(f"{self._path}.journal", snapshot)
         except StorageError as exc:
-            raise _Written(f"registry {self._path} is written, but {exc}") from exc
+            raise StorageError(f"registry {self._path} is written, but {exc}") from exc
 
     def _end_journal(self):
         """Append no more: the next change in a bound registry saves whole."""
@@ -645,6 +656,7 @@ class Registry:
                 finally:
                     os.close(fd)
                 os.replace(tmp, path)
+                self._renamed = True  # the commit point of a whole save
             except BaseException:
                 with suppress(FileNotFoundError):  # Registry.open may have removed it
                     os.unlink(tmp)
@@ -654,7 +666,7 @@ class Registry:
         try:
             _fsync_directory(directory)
         except OSError as exc:
-            raise _Written(f"registry {path} is written, but not its directory: {exc}") from exc
+            raise StorageError(f"registry {path} is written, but not its directory: {exc}") from exc
         return payload
 
     @classmethod

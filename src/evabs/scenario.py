@@ -18,26 +18,25 @@ Grammar (# starts a comment unless a digit follows, blank lines ignored):
     flood COUNT [style=wellformed|garbage|mixed]  forged frames, no keys used
     sweep VARIANT [mask=HH]                       one session per byte position,
                                                   flipping that byte's bits
-    probe replay-start-charge                     demonstrate the stale-t2 replay
-    probe splice-auth                             recorded m3+mac with a fresh nonce
+    probe replay-start-charge|splice-auth         the stale-t2 replay, or a recorded
+                                                  m3+mac with a fresh nonce
     report nonce-store                            note per-vehicle nonce growth
     expect WHAT ...                               record PASS or FAIL
 
-VEHICLE is `*` (first enrolled), `#K` (K-th enrolled, 1-based) or a 32-hex
-id. ACTION is drop | delay=MS | tamper=IDX:MASKHEX | inject=HEXBYTES |
-replay[=SEQ]. Rules fire once, on the nth occurrence of their frame variant
-(counted from run start). A rule that could never fire as written is a
-ScriptError at parse time: the secure channel (it carries messages, not
-frames), or anything channel.Rule refuses when it is made (a variant no
-agent sends on the open link, nth below 1, a negative delay or replay seq,
-a tamper index past the variant's frame, a mask outside 01..ff). A rule
-still unfired when the run ends adds a FAIL check naming its line. A sweep
-takes auth_request or start_charge and the same 01..ff mask.
+VEHICLE is `*` (first enrolled), `#K` (K-th enrolled, 1-based, in ASCII
+digits) or a 32-hex id. ACTION is drop | delay=MS | tamper=IDX:MASKHEX |
+inject=HEXBYTES | replay[=SEQ]. Rules fire once, on the nth occurrence of
+their frame variant (counted from run start). A rule that could never fire
+as written is a ScriptError at parse time: the secure channel (it carries
+messages, not frames), or anything channel.Rule refuses when it is made (a
+variant no agent sends on the open link, nth below 1, a negative delay or
+replay seq, a tamper index past the variant's frame, a mask outside 01..ff).
+A rule still unfired when the run ends adds a FAIL check naming its line. A
+sweep takes auth_request or start_charge and the same 01..ff mask.
 
 expect forms:
-    expect completed N | aborted N | failed N [reason=LABEL]
-    expect accepted N
-    expect rejected N [reason=LABEL]
+    expect completed N | aborted N | accepted N
+    expect failed N [reason=LABEL] | rejected N [reason=LABEL]
     expect invoices N [total=AMOUNT]
     expect no-secrets [ids|keys|all]
     expect fresh-frames
@@ -48,9 +47,10 @@ expect forms:
 Failed expectations never raise; they mark the report FAIL and the run
 carries on, so one broken defense does not hide another. A malformed line
 (unknown word, missing or non-integer count, unknown reason label, unknown,
-extra or repeated argument) raises ScriptError in parse_scenario, before any
-line runs. Only what a running step can refuse waits: a vehicle reference
-(it needs the registry), a charge time past the 64-bit timestamp range, a
+extra or repeated argument, a vehicle reference of no form above) raises
+ScriptError in parse_scenario, before any line runs. Only what a running
+step can refuse waits: a vehicle reference that names no enrolled vehicle
+(that needs the registry), a charge time past the 64-bit timestamp range, a
 rule that cannot act on the frame in hand (which records nothing of it).
 parse_scenario and ScenarioRunner.execute add `line N: ` to what line N
 raises, keeping its error class; no other code knows line numbers.
@@ -60,6 +60,7 @@ import os
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from itertools import accumulate
 
@@ -252,92 +253,6 @@ def _parse_rule(tokens):
     return ScenarioRunner._add_rule, (Rule(variant, nth, _parse_action(rest[0])),)
 
 
-def _parse_sweep(tokens):
-    """`sweep VARIANT [mask=HH]`, run on the first enrolled vehicle."""
-    if len(tokens) < 2:
-        raise ScriptError("sweep needs a frame variant")
-    variant = tokens[1]
-    if variant not in SWEEP_VARIANTS:
-        raise ScriptError(f"sweep takes {' or '.join(SWEEP_VARIANTS)}, got {variant!r}")
-    options = _parse_options(tokens[2:], {"mask"})
-    mask = _parse_int(options.get("mask", "01"), "mask", base=16)
-    # Rule checks the mask: build the first position's rule now, so a bad
-    # mask is refused before any line runs
-    Rule(variant, None, Tamper(0, mask))
-    return ScenarioRunner._with_vehicle, ("*", ScenarioRunner.run_sweep, variant, mask)
-
-
-def _parse_session(tokens):
-    """`session VEHICLE [duration=MS] [budget=N]`: `sessions` with a count of 1."""
-    if len(tokens) < 2:
-        raise ScriptError("session needs a vehicle")
-    options = _parse_options(tokens[2:], {"duration", "budget"})
-    duration = _parse_count(options.get("duration", "5000"), "duration")
-    budget = _parse_count(options["budget"], "budget") if "budget" in options else None
-    return ScenarioRunner._with_vehicle, (tokens[1], ScenarioRunner._sessions, 1, duration, budget)
-
-
-def _parse_sessions(tokens):
-    """`sessions COUNT VEHICLE [duration=MS]`."""
-    if len(tokens) < 3:
-        raise ScriptError("sessions needs a count and a vehicle")
-    count = _parse_count(tokens[1], "session count")
-    options = _parse_options(tokens[3:], {"duration"})
-    duration = _parse_count(options.get("duration", "5000"), "duration")
-    return ScenarioRunner._with_vehicle, (
-        tokens[2], ScenarioRunner._sessions, count, duration, None
-    )
-
-
-def _parse_advance(tokens):
-    if len(tokens) != 2:
-        raise ScriptError("advance takes a millisecond count")
-    return ScenarioRunner._advance, (_parse_count(tokens[1], "advance"),)
-
-
-def _parse_revoke(tokens):
-    if len(tokens) != 2:
-        raise ScriptError("revoke takes a vehicle reference")
-    return ScenarioRunner._with_vehicle, (tokens[1], ScenarioRunner._revoke)
-
-
-def _parse_snapshot(tokens):
-    if len(tokens) != 1:
-        raise ScriptError("snapshot takes no argument")
-    return ScenarioRunner._take_snapshot, ()
-
-
-def _parse_flood(tokens):
-    if len(tokens) < 2:
-        raise ScriptError("flood needs a frame count")
-    count = _parse_count(tokens[1], "flood count")
-    style = _parse_options(tokens[2:], {"style"}).get("style", "wellformed")
-    if style not in ("wellformed", "garbage", "mixed"):
-        raise ScriptError(f"unknown flood style {style!r}")
-    return ScenarioRunner.flood, (count, style)
-
-
-def _parse_probe(tokens):
-    """`probe NAME`, run on the first enrolled vehicle."""
-    if len(tokens) != 2:
-        raise ScriptError("probe takes exactly one probe name")
-    probes = {
-        "replay-start-charge": ScenarioRunner.probe_replay_start_charge,
-        "splice-auth": ScenarioRunner.probe_splice_auth,
-    }
-    if tokens[1] not in probes:
-        raise ScriptError(f"unknown probe {tokens[1]!r}")
-    return ScenarioRunner._with_vehicle, ("*", probes[tokens[1]])
-
-
-def _parse_report(tokens):
-    if len(tokens) != 2:
-        raise ScriptError("report takes exactly one report name")
-    if tokens[1] != "nonce-store":
-        raise ScriptError(f"unknown report {tokens[1]!r}")
-    return ScenarioRunner._report_nonce_store, ()
-
-
 def _parse_options(tokens, allowed):
     options = {}
     for token in tokens:
@@ -365,10 +280,10 @@ def _parse_count(value, what):
     return number
 
 
-# counted expect forms, `expect WHAT N [KEY=VALUE]`: WHAT -> the one KEY it takes
+# counted expect forms, `expect WHAT N [KEY=VALUE]`: WHAT -> its one KEY, if any
 _COUNTED = {
-    "completed": "reason",
-    "aborted": "reason",
+    "completed": None,
+    "aborted": None,
     "failed": "reason",
     "accepted": None,
     "rejected": "reason",
@@ -410,22 +325,68 @@ def _parse_expect(tokens):
     return check, (name, *args)
 
 
-# every directive a scenario line may start with (besides `scenario NAME`,
-# which only names the run), mapped to its parser: it checks every token of
-# the line and returns the step's runner method and arguments
-_DIRECTIVES = {
-    "session": _parse_session,
-    "sessions": _parse_sessions,
-    "advance": _parse_advance,
-    "revoke": _parse_revoke,
-    "snapshot": _parse_snapshot,
-    "rule": _parse_rule,
-    "flood": _parse_flood,
-    "sweep": _parse_sweep,
-    "probe": _parse_probe,
-    "report": _parse_report,
-    "expect": _parse_expect,
+def _vehicle(text, what):
+    """`*`, `#K` (K from 1, in ASCII digits) or a 32-hex id; whether it names
+    an enrolled vehicle waits for its step, which has the registry."""
+    if not re.fullmatch(r"\*|#[1-9][0-9]*|[0-9a-fA-F]{32}", text):
+        raise ScriptError(f"bad vehicle reference {text!r}")
+    return text
+
+
+def _one_of(words, text, what):
+    if text not in words:
+        raise ScriptError(f"{text!r} is not {'|'.join(words)}")
+    return text
+
+
+def _sweep_mask(text, what):
+    """A hex mask, refused now if Rule refuses it in a sweep's rules."""
+    mask = _parse_int(text, what, base=16)
+    Rule(SWEEP_VARIANTS[0], None, Tamper(0, mask))
+    return mask
+
+
+# the parser of each named placeholder; any other one lists its words, split by |
+_VALUES = {
+    "COUNT": _parse_count,
+    "MS": _parse_count,
+    "N": _parse_count,
+    "VEHICLE": _vehicle,
+    "VARIANT": partial(_one_of, SWEEP_VARIANTS),
+    "HH": _sweep_mask,
 }
+
+
+def _parse_step(tokens):
+    """The runner method and checked arguments of one directive line. A
+    declared directive's method takes the positionals, then each option in
+    usage order, its default (or None) if the line leaves it out; a
+    malformed line of one is a ScriptError that ends in its usage."""
+    if tokens[0] == "rule":
+        return _parse_rule(tokens)
+    if tokens[0] == "expect":
+        return _parse_expect(tokens)
+    if tokens[0] not in _DIRECTIVES:
+        raise ScriptError(f"unknown directive {tokens[0]!r}")
+    usage, method, defaults = _DIRECTIVES[tokens[0]]
+    form = usage.split()[1:]  # PLACEHOLDER..., then [KEY=PLACEHOLDER]...
+    positionals = [arg for arg in form if not arg.startswith("[")]
+    options = dict(arg[1:-1].split("=") for arg in form if arg.startswith("["))
+
+    def value(text, placeholder, what):
+        return _VALUES.get(placeholder, partial(_one_of, placeholder.split("|")))(text, what)
+
+    try:
+        if len(tokens) <= len(positionals):
+            raise ScriptError(f"missing {positionals[len(tokens) - 1]}")
+        args = [value(text, p, p) for p, text in zip(positionals, tokens[1:])]
+        given = _parse_options(tokens[1 + len(positionals):], options)
+        for key, p in options.items():
+            args.append(value(given[key], p, key) if key in given else defaults.get(key))
+    except ScriptError as exc:
+        raise ScriptError(f"{exc}; usage: {usage}") from None
+    return method, tuple(args)
+
 
 # a `#` opens a comment unless a digit follows: `#K` is an ordinal vehicle
 # reference, so `session #2  # second car` keeps the ref and drops the note
@@ -434,8 +395,8 @@ _COMMENT = re.compile(r"#(?!\d)")
 
 def parse_scenario(text, default_name="scenario"):
     """Parse scenario text into steps, checking every token: a malformed
-    line is a ScriptError before any line runs. Vehicle references, which
-    need the registry, are resolved when their step runs."""
+    line is a ScriptError before any line runs. Whether a vehicle reference
+    names an enrolled vehicle, which needs the registry, waits for its step."""
     name = default_name
     steps = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -447,10 +408,8 @@ def parse_scenario(text, default_name="scenario"):
                 if len(tokens) != 2:
                     raise ScriptError("scenario takes exactly one name")
                 name = tokens[1]
-            elif tokens[0] in _DIRECTIVES:
-                steps.append((lineno, tokens, *_DIRECTIVES[tokens[0]](tokens)))
             else:
-                raise ScriptError(f"unknown directive {tokens[0]!r}")
+                steps.append((lineno, tokens, *_parse_step(tokens)))
         except ScriptError as exc:
             raise ScriptError(f"line {lineno}: {exc}") from None
     return Scenario(name=name, steps=steps)
@@ -776,34 +735,6 @@ class ScenarioRunner:
             else "spliced frame was accepted",
         )
 
-    # -- vehicle references ----------------------------------------------
-
-    def _resolve_vehicle(self, ref):
-        vehicles = self.registry.vehicles
-        if not vehicles:
-            raise ConfigError("registry has no enrolled vehicles")
-        if ref == "*":
-            return vehicles[0]
-        if ref.startswith("#"):
-            try:
-                index = int(ref[1:])
-            except ValueError:
-                raise ConfigError(f"bad vehicle reference {ref!r}") from None
-            if not 1 <= index <= len(vehicles):
-                raise ConfigError(f"no vehicle {ref}")
-            return vehicles[index - 1]
-        try:
-            return self.registry.find(bytes.fromhex(ref))
-        except ValueError:
-            raise ConfigError(f"bad vehicle reference {ref!r}") from None
-        except NotFound:
-            raise ConfigError(f"no vehicle {ref}") from None
-
-    def _with_vehicle(self, ref, act, *args):
-        """act(self, record, *args) on the vehicle `ref` names: the one part
-        of a step resolved when it runs, since it needs the registry."""
-        act(self, self._resolve_vehicle(ref), *args)
-
     # -- expectations ------------------------------------------------------
 
     def _phase_count(self, phase, reason=None):
@@ -929,12 +860,32 @@ class ScenarioRunner:
 
     # -- what the other directives do ---------------------------------------
 
-    def _sessions(self, record, count, duration, budget):
-        for _ in range(count):
-            self.run_session(record, duration=duration, budget=budget)
+    def _resolve_vehicle(self, ref):
+        """The enrolled vehicle a reference of checked form names."""
+        vehicles = self.registry.vehicles
+        if not vehicles:
+            raise ConfigError("registry has no enrolled vehicles")
+        if ref == "*":
+            return vehicles[0]
+        if ref.startswith("#"):
+            if int(ref[1:]) > len(vehicles):
+                raise ConfigError(f"no vehicle {ref}")
+            return vehicles[int(ref[1:]) - 1]
+        try:
+            return self.registry.find(bytes.fromhex(ref))
+        except NotFound:
+            raise ConfigError(f"no vehicle {ref}") from None
 
-    def _revoke(self, record):
-        self.registry.revoke(record.id_a)
+    def _session(self, vehicle, duration, budget):
+        self.run_session(self._resolve_vehicle(vehicle), duration=duration, budget=budget)
+
+    def _sessions(self, count, vehicle, duration):
+        record = self._resolve_vehicle(vehicle)
+        for _ in range(count):
+            self.run_session(record, duration=duration)
+
+    def _revoke(self, vehicle):
+        self.registry.revoke(self._resolve_vehicle(vehicle).id_a)
 
     def _take_snapshot(self):
         self._snapshot = self.registry.snapshot()
@@ -942,14 +893,22 @@ class ScenarioRunner:
     def _add_rule(self, rule):
         self.script.add_rule(rule)
 
-    def _report_nonce_store(self):
+    def _sweep(self, variant, mask):
+        self.run_sweep(self._resolve_vehicle("*"), variant, mask)
+
+    def _probe(self, name):
+        """`probe NAME` calls probe_NAME, - read as _, on the first enrolled vehicle."""
+        getattr(self, "probe_" + name.replace("-", "_"))(self._resolve_vehicle("*"))
+
+    def _report(self, name):
+        """`report nonce-store`, the one report."""
         sizes = ", ".join(
             f"{rec.id_a.hex()[:8]}..={len(rec.used_nonces)}" for rec in self.registry.vehicles
         )
         total = sum(len(rec.used_nonces) for rec in self.registry.vehicles)
         self.checks.append(
             CheckResult(
-                "report nonce-store", "INFO",
+                f"report {name}", "INFO",
                 f"stored nonces grow without bound: total={total} ({sizes})",
             )
         )
@@ -995,6 +954,21 @@ _UNCOUNTED = {
     "energy-off": (ScenarioRunner._expect_energy_off, (None,)),
     "sweep": (ScenarioRunner._expect_sweep, ("no-charging", "mac-invalid")),
 }
+
+# every directive but `scenario`, `rule` and `expect`, declared once: its usage
+# `DIRECTIVE ARG... [KEY=PLACEHOLDER]...`, the runner method its line calls,
+# and the defaults of its options that are not None
+_DIRECTIVES = {usage.split()[0]: (usage, method, defaults) for usage, method, defaults in [
+    ("session VEHICLE [duration=MS] [budget=N]", ScenarioRunner._session, {"duration": 5000}),
+    ("sessions COUNT VEHICLE [duration=MS]", ScenarioRunner._sessions, {"duration": 5000}),
+    ("advance MS", ScenarioRunner._advance, {}),
+    ("revoke VEHICLE", ScenarioRunner._revoke, {}),
+    ("snapshot", ScenarioRunner._take_snapshot, {}),
+    ("flood COUNT [style=wellformed|garbage|mixed]", ScenarioRunner.flood, {"style": "wellformed"}),
+    ("sweep VARIANT [mask=HH]", ScenarioRunner._sweep, {"mask": 0x01}),
+    ("probe replay-start-charge|splice-auth", ScenarioRunner._probe, {}),
+    ("report nonce-store", ScenarioRunner._report, {}),
+]}
 
 # the one link each direction runs on
 _LINK = {V2T: INSECURE, T2V: INSECURE, T2S: SECURE, S2T: SECURE}

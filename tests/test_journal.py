@@ -11,6 +11,7 @@ import zlib
 import pytest
 
 import evabs.cli
+import evabs.registry
 from evabs.cli import main
 from evabs.errors import StorageError
 from evabs.registry import Registry, _Journal
@@ -265,6 +266,87 @@ class TestFailingCut:
         with Registry.open(path) as registry:
             _charge(registry, 3)  # appends after cutting the torn part off
         assert journal.read_bytes().endswith(b"\n")
+        assert _state(Registry.load(path)) == _state(registry)
+
+
+class TestInterrupts:
+    """An exception that is not a StorageError, such as a KeyboardInterrupt
+    caught inside the block, follows the commit rule too and is re-raised
+    as it is: raised before the commit point it undoes the change, unless
+    the journal holds a whole line it cannot cut back; raised after it, it
+    keeps the change. Memory equals the files either way."""
+
+    @pytest.mark.parametrize("change", ["nonce", "invoice"])
+    def test_interrupted_append_is_undone(self, path, journal, change):
+        interrupt = KeyboardInterrupt()
+
+        def interrupted(fd, data):
+            raise interrupt
+
+        with Registry.open(path) as registry:
+            _charge(registry, 1)  # the nonce saves whole and starts the journal
+            record = registry.vehicles[0]
+            before, lines = _state(registry), journal.read_bytes()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(os, "write", interrupted)
+                with pytest.raises(KeyboardInterrupt) as caught:
+                    if change == "nonce":
+                        registry.authenticate(record.lookup_key, b"\x02" * 16)
+                    else:
+                        registry.bill(record.id_a, 3000, 4001, issued_at=4001)
+            assert caught.value is interrupt
+            assert _state(registry) == before
+            assert journal.read_bytes() == lines
+            assert _state(Registry.load(path)) == before
+            _charge(registry, 2)  # the nonce is free, and the change saves whole
+        assert _state(Registry.load(path)) == _state(registry)
+
+    @pytest.mark.parametrize("change", ["nonce", "invoice"])
+    def test_interrupted_fsync_of_a_line_that_cannot_be_cut_is_kept(self, path, change):
+        interrupt = KeyboardInterrupt()
+
+        def interrupted(fd):
+            raise interrupt
+
+        with Registry.open(path) as registry:
+            _charge(registry, 1)
+            record = registry.vehicles[0]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(os, "fsync", interrupted)
+                mp.setattr(os, "ftruncate", _fail)
+                with pytest.raises(KeyboardInterrupt) as caught:
+                    if change == "nonce":
+                        registry.authenticate(record.lookup_key, b"\x02" * 16)
+                    else:
+                        registry.bill(record.id_a, 3000, 4001, issued_at=4001)
+            assert caught.value is interrupt
+            assert (b"\x02" * 16 in record.used_nonces) == (change == "nonce")
+            assert len(registry.invoices) == (2 if change == "invoice" else 1)
+            assert _state(Registry.load(path)) == _state(registry)
+            _charge(registry, 3)  # no append to the journal left behind
+        assert _state(Registry.load(path)) == _state(registry)
+
+    @pytest.mark.parametrize("step", ["directory fsync", "journal start"])
+    def test_interrupt_after_the_rename_keeps_the_change(self, path, step):
+        interrupt = KeyboardInterrupt()
+
+        def interrupted(*args):
+            raise interrupt
+
+        with Registry.open(path) as registry:
+            record = registry.vehicles[0]
+            with pytest.MonkeyPatch.context() as mp:
+                if step == "directory fsync":
+                    mp.setattr(evabs.registry, "_fsync_directory", interrupted)
+                else:
+                    mp.setattr(_Journal, "start", interrupted)
+                with pytest.raises(KeyboardInterrupt) as caught:
+                    # no journal is live yet: the nonce saves whole
+                    registry.authenticate(record.lookup_key, b"\x01" * 16)
+            assert caught.value is interrupt
+            assert b"\x01" * 16 in record.used_nonces
+            assert _state(Registry.load(path)) == _state(registry)
+            _charge(registry, 2)
         assert _state(Registry.load(path)) == _state(registry)
 
 

@@ -6,6 +6,7 @@ missing freshness check on the terminal nonce)."""
 
 import ast
 import hashlib
+import inspect
 import logging
 import pathlib
 import re
@@ -97,6 +98,10 @@ BAD_LINES = [
     "snapshot now\n",
     "expect completed\n",
     "expect completed abc\n",
+    # only a failed outcome has a reason: these would always fail or pass
+    "expect completed 1 reason=mac_invalid\n",
+    "expect completed 0 reason=aborted\n",
+    "expect aborted 1 reason=mac_invalid\n",
     "expect accepted\n",
     "expect rejected x\n",
     "expect rejected 1 reason=bogus\n",
@@ -151,6 +156,18 @@ BAD_LINES = [
     "expect invoices 1 total=2 total=3\n",
     "flood 1 style=garbage style=mixed\n",
     "sweep auth_request mask=01 mask=02\n",
+    # vehicle references of no known form: after `session *`, run as written,
+    # the session before would consume a nonce and issue an invoice first
+    "session zz\n",
+    "session #\u0662\n",  # an Arabic-Indic two is not `#2`
+    "session #0\n",
+    "session #02\n",
+    "session #2x\n",
+    "session **\n",
+    f"session {'ab' * 15}\n",
+    f"session {'ab' * 17}\n",
+    "sessions 2 zz\n",
+    "revoke zz\n",
 ]
 
 
@@ -174,6 +191,15 @@ class TestParsing:
     def test_ordinal_reference_is_not_a_comment(self):
         scenario = parse_scenario("session #2 duration=1000  # second car\n")
         assert scenario.steps[0][1] == ["session", "#2", "duration=1000"]
+
+    def test_vehicle_reference_forms(self):
+        registry = seeded_registry(vehicles=3)
+        runner = ScenarioRunner(registry, seed=3)
+        id_hex = registry.vehicles[2].id_a.hex()
+        text = f"session *\nsession #2\nsession {id_hex}\nsession {id_hex.upper()}\n"
+        runner.execute(parse_scenario(text))
+        want = [registry.vehicles[i].id_a for i in (0, 1, 2, 2)]
+        assert [o.id_a for o in runner.outcomes] == want
 
     @pytest.mark.parametrize("text", BAD_LINES)
     def test_bad_directives_raise(self, text):
@@ -265,6 +291,53 @@ class TestUnfiredRules:
         assert not any(c.name.startswith("rule ") for c in report.checks)
 
 
+DECLARED = [row[0] for row in scenario._DIRECTIVES.values()]
+
+
+class TestGrammarTable:
+    """Every directive but `scenario`, `rule` and `expect` is declared once,
+    by its usage, in one row of scenario._DIRECTIVES."""
+
+    @pytest.mark.parametrize("usage", DECLARED)
+    def test_usage_is_the_error_and_the_docs(self, usage):
+        with pytest.raises(ScriptError, match=rf"^line 1: .*; usage: {re.escape(usage)}$"):
+            parse_scenario(f"{usage.split()[0]} ! ! ! !\n")
+        doc = scenario.__doc__
+        grammar = doc[doc.index("Grammar"):doc.index("VEHICLE is")]
+        assert re.search(rf"^    {re.escape(usage)}(  |$)", grammar, re.M)
+        assert f"`{usage}`" in _readme_scenario_files()
+
+    def test_readme_example_parses(self):
+        [example] = re.findall(r"```\n(.*?)```", _readme_scenario_files(), re.S)
+        assert parse_scenario(example).name == "replay"
+
+    @pytest.mark.parametrize("usage", DECLARED)
+    def test_row_matches_its_method(self, usage):
+        _, method, defaults = scenario._DIRECTIVES[usage.split()[0]]
+        positionals = [arg for arg in usage.split()[1:] if not arg.startswith("[")]
+        options = dict(re.findall(r"\[(\w+)=(\S+)\]", usage))
+        # self, the positionals, then the options, in the order of the usage:
+        # the step passes them all by position. A positional is named after
+        # its placeholder, or is `name` when it takes one of a list of words
+        names = [p.lower() if p in scenario._VALUES else "name" for p in positionals]
+        names += options
+        signature = inspect.signature(method)
+        params = list(signature.parameters.values())[1:]
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+        assert [p.name for p in params] == names
+        signature.bind(None, *names)
+        assert defaults.keys() <= options.keys()
+        # a named placeholder must have a value parser, else it reads as a word
+        for placeholder in [*positionals, *options.values()]:
+            assert placeholder in scenario._VALUES or placeholder.islower()
+
+
+def _readme_scenario_files():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    start = readme.index("\n## Scenario files\n")
+    return readme[start:readme.index("\n## ", start + 1)]
+
+
 class TestStepRefusalsNameTheLine:
     """What only a running step can refuse keeps its error class, so the
     exit code is unchanged, and names the step's line."""
@@ -290,13 +363,18 @@ class TestStepRefusalsNameTheLine:
         "ref, message",
         [
             ("#9", "no vehicle #9"),
-            ("zz", "bad vehicle reference 'zz'"),
             ("ff" * 16, "no vehicle ff"),
         ],
     )
     def test_vehicle_reference(self, ref, message):
+        # only whether a reference of good form names an enrolled vehicle
+        # waits for the run; a bad form is refused by parse_scenario
         with pytest.raises(ConfigError, match=rf"^line 3: {message}"):
             _runner().execute(parse_scenario(f"# a note\n\nsessions 2 {ref}\n"))
+
+    def test_empty_registry(self):
+        with pytest.raises(ConfigError, match="^line 1: registry has no enrolled vehicles"):
+            _runner(vehicles=0).execute(parse_scenario("probe splice-auth\n"))
 
 
 def test_only_the_line_loops_name_a_line():
@@ -608,8 +686,6 @@ class TestRunnerSessions:
         assert runner._resolve_vehicle(hex_ref) is registry.vehicles[2]
         with pytest.raises(ConfigError):
             runner._resolve_vehicle("#9")
-        with pytest.raises(ConfigError):
-            runner._resolve_vehicle("zz")
         with pytest.raises(ConfigError):
             runner._resolve_vehicle("ff" * 16)
 
