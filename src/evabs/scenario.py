@@ -62,9 +62,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
-from itertools import accumulate
 
-from evabs import crypto, wire
+from evabs import crypto
 from evabs.channel import (
     INSECURE,
     SECURE,
@@ -116,8 +115,8 @@ SWEEP_VARIANTS = ("auth_request", "start_charge")
 SCENARIO_ALIASES = {"mitm": ("tamper-m3", "tamper-m8")}
 
 # a forged auth request: its tag byte, then m3 || mac || n_a in one draw
-_AUTH_TAG = bytes([wire.TAG_AUTH_REQUEST])
-_AUTH_BODY_LEN = FRAME_LENGTHS["auth_request"] - 1
+_AUTH_TAG = bytes([AuthRequest.tag])
+_AUTH_BODY_LEN = AuthRequest.frame_len - 1
 
 _MASK64 = (1 << 64) - 1
 
@@ -798,10 +797,9 @@ class ScenarioRunner:
         auth = [o.frames["auth_request"] for o in self.outcomes if "auth_request" in o.frames]
         start = [o.frames["start_charge"] for o in self.outcomes if "start_charge" in o.frames]
         problems = []
-        # both frames: a tag byte, then a block, a MAC tag and a nonce
-        edges = list(accumulate((1, wire.BLOCK_SIZE, wire.TAG_SIZE, wire.NONCE_SIZE)))
-        for label, frames in (("auth_request", auth), ("start_charge", start)):
-            for lo, hi in zip(edges, edges[1:]):
+        for cls, frames in ((AuthRequest, auth), (StartCharge, start)):
+            label = cls.variant
+            for _, lo, hi in cls.layout.spans:
                 parts = [f[lo:hi] for f in frames]
                 if len(set(parts)) != len(parts):
                     problems.append(f"{label} bytes {lo}:{hi} repeat across sessions")
@@ -811,7 +809,7 @@ class ScenarioRunner:
                     same = sum(a == b for a, b in zip(frames[i][1:], frames[j][1:]))
                     if same > 5:
                         problems.append(
-                            f"{label} sessions {i} and {j} share {same}/{FRAME_LENGTHS[label] - 1}"
+                            f"{label} sessions {i} and {j} share {same}/{cls.frame_len - 1}"
                             " byte positions"
                         )
         self._check(

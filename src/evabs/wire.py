@@ -1,8 +1,12 @@
 """Tagged fixed-width frames for both simulated links.
 
 Every message serializes to one frame: a single tag byte followed by its
-fields in declaration order. Field widths are fixed (16-byte blocks and
-nonces, 32-byte tags and keys, 8-byte big-endian millisecond timestamps),
+fields in declaration order. Each message class states the shape of its
+frame once, as its layout: one struct code per field, built from the
+evabs.crypto sizes (16-byte blocks and nonces, 32-byte tags and keys), with
+8-byte big-endian millisecond timestamps and one-byte reason codes. Its
+frame length, encode, decode and field checks are all derived from that
+layout, and nothing else says where a field sits. Field widths are fixed,
 so a frame's length identifies its shape and the adversary can address any
 byte by position. Frames are the only thing the open link carries; they
 are what gets dropped, tampered, injected and replayed. The protected line
@@ -16,8 +20,10 @@ it hashes. Anything else is a FrameError.
 """
 
 import enum
+import struct
 from dataclasses import dataclass
-from typing import ClassVar
+from itertools import accumulate
+from operator import attrgetter
 
 from evabs.crypto import BLOCK_SIZE, KEY_SIZE, NONCE_SIZE, TAG_SIZE
 from evabs.errors import FrameError, checked_bytes, checked_int
@@ -36,23 +42,7 @@ __all__ = [
     "FRAME_LENGTHS",
 ]
 
-TAG_AUTH_REQUEST = 0x01
-TAG_LOOKUP_REQUEST = 0x02
-TAG_LOOKUP_REPLY = 0x03
-TAG_START_CHARGE = 0x04
-TAG_CHARGE_REPORT = 0x05
-TAG_FAILURE_NOTICE = 0x06
-
 TS_MAX = (1 << 64) - 1
-
-# frame lengths: tag byte plus fixed-width fields
-_AUTH_LEN = 1 + BLOCK_SIZE + TAG_SIZE + NONCE_SIZE
-_LOOKUP_LEN = 1 + BLOCK_SIZE + NONCE_SIZE
-_ACCEPTED_REPLY_LEN = 2 + BLOCK_SIZE + KEY_SIZE
-_REJECTED_REPLY_LEN = 3
-_START_LEN = 1 + BLOCK_SIZE + TAG_SIZE + NONCE_SIZE
-_REPORT_LEN = 1 + BLOCK_SIZE + 16
-_NOTICE_LEN = 2
 
 
 class Reason(enum.IntEnum):
@@ -77,162 +67,190 @@ class Reason(enum.IntEnum):
             raise FrameError(f"unknown reason label {label!r}") from None
 
 
-def _keep(msg, name, value, size):
-    """Hold byte field `name` of frozen `msg` as exactly `size` bytes."""
-    if type(value) is not bytes or len(value) != size:
-        object.__setattr__(msg, name, checked_bytes(name, value, size, FrameError))
+# The check of field `name` of message `msg`, by the last character of its
+# struct code, as a line of the message's __post_init__: one test that a
+# good value passes, else a call that holds a bytes-like value as bytes or
+# raises FrameError naming the field. "Ns" is N bytes, "Q" a timestamp in
+# 0..TS_MAX, "B" a Reason, "?" a bool, and "-" a field this layout leaves
+# None.
+_CHECKS = {
+    "s": "if type(msg.{name}) is not bytes or len(msg.{name}) != {size}:"
+    " _hold(msg, {name!r}, {size})",
+    "Q": "checked_int({name!r}, msg.{name}, 0, TS_MAX, FrameError)",
+    "B": "if type(msg.{name}) is not Reason: _refuse({name!r}, msg.{name}, 'a Reason')",
+    "?": "if type(msg.{name}) is not bool: _refuse({name!r}, msg.{name}, 'a bool')",
+    "-": "if msg.{name} is not None: _refuse({name!r}, msg.{name}, 'None in {label}')",
+}
 
 
-@dataclass(frozen=True)
+def _hold(msg, name, size):
+    value = checked_bytes(name, getattr(msg, name), size, FrameError)
+    object.__setattr__(msg, name, value)
+
+
+def _refuse(name, value, want):
+    raise FrameError(f"{name} must be {want}, got {type(value).__name__}")
+
+
+class Layout:
+    """One frame shape of message class `cls`: the tag byte, then its fields
+    packed big-endian by `codes`, one struct code per field in field order,
+    separated by spaces. `status` is the value of the first field that
+    picks this layout, for a class with more than one. `encode` and
+    `decode` turn a message into its frame and back, `lines` are the
+    checks of its fields, and `spans` says where each field sits."""
+
+    def __init__(self, cls, codes, status=None):
+        names = list(cls.__annotations__)
+        codes = codes.split()
+        packed = [(name, code) for name, code in zip(names, codes, strict=True) if code != "-"]
+        sizes = {name: struct.calcsize(code) for name, code in packed}
+        self.label = cls.variant if status is None else f"{cls.variant} with {names[0]}={status}"
+        self.cls = cls
+        self.names = tuple(sizes)
+        self.codes = tuple(code for _, code in packed)
+        self.fields = struct.Struct(">" + "".join(self.codes))
+        frame = struct.Struct(">B" + "".join(self.codes))
+        self.size = frame.size
+        pack, values = frame.pack, attrgetter("tag", *self.names)
+        self.encode = lambda msg: pack(*values(msg))
+        self.lines = [
+            _CHECKS[code[-1]].format(name=name, size=sizes.get(name), label=self.label)
+            for name, code in zip(names, codes)
+        ]
+        self.by_name = "-" in codes
+        edges = list(accumulate([1, *sizes.values()]))
+        # (field, first byte, byte past its end) for each field in the frame
+        self.spans = tuple(zip(self.names, edges, edges[1:]))
+
+    def decode(self, frame):
+        """The message in `frame`, a bytes frame that carries this layout's
+        tag (and status byte)."""
+        if len(frame) != self.size:
+            raise FrameError(f"{self.label} must be {self.size} bytes, got {len(frame)}")
+        values = self.fields.unpack_from(frame, 1)
+        if "B" in self.codes:
+            values = [_known(v) if code == "B" else v for v, code in zip(values, self.codes)]
+        if self.by_name:  # a field this layout leaves None may come before one it packs
+            return self.cls(**dict(zip(self.names, values)))
+        return self.cls(*values)
+
+
+def _known(code):
+    """The Reason a one-byte code read off a frame stands for."""
+    try:
+        return Reason(code)
+    except ValueError:
+        raise FrameError(f"unknown reason code {code}") from None
+
+
+def _post_init(lines):
+    """A __post_init__ whose body is `lines`. The field checks run as
+    straight-line code, the way dataclasses writes __init__: on CPython
+    3.11 a loop that calls a function per field makes building a message
+    about a quarter slower."""
+    namespace = {}
+    body = "".join(f"\n    {line}" for line in lines)
+    exec(f"def __post_init__(msg):{body}", globals(), namespace)
+    return namespace["__post_init__"]
+
+
+def _message(tag, variant, *layouts):
+    """Class decorator: `cls` as a frozen dataclass framed by the tag byte
+    and `layouts`. A class with two layouts has a bool first field, the
+    status byte after the tag, that picks layouts[status]."""
+
+    def frame(cls):
+        cls.tag, cls.variant = tag, variant
+        statuses = [None] if len(layouts) == 1 else [False, True]
+        cls.layouts = tuple(
+            Layout(cls, codes, status) for codes, status in zip(layouts, statuses, strict=True)
+        )
+        if len(layouts) == 1:
+            [layout] = cls.layouts
+            cls.layout, cls.frame_len = layout, layout.size
+            cls.__post_init__, cls.encode = _post_init(layout.lines), layout.encode
+        else:
+            # any status but True picks layouts[0], whose check of the status
+            # field then refuses a value that is not a bool
+            when_false, when_true = cls.layouts
+            status = when_true.names[0]
+
+            def pick(msg):
+                return when_true if getattr(msg, status) is True else when_false
+
+            cls.frame_len = property(lambda msg: pick(msg).size)
+            cls.encode = lambda msg: pick(msg).encode(msg)
+            cls.__post_init__ = _post_init(
+                [f"if msg.{status} is True:", *[f"    {line}" for line in when_true.lines]]
+                + ["else:", *[f"    {line}" for line in when_false.lines]]
+            )
+        return dataclass(frozen=True)(cls)
+
+    return frame
+
+
+@_message(0x01, "auth_request", f"{BLOCK_SIZE}s {TAG_SIZE}s {NONCE_SIZE}s")
 class AuthRequest:
     """Vehicle -> terminal: double-encrypted identity, tag, challenge nonce."""
-
-    variant: ClassVar[str] = "auth_request"
-    frame_len: ClassVar[int] = _AUTH_LEN
 
     m3: bytes
     mac: bytes
     n_a: bytes
 
-    def __post_init__(self):
-        _keep(self, "m3", self.m3, BLOCK_SIZE)
-        _keep(self, "mac", self.mac, TAG_SIZE)
-        _keep(self, "n_a", self.n_a, NONCE_SIZE)
 
-    def encode(self):
-        return bytes([TAG_AUTH_REQUEST]) + self.m3 + self.mac + self.n_a
-
-
-@dataclass(frozen=True)
+@_message(0x02, "lookup_request", f"{BLOCK_SIZE}s {NONCE_SIZE}s")
 class LookupRequest:
     """Terminal -> server: nonce-stripped lookup key plus the nonce itself."""
-
-    variant: ClassVar[str] = "lookup_request"
-    frame_len: ClassVar[int] = _LOOKUP_LEN
 
     m5: bytes
     n_a: bytes
 
-    def __post_init__(self):
-        _keep(self, "m5", self.m5, BLOCK_SIZE)
-        _keep(self, "n_a", self.n_a, NONCE_SIZE)
 
-    def encode(self):
-        return bytes([TAG_LOOKUP_REQUEST]) + self.m5 + self.n_a
-
-
-@dataclass(frozen=True)
+# status byte 0: a rejection and its reason; 1: the vehicle record
+@_message(0x03, "lookup_reply", "? - - B", f"? {BLOCK_SIZE}s {KEY_SIZE}s -")
 class LookupReply:
     """Server -> terminal: the vehicle record, or a rejection reason."""
-
-    variant: ClassVar[str] = "lookup_reply"
 
     accepted: bool
     id_a: bytes | None = None
     k_a: bytes | None = None
     reason: Reason | None = None
 
-    def __post_init__(self):
-        if self.accepted:
-            if self.id_a is None or self.k_a is None or self.reason is not None:
-                raise FrameError("accepted reply carries id_a and k_a only")
-            _keep(self, "id_a", self.id_a, BLOCK_SIZE)
-            _keep(self, "k_a", self.k_a, KEY_SIZE)
-        else:
-            if self.reason is None or self.id_a is not None or self.k_a is not None:
-                raise FrameError("rejected reply carries a reason only")
 
-    @property
-    def frame_len(self):
-        return _ACCEPTED_REPLY_LEN if self.accepted else _REJECTED_REPLY_LEN
-
-    def encode(self):
-        if self.accepted:
-            return bytes([TAG_LOOKUP_REPLY, 0x01]) + self.id_a + self.k_a
-        return bytes([TAG_LOOKUP_REPLY, 0x00, self.reason])
-
-
-@dataclass(frozen=True)
+@_message(0x04, "start_charge", f"{BLOCK_SIZE}s {TAG_SIZE}s {NONCE_SIZE}s")
 class StartCharge:
     """Terminal -> vehicle: double-encrypted start time, tag, terminal nonce."""
-
-    variant: ClassVar[str] = "start_charge"
-    frame_len: ClassVar[int] = _START_LEN
 
     m8: bytes
     mac: bytes
     n_t: bytes
 
-    def __post_init__(self):
-        _keep(self, "m8", self.m8, BLOCK_SIZE)
-        _keep(self, "mac", self.mac, TAG_SIZE)
-        _keep(self, "n_t", self.n_t, NONCE_SIZE)
 
-    def encode(self):
-        return bytes([TAG_START_CHARGE]) + self.m8 + self.mac + self.n_t
-
-
-@dataclass(frozen=True)
+@_message(0x05, "charge_report", f"{BLOCK_SIZE}s Q Q")
 class ChargeReport:
     """Terminal -> server: start/end times for billing, in the clear on the
     protected line only."""
-
-    variant: ClassVar[str] = "charge_report"
-    frame_len: ClassVar[int] = _REPORT_LEN
 
     id_a: bytes
     t1: int
     t5: int
 
-    def __post_init__(self):
-        _keep(self, "id_a", self.id_a, BLOCK_SIZE)
-        checked_int("t1", self.t1, 0, TS_MAX, FrameError)
-        checked_int("t5", self.t5, 0, TS_MAX, FrameError)
 
-    def encode(self):
-        return (
-            bytes([TAG_CHARGE_REPORT])
-            + self.id_a
-            + self.t1.to_bytes(8, "big")
-            + self.t5.to_bytes(8, "big")
-        )
-
-
-@dataclass(frozen=True)
+@_message(0x06, "failure_notice", "B")
 class FailureNotice:
     """Terminal -> vehicle: the session is over and why."""
 
-    variant: ClassVar[str] = "failure_notice"
-    frame_len: ClassVar[int] = _NOTICE_LEN
-
     reason: Reason
 
-    def __post_init__(self):
-        if not isinstance(self.reason, Reason):
-            raise FrameError("reason must be a Reason value")
 
-    def encode(self):
-        return bytes([TAG_FAILURE_NOTICE, self.reason])
+TAG_AUTH_REQUEST = AuthRequest.tag
 
-
-VARIANTS = {
-    TAG_AUTH_REQUEST: "auth_request",
-    TAG_LOOKUP_REQUEST: "lookup_request",
-    TAG_LOOKUP_REPLY: "lookup_reply",
-    TAG_START_CHARGE: "start_charge",
-    TAG_CHARGE_REPORT: "charge_report",
-    TAG_FAILURE_NOTICE: "failure_notice",
-}
-
+_MESSAGES = (AuthRequest, LookupRequest, LookupReply, StartCharge, ChargeReport, FailureNotice)
+_LAYOUTS = {cls.tag: cls.layouts for cls in _MESSAGES}
+VARIANTS = {cls.tag: cls.variant for cls in _MESSAGES}
 # the longest frame of each variant: every byte index a tamper can address
-FRAME_LENGTHS = {
-    "auth_request": _AUTH_LEN,
-    "lookup_request": _LOOKUP_LEN,
-    "lookup_reply": _ACCEPTED_REPLY_LEN,
-    "start_charge": _START_LEN,
-    "charge_report": _REPORT_LEN,
-    "failure_notice": _NOTICE_LEN,
-}
+FRAME_LENGTHS = {cls.variant: max(layout.size for layout in cls.layouts) for cls in _MESSAGES}
 
 
 def frame_variant(frame):
@@ -248,49 +266,14 @@ def decode_frame(frame):
     frame = checked_bytes("frame", frame, error=FrameError)
     if len(frame) == 0:
         raise FrameError("empty frame")
-    tag = frame[0]
-    if tag == TAG_AUTH_REQUEST:
-        if len(frame) != _AUTH_LEN:
-            raise FrameError(f"auth_request must be 65 bytes, got {len(frame)}")
-        return AuthRequest(m3=frame[1:17], mac=frame[17:49], n_a=frame[49:65])
-    if tag == TAG_LOOKUP_REQUEST:
-        if len(frame) != _LOOKUP_LEN:
-            raise FrameError(f"lookup_request must be 33 bytes, got {len(frame)}")
-        return LookupRequest(m5=frame[1:17], n_a=frame[17:33])
-    if tag == TAG_LOOKUP_REPLY:
-        if len(frame) < 2:
-            raise FrameError("truncated lookup_reply")
-        if frame[1] == 0x01:
-            if len(frame) != _ACCEPTED_REPLY_LEN:
-                raise FrameError(f"accepted lookup_reply must be 50 bytes, got {len(frame)}")
-            return LookupReply(accepted=True, id_a=frame[2:18], k_a=frame[18:50])
-        if frame[1] == 0x00:
-            if len(frame) != _REJECTED_REPLY_LEN:
-                raise FrameError(f"rejected lookup_reply must be 3 bytes, got {len(frame)}")
-            try:
-                reason = Reason(frame[2])
-            except ValueError:
-                raise FrameError(f"unknown reason code {frame[2]}") from None
-            return LookupReply(accepted=False, reason=reason)
-        raise FrameError(f"unknown lookup_reply status {frame[1]:#04x}")
-    if tag == TAG_START_CHARGE:
-        if len(frame) != _START_LEN:
-            raise FrameError(f"start_charge must be 65 bytes, got {len(frame)}")
-        return StartCharge(m8=frame[1:17], mac=frame[17:49], n_t=frame[49:65])
-    if tag == TAG_CHARGE_REPORT:
-        if len(frame) != _REPORT_LEN:
-            raise FrameError(f"charge_report must be 33 bytes, got {len(frame)}")
-        return ChargeReport(
-            id_a=frame[1:17],
-            t1=int.from_bytes(frame[17:25], "big"),
-            t5=int.from_bytes(frame[25:33], "big"),
-        )
-    if tag == TAG_FAILURE_NOTICE:
-        if len(frame) != _NOTICE_LEN:
-            raise FrameError(f"failure_notice must be 2 bytes, got {len(frame)}")
-        try:
-            reason = Reason(frame[1])
-        except ValueError:
-            raise FrameError(f"unknown reason code {frame[1]}") from None
-        return FailureNotice(reason=reason)
-    raise FrameError(f"unknown frame tag {tag:#04x}")
+    layouts = _LAYOUTS.get(frame[0])
+    if layouts is None:
+        raise FrameError(f"unknown frame tag {frame[0]:#04x}")
+    if len(layouts) == 1:
+        return layouts[0].decode(frame)
+    variant = VARIANTS[frame[0]]
+    if len(frame) < 2:
+        raise FrameError(f"truncated {variant}")
+    if frame[1] >= len(layouts):
+        raise FrameError(f"unknown {variant} status {frame[1]:#04x}")
+    return layouts[frame[1]].decode(frame)

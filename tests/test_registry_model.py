@@ -3,13 +3,15 @@
 A hypothesis state machine drives one registry file: register, revoke,
 authenticate with a fresh or a repeated nonce, bill, write an int too large
 to write, and reopen. Each change may be a failure step: its k-th os.write,
-os.fsync or os.replace call, counted together, raises OSError. A change
-whose fault fired raises StorageError. It says "persist failed" when the
-fault came before the change's commit point, and the model then says the
-change did not happen; it says "persist incomplete" when the fault came
-after, and the model keeps the change. After every step the file loads to
-exactly what the registry holds in memory, and that is what the model
-holds."""
+os.fsync or os.replace call, counted together, raises OSError or
+KeyboardInterrupt. A change whose OSError fired raises StorageError. It says
+"persist failed" when the fault came before the change's commit point, and
+the model then says the change did not happen; it says "persist incomplete"
+when the fault came after, and the model keeps the change. An interrupt
+comes back out as it was raised and does not say which side of the commit
+point it came from, so the model then takes the change or not, as memory
+holds it. After every step the file loads to exactly what the registry
+holds in memory, and that is what the model holds."""
 
 import errno
 import os
@@ -31,8 +33,9 @@ TARIFF = 3
 IDS = [bytes([i]) * crypto.BLOCK_SIZE for i in range(1, 4)]
 MAX_DURATION = 2**40
 _Kept = object()  # a change's StorageError said the file holds it
-# no fault, or the call of the change that fails
-FAULTS = st.none() | st.integers(1, 8)
+_Either = object()  # a change was interrupted: the file may or may not hold it
+# no fault, or the call of the change that fails and what it raises
+FAULTS = st.none() | st.tuples(st.integers(1, 8), st.sampled_from([OSError, KeyboardInterrupt]))
 
 
 def _key(id_a):
@@ -57,10 +60,12 @@ def _state(registry):
 
 
 class _Faults:
-    """Make the k-th os.write, os.fsync or os.replace raise while patched in."""
+    """For a fault (k, kind), make the k-th os.write, os.fsync or os.replace
+    call raise an OSError or a KeyboardInterrupt while patched in."""
 
-    def __init__(self, k):
-        self.k = k
+    def __init__(self, fault):
+        self.k, kind = fault or (0, OSError)
+        self.interrupt = KeyboardInterrupt() if kind is KeyboardInterrupt else None
         self.calls = 0
         self.fired = False
 
@@ -69,6 +74,8 @@ class _Faults:
             self.calls += 1
             if self.calls == self.k:
                 self.fired = True
+                if self.interrupt is not None:
+                    raise self.interrupt
                 raise OSError(errno.EIO, f"injected fault in os.{name}")
             return real(*args, **kwargs)
 
@@ -102,29 +109,39 @@ class RegistryModel(RuleBasedStateMachine):
             shutil.rmtree(self.dir)
 
     def _change(self, fault, call, *args):
-        """call(*args) with its fault-th call failing, if any: its result,
-        or whether a StorageError said the change was kept."""
-        faults = _Faults(fault or 0)
+        """call(*args) with the os call that `fault` names failing, if any:
+        its result, or whether a StorageError said the change was kept, or
+        _Either after an interrupt."""
+        faults = _Faults(fault)
         patches = faults.patches()
         for patch in patches:
             patch.start()
         try:
             return call(*args), faults
         except StorageError as exc:
-            assert faults.fired
+            assert faults.fired and faults.interrupt is None
             if str(exc).startswith("persist incomplete, "):
                 assert "dropped" not in str(exc)
                 return _Kept, faults
             assert str(exc).startswith("persist failed, "), exc
             return StorageError, faults
+        except KeyboardInterrupt as exc:
+            assert exc is faults.interrupt
+            return _Either, faults
         finally:
             for patch in reversed(patches):
                 patch.stop()
 
     def _settle(self, outcome, faults, vehicles, invoices):
         """Adopt the state after a change unless it failed before its
-        commit point."""
+        commit point; after an interrupt, the state before or after it,
+        whichever memory holds."""
         if outcome is StorageError:
+            return
+        if outcome is _Either:
+            state = _state(self.registry)
+            assert state in ((self.vehicles, self.invoices), (vehicles, invoices))
+            self.vehicles, self.invoices = state
             return
         assert outcome is _Kept or not faults.fired
         self.vehicles, self.invoices = vehicles, invoices
@@ -170,7 +187,7 @@ class RegistryModel(RuleBasedStateMachine):
         elif nonce in nonces:
             assert outcome == (None, Reason.REPLAY_DETECTED)
         else:
-            if outcome not in (StorageError, _Kept):
+            if outcome not in (StorageError, _Kept, _Either):
                 assert outcome[0].id_a == id_a and outcome[1] is None
             vehicles = {**self.vehicles, id_a: (balance, revoked, nonces | {nonce})}
             self._settle(outcome, faults, vehicles, list(self.invoices))

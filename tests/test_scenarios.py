@@ -338,6 +338,21 @@ def _readme_scenario_files():
     return readme[start:readme.index("\n## ", start + 1)]
 
 
+@pytest.mark.parametrize("variant", ["auth_request", "start_charge"])
+def test_repeated_frames_name_the_byte_spans_of_their_fields(variant):
+    # a tag byte, then a block, a MAC tag and a nonce
+    runner = _runner()
+    runner.execute(parse_scenario("session *\nsession *\n"))
+    frame = runner.outcomes[0].frames[variant]
+    runner.outcomes.append(SimpleNamespace(frames={variant: frame}))
+    runner.execute(parse_scenario("expect fresh-frames\n"))
+    [check] = runner.checks
+    assert check.status == "FAIL"
+    assert check.detail.split("; ")[1:] == [
+        f"{variant} bytes {span} repeat across sessions" for span in ("1:17", "17:49", "49:65")
+    ]
+
+
 class TestStepRefusalsNameTheLine:
     """What only a running step can refuse keeps its error class, so the
     exit code is unchanged, and names the step's line."""

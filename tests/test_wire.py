@@ -1,6 +1,9 @@
 """Frame encoding tests: exact sizes, lossless round trips, and strict
 rejection of anything that is not a byte-exact encoding."""
 
+import pathlib
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +27,17 @@ messages = st.one_of(
     st.builds(wire.ChargeReport, id_a=block, t1=millis, t5=millis),
     st.builds(wire.FailureNotice, reason=reasons),
 )
+
+# one message of each shape, and its frame length
+SHAPES = [
+    (wire.AuthRequest(m3=bytes(16), mac=bytes(32), n_a=bytes(16)), 65),
+    (wire.LookupRequest(m5=bytes(16), n_a=bytes(16)), 33),
+    (wire.LookupReply(accepted=True, id_a=bytes(16), k_a=bytes(32)), 50),
+    (wire.LookupReply(accepted=False, reason=wire.Reason.ABORTED), 3),
+    (wire.StartCharge(m8=bytes(16), mac=bytes(32), n_t=bytes(16)), 65),
+    (wire.ChargeReport(id_a=bytes(16), t1=0, t5=1), 33),
+    (wire.FailureNotice(reason=wire.Reason.ABORTED), 2),
+]
 
 
 class TestRoundTrip:
@@ -81,6 +95,14 @@ class TestStrictDecode:
         with pytest.raises(FrameError):
             wire.decode_frame(msg.encode() + extra)
 
+    @pytest.mark.parametrize("msg,size", SHAPES, ids=[f"{m.variant}-{n}" for m, n in SHAPES])
+    def test_one_byte_short_or_long_names_the_variant_and_its_length(self, msg, size):
+        frame = msg.encode()
+        for bad in (frame[:-1], frame + b"\x00"):
+            message = rf"^{msg.variant}\b.* must be {size} bytes, got {len(bad)}$"
+            with pytest.raises(FrameError, match=message):
+                wire.decode_frame(bad)
+
     @pytest.mark.parametrize("tag", [0x00, 0x07, 0x7F, 0xFF])
     def test_rejects_unknown_tag(self, tag):
         with pytest.raises(FrameError):
@@ -130,6 +152,18 @@ class TestFieldValidation:
             wire.LookupReply(
                 accepted=False, reason=wire.Reason.ABORTED, k_a=b"\x02" * 32
             )
+
+    @pytest.mark.parametrize("reason", [300, "x", 99, 3, 3.0], ids=repr)
+    def test_rejected_reply_needs_reason_enum(self, reason):
+        with pytest.raises(FrameError, match="^reason must be a Reason, got "):
+            wire.LookupReply(accepted=False, reason=reason)
+
+    @pytest.mark.parametrize("accepted", [2, None, 1, 0, "yes"], ids=repr)
+    def test_reply_status_must_be_a_bool(self, accepted):
+        with pytest.raises(FrameError, match="^accepted must be a bool, got "):
+            wire.LookupReply(accepted=accepted, id_a=bytes(16), k_a=bytes(32))
+        with pytest.raises(FrameError, match="^accepted must be a bool, got "):
+            wire.LookupReply(accepted=accepted, reason=wire.Reason.ABORTED)
 
     def test_report_rejects_bad_timestamps(self):
         with pytest.raises(FrameError):
@@ -201,3 +235,32 @@ class TestBytesLikeFields:
             wire.ChargeReport(id_a=bytes(16), t1=True, t5=5)
         with pytest.raises(FrameError):
             wire.ChargeReport(id_a=bytes(16), t1=0, t5=False)
+
+
+def _readme_frames():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    start = readme.index("\n## Frames\n")
+    return readme[start:readme.index("\n## ", start + 1)]
+
+
+LAYOUTS = [layout for cls in wire._MESSAGES for layout in cls.layouts]
+
+
+class TestFramesTable:
+    """README's "Frames" section has one row per frame shape, each built
+    here from its message class, so the docs follow the layouts."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=[layout.label for layout in LAYOUTS])
+    def test_row_is_in_the_readme(self, layout):
+        fields = ", ".join(f"`{name}` {hi - lo}" for name, lo, hi in layout.spans)
+        row = f"| `{layout.label}` | `{layout.cls.tag:#04x}` | {fields} | {layout.size} |"
+        assert f"\n{row}\n" in _readme_frames()
+
+    def test_one_row_per_shape(self):
+        rows = re.findall(r"^\| `", _readme_frames(), re.M)
+        assert len(rows) == len(LAYOUTS) == len(SHAPES)
+
+    def test_reason_codes(self):
+        text = " ".join(_readme_frames().split())
+        for reason in wire.Reason:
+            assert f"{reason.value} `{reason.label}`" in text
