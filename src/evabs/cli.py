@@ -50,6 +50,7 @@ from evabs.errors import (
     InvalidSeed,
     ScriptError,
     StorageError,
+    checked_int,
 )
 from evabs.registry import Registry, lock_file
 from evabs.scenario import (
@@ -59,14 +60,21 @@ from evabs.scenario import (
     run_named_scenario,
 )
 
-_SEED_MAX = (1 << 64) - 1
+
+def _int_value(what, base=10, hi=None):
+    """argparse type: an int in 0..hi written in `base`, else "must be `what`"."""
+
+    def convert(text):
+        try:
+            return checked_int("value", int(text, base), 0, hi, ValueError)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}") from None
+
+    return convert
 
 
-def _seed_value(text):
-    value = int(text, 0)
-    if not 0 <= value <= _SEED_MAX:
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
-    return value
+_seed = _int_value("an integer in 0..2**64-1", base=0, hi=(1 << 64) - 1)
+_uint = _int_value("a non-negative integer")
 
 
 def _hex_bytes(size):
@@ -283,14 +291,14 @@ def cmd_invoices(args):
 
 
 def _init_options(p):
-    p.add_argument("--tariff", type=int, required=True, help="price per started second")
+    p.add_argument("--tariff", type=_uint, required=True, help="price per started second")
     p.add_argument("--force", action="store_true", help="overwrite an existing file")
 
 
 def _register_options(p):
     p.add_argument("--vehicle", type=_hex_bytes(16), help="vehicle id (32 hex); generated if absent")
     p.add_argument("--key", type=_hex_bytes(32), help="vehicle key (64 hex); generated if absent")
-    p.add_argument("--balance", type=int, default=0, help="opening balance in minor units")
+    p.add_argument("--balance", type=_uint, default=0, help="opening balance in minor units")
     p.add_argument("--owner", default="", help="free-form owner label")
 
 
@@ -300,8 +308,8 @@ def _revoke_options(p):
 
 def _session_options(p):
     p.add_argument("--vehicle", type=_hex_bytes(16), help="defaults to the only active vehicle")
-    p.add_argument("--duration", type=int, required=True, help="planned charge time in ms")
-    p.add_argument("--budget", type=int, help="cut charging once accrued cost reaches this")
+    p.add_argument("--duration", type=_uint, required=True, help="planned charge time in ms")
+    p.add_argument("--budget", type=_uint, help="cut charging once accrued cost reaches this")
     p.add_argument("--transcript", help="write the frame transcript (JSON lines)")
     p.add_argument("--json", action="store_true", help="machine-readable result")
 
@@ -325,16 +333,16 @@ def _invoices_options(p):
 
 _SEED_HELP = "seed for all randomness (64-bit)"
 
-# name -> (help, --seed help, options, handler), in the order help lists them
+# name -> (help, --seed help or None for no --seed, options, handler), in help's order
 _COMMANDS = {
     "init": ("create a registry file", "seed for group key generation",
              _init_options, cmd_init),
     "register": ("enroll a vehicle", "seed for credential generation",
                  _register_options, cmd_register),
-    "revoke": ("disable a vehicle", _SEED_HELP, _revoke_options, cmd_revoke),
+    "revoke": ("disable a vehicle", None, _revoke_options, cmd_revoke),
     "session": ("run one honest charge session", _SEED_HELP, _session_options, cmd_session),
     "attack": ("run an adversary scenario", _SEED_HELP, _attack_options, cmd_attack),
-    "invoices": ("list issued invoices", _SEED_HELP, _invoices_options, cmd_invoices),
+    "invoices": ("list issued invoices", None, _invoices_options, cmd_invoices),
 }
 
 
@@ -346,7 +354,8 @@ def _formatter():
 def _add_command(parser, name):
     _, seed_help, add_options, handler = _COMMANDS[name]
     parser.add_argument("--registry", help="registry file (default: $EVABS_REGISTRY)")
-    parser.add_argument("--seed", type=_seed_value, help=seed_help)
+    if seed_help is not None:
+        parser.add_argument("--seed", type=_seed, help=seed_help)
     add_options(parser)
     parser.set_defaults(func=handler, command=name)
     return parser
@@ -382,9 +391,6 @@ def parse_args(argv):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parse_args(argv)
-    for flag in ("duration", "budget"):
-        if (getattr(args, flag, None) or 0) < 0:
-            build_parser().error(f"--{flag} must be non-negative")
     try:
         return args.func(args)
     except (ConfigError, ScriptError, InvalidInput, InvalidSeed) as exc:

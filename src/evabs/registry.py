@@ -404,8 +404,13 @@ class Registry:
         """The registry in the file at `path`, under lock_file(path) for the
         block, each change made durable in `path` and its journal before
         the call that made it returns. Temp files that killed saves of
-        `path` left are removed first. On exit the path is unbound: no write
+        `path` left are removed first, and a path with no file is refused
+        before the lock file is made. On exit the path is unbound: no write
         after the unlock."""
+        try:
+            os.stat(path)
+        except OSError as exc:
+            raise StorageError(f"cannot read registry {path}: {exc}") from exc
         with lock_file(path):
             _remove_stale_temps(path)
             registry = cls.load(path)

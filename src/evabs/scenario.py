@@ -21,7 +21,17 @@ Grammar (# starts a comment unless a digit follows, blank lines ignored):
     probe replay-start-charge|splice-auth         the stale-t2 replay, or a recorded
                                                   m3+mac with a fresh nonce
     report nonce-store                            note per-vehicle nonce growth
-    expect WHAT ...                               record PASS or FAIL
+    expect completed N                            each expect form records PASS
+    expect aborted N                              or FAIL, in a check named
+    expect accepted N                             after its line
+    expect failed N [reason=LABEL]
+    expect rejected N [reason=LABEL]
+    expect invoices N [total=AMOUNT]
+    expect no-secrets [ids|keys|all]
+    expect fresh-frames
+    expect registry-unchanged
+    expect energy-off
+    expect sweep no-charging|mac-invalid
 
 VEHICLE is `*` (first enrolled), `#K` (K-th enrolled, 1-based, in ASCII
 digits) or a 32-hex id. ACTION is drop | delay=MS | tamper=IDX:MASKHEX |
@@ -34,24 +44,16 @@ replay seq, a tamper index past the variant's frame, a mask outside 01..ff).
 A rule still unfired when the run ends adds a FAIL check naming its line. A
 sweep takes auth_request or start_charge and the same 01..ff mask.
 
-expect forms:
-    expect completed N | aborted N | accepted N
-    expect failed N [reason=LABEL] | rejected N [reason=LABEL]
-    expect invoices N [total=AMOUNT]
-    expect no-secrets [ids|keys|all]
-    expect fresh-frames
-    expect registry-unchanged
-    expect energy-off
-    expect sweep no-charging | expect sweep mac-invalid
-
 Failed expectations never raise; they mark the report FAIL and the run
 carries on, so one broken defense does not hide another. A malformed line
 (unknown word, missing or non-integer count, unknown reason label, unknown,
 extra or repeated argument, a vehicle reference of no form above) raises
-ScriptError in parse_scenario, before any line runs. Only what a running
-step can refuse waits: a vehicle reference that names no enrolled vehicle
-(that needs the registry), a charge time past the 64-bit timestamp range, a
-rule that cannot act on the frame in hand (which records nothing of it).
+ScriptError in parse_scenario, before any line runs, whose message ends in
+the line's usage above but for `scenario` and an unknown directive. Only
+what a running step can refuse waits: a vehicle reference that names no
+enrolled vehicle (that needs the registry), a charge time past the 64-bit
+timestamp range, a rule that cannot act on the frame in hand (which records
+nothing of it).
 parse_scenario and ScenarioRunner.execute add `line N: ` to what line N
 raises, keeping its error class; no other code knows line numbers.
 """
@@ -232,24 +234,29 @@ def _parse_action(token):
     raise ScriptError(f"unknown action {token!r}")
 
 
-def _parse_rule(tokens):
-    """`rule CHANNEL VARIANT [nth=K] ACTION`. A rule that could never fire
-    as written is refused here, so a typo cannot pass for an attack that ran
-    and was stopped."""
-    if len(tokens) < 4:
-        raise ScriptError("rule CHANNEL VARIANT [nth=K] ACTION")
-    channel, variant = tokens[1], tokens[2]
+# the one line with a parser of its own: its Rule is checked as a whole when made
+_RULE = "rule CHANNEL VARIANT [nth=K] ACTION"
+
+
+def _parse_rule(words):
+    """The Rule that a rule line's words after `rule` arm. A rule that
+    could never fire as written is refused here, so a typo cannot pass for
+    an attack that ran and was stopped."""
+    nth = 1
+    if len(words) > 2 and words[2].startswith("nth="):
+        nth = _parse_int(words[2][4:], "nth")
+        words = words[:2] + words[3:]
+    if len(words) < 3:
+        raise ScriptError(f"missing {('CHANNEL', 'VARIANT', 'ACTION')[len(words)]}")
+    channel, variant, action, *extra = words
     if channel == SECURE:
         raise ScriptError("the secure line carries messages, not frames; no rule matches there")
     if channel != INSECURE:
         raise ScriptError(f"unknown channel {channel!r}")
-    nth, rest = 1, tokens[3:]
-    if rest[0].startswith("nth="):
-        nth = _parse_int(rest[0][4:], "nth")
-        rest = rest[1:]
-    if len(rest) != 1:
-        raise ScriptError(f"rule takes exactly one action, got {' '.join(rest)!r}")
-    return ScenarioRunner._add_rule, (Rule(variant, nth, _parse_action(rest[0])),)
+    rule = Rule(variant, nth, _parse_action(action))
+    if extra:
+        raise ScriptError(f"unexpected token {extra[0]!r}")
+    return rule
 
 
 def _parse_options(tokens, allowed):
@@ -279,51 +286,6 @@ def _parse_count(value, what):
     return number
 
 
-# counted expect forms, `expect WHAT N [KEY=VALUE]`: WHAT -> its one KEY, if any
-_COUNTED = {
-    "completed": None,
-    "aborted": None,
-    "failed": "reason",
-    "accepted": None,
-    "rejected": "reason",
-    "invoices": "total",
-}
-
-
-def _parse_counted(what, args):
-    """(N, VALUE) for a counted expect form: a reason comes back as a Reason,
-    a total as an int, an absent KEY=VALUE as None."""
-    if not args:
-        raise ScriptError(f"expect {what} needs a count")
-    want = _parse_count(args[0], f"expect {what} count")
-    key = _COUNTED[what]
-    value = _parse_options(args[1:], {key}).get(key)
-    if value is None:
-        return want, None
-    if key == "total":
-        return want, _parse_count(value, "total")
-    try:
-        return want, Reason.from_label(value)
-    except FrameError:
-        raise ScriptError(f"unknown reason {value!r}") from None
-
-
-def _parse_expect(tokens):
-    """`expect WHAT ...`: the form's check method, whose first argument is
-    the check's name, the line itself."""
-    name, what, args = " ".join(tokens), tokens[1] if len(tokens) > 1 else "", tokens[2:]
-    if what in _COUNTED:
-        return ScenarioRunner._expect_count, (name, what, *_parse_counted(what, args))
-    if what not in _UNCOUNTED:
-        raise ScriptError(f"unknown expectation {what!r}")
-    check, choices = _UNCOUNTED[what]
-    arg = args[0] if args else None
-    if len(args) > 1 or arg not in choices:
-        allowed = "|".join(c for c in choices if c) or "no argument"
-        raise ScriptError(f"expect {what} takes {allowed}, got {' '.join(args)!r}")
-    return check, (name, *args)
-
-
 def _vehicle(text, what):
     """`*`, `#K` (K from 1, in ASCII digits) or a 32-hex id; whether it names
     an enrolled vehicle waits for its step, which has the registry."""
@@ -345,41 +307,67 @@ def _sweep_mask(text, what):
     return mask
 
 
+def _reason(text, what):
+    try:
+        return Reason.from_label(text)
+    except FrameError:
+        raise ScriptError(f"unknown reason {text!r}") from None
+
+
 # the parser of each named placeholder; any other one lists its words, split by |
 _VALUES = {
     "COUNT": _parse_count,
     "MS": _parse_count,
     "N": _parse_count,
+    "AMOUNT": _parse_count,
     "VEHICLE": _vehicle,
     "VARIANT": partial(_one_of, SWEEP_VARIANTS),
     "HH": _sweep_mask,
+    "LABEL": _reason,
 }
+
+
+def _select(tokens):
+    """The usage of the row a line names, and how many of the line's words
+    name it: its first word, and its second too where rows share the first."""
+    usages = [usage for usage in _DIRECTIVES if usage.split()[0] == tokens[0]]
+    if not usages:
+        raise ScriptError(f"unknown directive {tokens[0]!r}")
+    if len(usages) == 1:
+        return usages[0], 1
+    forms = {usage.split()[1]: usage for usage in usages}
+    what = tokens[1] if len(tokens) > 1 else ""
+    if what not in forms:
+        raise ScriptError(
+            f"unknown {tokens[0]} form {what!r}; usage: {tokens[0]} {'|'.join(forms)} ..."
+        )
+    return forms[what], 2
 
 
 def _parse_step(tokens):
     """The runner method and checked arguments of one directive line. A
-    declared directive's method takes the positionals, then each option in
-    usage order, its default (or None) if the line leaves it out; a
-    malformed line of one is a ScriptError that ends in its usage."""
-    if tokens[0] == "rule":
-        return _parse_rule(tokens)
-    if tokens[0] == "expect":
-        return _parse_expect(tokens)
-    if tokens[0] not in _DIRECTIVES:
-        raise ScriptError(f"unknown directive {tokens[0]!r}")
-    usage, method, defaults = _DIRECTIVES[tokens[0]]
-    form = usage.split()[1:]  # PLACEHOLDER..., then [KEY=PLACEHOLDER]...
-    positionals = [arg for arg in form if not arg.startswith("[")]
-    options = dict(arg[1:-1].split("=") for arg in form if arg.startswith("["))
+    row's method takes the positionals, then each option in usage order,
+    its default (or None) if the line leaves it out; a bracketed word list
+    is a positional that may be left out, None if it is. A malformed line
+    is a ScriptError that ends in its usage."""
+    usage, named_by = (_RULE, 1) if tokens[0] == "rule" else _select(tokens)
+    form, words = usage.split()[named_by:], tokens[named_by:]
+    required = [arg for arg in form if not arg.startswith("[")]
+    positionals = [arg.strip("[]") for arg in form if "=" not in arg]
+    options = dict(arg[1:-1].split("=") for arg in form if "=" in arg)
 
     def value(text, placeholder, what):
         return _VALUES.get(placeholder, partial(_one_of, placeholder.split("|")))(text, what)
 
     try:
-        if len(tokens) <= len(positionals):
-            raise ScriptError(f"missing {positionals[len(tokens) - 1]}")
-        args = [value(text, p, p) for p, text in zip(positionals, tokens[1:])]
-        given = _parse_options(tokens[1 + len(positionals):], options)
+        if usage == _RULE:
+            return ScenarioRunner._add_rule, (_parse_rule(words),)
+        method, defaults = _DIRECTIVES[usage]
+        if len(words) < len(required):
+            raise ScriptError(f"missing {required[len(words)]}")
+        args = [value(text, p, p) for p, text in zip(positionals, words)]
+        args += [None] * (len(positionals) - len(args))
+        given = _parse_options(words[len(positionals):], options)
         for key, p in options.items():
             args.append(value(given[key], p, key) if key in given else defaults.get(key))
     except ScriptError as exc:
@@ -736,64 +724,66 @@ class ScenarioRunner:
 
     # -- expectations ------------------------------------------------------
 
-    def _phase_count(self, phase, reason=None):
-        hits = [o for o in self.outcomes if o.phase == phase]
-        if reason is not None:
-            hits = [o for o in hits if o.reason == reason.label]
-        return len(hits)
-
     def _check(self, name, ok, detail):
         self.checks.append(CheckResult(name, "PASS" if ok else "FAIL", detail))
 
-    def _expect_count(self, name, what, want, value):
-        """A counted expect form; value is its reason or total, or None."""
-        ok, detail = True, ""
-        if what == "accepted":
-            got = self.server.accepted
-        elif what == "rejected":
-            rejected = self.server.rejected
-            got = sum(rejected.values()) if value is None else rejected.get(value, 0)
-        elif what == "invoices":
-            issued = self.registry.invoices[self._invoices_start:]
-            got = len(issued)
-            if value is not None:
-                amount = sum(inv.amount for inv in issued)
-                ok = amount == value
-                detail = f"; total expected {value}, got {amount}"
-        else:
-            got = self._phase_count(what, value)
-        self._check(name, ok and got == want, f"expected {want}, got {got}{detail}")
+    # an expect form's method returns (ok, detail); execute names the check after its line
 
-    def _expect_registry_unchanged(self, name):
+    @staticmethod
+    def _count(n, got, ok=True, detail=""):
+        return ok and got == n, f"expected {n}, got {got}{detail}"
+
+    def _expect_completed(self, n):
+        return self._count(n, sum(o.phase == "completed" for o in self.outcomes))
+
+    def _expect_aborted(self, n):
+        return self._count(n, sum(o.phase == "aborted" for o in self.outcomes))
+
+    def _expect_failed(self, n, reason):
+        failed = [o.reason for o in self.outcomes if o.phase == "failed"]
+        return self._count(n, len(failed) if reason is None else failed.count(reason.label))
+
+    def _expect_accepted(self, n):
+        return self._count(n, self.server.accepted)
+
+    def _expect_rejected(self, n, reason):
+        rejected = self.server.rejected
+        return self._count(n, sum(rejected.values()) if reason is None else rejected.get(reason, 0))
+
+    def _expect_invoices(self, n, total):
+        issued = self.registry.invoices[self._invoices_start:]
+        if total is None:
+            return self._count(n, len(issued))
+        amount = sum(inv.amount for inv in issued)
+        detail = f"; total expected {total}, got {amount}"
+        return self._count(n, len(issued), amount == total, detail)
+
+    def _expect_registry_unchanged(self):
         if self._snapshot is None:
-            self._check(name, False, "no snapshot directive before this expect")
-            return
+            return False, "no snapshot directive before this expect"
         same = self.registry.snapshot() == self._snapshot
-        self._check(name, same, "registry state matches snapshot" if same else "state drifted")
+        return same, "registry state matches snapshot" if same else "state drifted"
 
-    def _expect_energy_off(self, name):
-        self._check(
-            name, not self.terminal.energy_on,
-            f"active charges: {len(self.terminal.active)}",
-        )
+    def _expect_energy_off(self):
+        return not self.terminal.energy_on, f"active charges: {len(self.terminal.active)}"
 
-    def _expect_no_secrets(self, name, scope="all"):
+    def _expect_no_secrets(self, name):
+        """name is ids, keys, or all (None)."""
         needles = []
-        if scope in ("ids", "all"):
+        if name != "keys":
             needles += [("id", rec.id_a) for rec in self.registry.vehicles]
-        if scope in ("keys", "all"):
+        if name != "ids":
             needles += [("key", rec.k_a) for rec in self.registry.vehicles]
             needles.append(("group-key", self.registry.group_key))
         frames = [e.frame for e in self.transcript if e.channel == INSECURE]
         hits = [label for label, needle in needles if any(needle in frame for frame in frames)]
-        self._check(
-            name,
+        return (
             not hits,
             f"searched {len(frames)} open-link frames for {len(needles)} secrets"
             + (f"; leaked: {', '.join(hits)}" if hits else ""),
         )
 
-    def _expect_fresh_frames(self, name):
+    def _expect_fresh_frames(self):
         auth = [o.frames["auth_request"] for o in self.outcomes if "auth_request" in o.frames]
         start = [o.frames["start_charge"] for o in self.outcomes if "start_charge" in o.frames]
         problems = []
@@ -812,49 +802,43 @@ class ScenarioRunner:
                             f"{label} sessions {i} and {j} share {same}/{cls.frame_len - 1}"
                             " byte positions"
                         )
-        self._check(
-            name,
+        return (
             not problems,
             f"{len(auth)} auth + {len(start)} start frames compared"
             + ("; " + "; ".join(problems[:3]) if problems else ""),
         )
 
-    def _expect_sweep(self, name, mode):
+    def _expect_sweep(self, name):
+        """name is no-charging or mac-invalid."""
         if not self.sweeps:
-            self._check(name, False, "no sweep ran before this expect")
-            return
-        if mode == "no-charging":
+            return False, "no sweep ran before this expect"
+        if name == "no-charging":
             bad = [
                 (variant, r["position"])
                 for variant, results in self.sweeps.items()
                 for r in results
                 if r["phase"] in ("charging", "completed")
             ]
-            self._check(
-                name,
+            return (
                 not bad,
                 f"{sum(len(r) for r in self.sweeps.values())} tampered sessions, "
                 + (f"charging reached at {bad[:3]}" if bad else "none reached charging"),
             )
-            return
-        if mode == "mac-invalid":
-            results = self.sweeps.get("start_charge")
-            if results is None:
-                self._check(name, False, "no start_charge sweep ran")
-                return
-            bad = [
-                r["position"]
-                for r in results
-                if (r["position"] == 0 and r["phase"] in ("charging", "completed"))
-                or (r["position"] > 0 and r["reason"] != Reason.MAC_INVALID.label)
-            ]
-            self._check(
-                name,
-                not bad,
-                "every tampered body byte fails the vehicle's tag check"
-                if not bad
-                else f"positions {bad[:5]} did not fail as mac_invalid",
-            )
+        results = self.sweeps.get("start_charge")
+        if results is None:
+            return False, "no start_charge sweep ran"
+        bad = [
+            r["position"]
+            for r in results
+            if (r["position"] == 0 and r["phase"] in ("charging", "completed"))
+            or (r["position"] > 0 and r["reason"] != Reason.MAC_INVALID.label)
+        ]
+        return (
+            not bad,
+            "every tampered body byte fails the vehicle's tag check"
+            if not bad
+            else f"positions {bad[:5]} did not fail as mac_invalid",
+        )
 
     # -- what the other directives do ---------------------------------------
 
@@ -912,13 +896,16 @@ class ScenarioRunner:
         )
 
     def execute(self, scenario):
-        """Run the steps in order; what step N raises gains `line N: `."""
+        """Run the steps in order; what step N raises gains `line N: `, and
+        what an expect form returns is a check named after its line."""
         earlier = len(self.script.rules)
-        for lineno, _, method, args in scenario.steps:
+        for lineno, tokens, method, args in scenario.steps:
             try:
-                method(self, *args)
+                check = method(self, *args)
             except (ConfigError, InvalidInput, ScriptError) as exc:
                 raise type(exc)(f"line {lineno}: {exc}") from None
+            if check is not None:
+                self._check(" ".join(tokens), *check)
         # a rule that never fired tested nothing; its line must not read as
         # a defense that held. This run's rules follow the script's earlier
         # ones, in the order of their lines
@@ -943,30 +930,31 @@ class ScenarioRunner:
         )
 
 
-# the other expect forms, `expect WHAT [ARG]`: WHAT -> the check method and
-# the ARG values it accepts, None standing for an absent ARG
-_UNCOUNTED = {
-    "no-secrets": (ScenarioRunner._expect_no_secrets, (None, "ids", "keys", "all")),
-    "fresh-frames": (ScenarioRunner._expect_fresh_frames, (None,)),
-    "registry-unchanged": (ScenarioRunner._expect_registry_unchanged, (None,)),
-    "energy-off": (ScenarioRunner._expect_energy_off, (None,)),
-    "sweep": (ScenarioRunner._expect_sweep, ("no-charging", "mac-invalid")),
+# every directive but `scenario` and `rule`, declared once: its usage
+# `DIRECTIVE [FORM] ARG... [KEY=PLACEHOLDER]...`, then the runner method its
+# line calls and the defaults of its options that are not None
+_DIRECTIVES = {
+    "session VEHICLE [duration=MS] [budget=N]": (ScenarioRunner._session, {"duration": 5000}),
+    "sessions COUNT VEHICLE [duration=MS]": (ScenarioRunner._sessions, {"duration": 5000}),
+    "advance MS": (ScenarioRunner._advance, {}),
+    "revoke VEHICLE": (ScenarioRunner._revoke, {}),
+    "snapshot": (ScenarioRunner._take_snapshot, {}),
+    "flood COUNT [style=wellformed|garbage|mixed]": (ScenarioRunner.flood, {"style": "wellformed"}),
+    "sweep VARIANT [mask=HH]": (ScenarioRunner._sweep, {"mask": 0x01}),
+    "probe replay-start-charge|splice-auth": (ScenarioRunner._probe, {}),
+    "report nonce-store": (ScenarioRunner._report, {}),
+    "expect completed N": (ScenarioRunner._expect_completed, {}),
+    "expect aborted N": (ScenarioRunner._expect_aborted, {}),
+    "expect accepted N": (ScenarioRunner._expect_accepted, {}),
+    "expect failed N [reason=LABEL]": (ScenarioRunner._expect_failed, {}),
+    "expect rejected N [reason=LABEL]": (ScenarioRunner._expect_rejected, {}),
+    "expect invoices N [total=AMOUNT]": (ScenarioRunner._expect_invoices, {}),
+    "expect no-secrets [ids|keys|all]": (ScenarioRunner._expect_no_secrets, {}),
+    "expect fresh-frames": (ScenarioRunner._expect_fresh_frames, {}),
+    "expect registry-unchanged": (ScenarioRunner._expect_registry_unchanged, {}),
+    "expect energy-off": (ScenarioRunner._expect_energy_off, {}),
+    "expect sweep no-charging|mac-invalid": (ScenarioRunner._expect_sweep, {}),
 }
-
-# every directive but `scenario`, `rule` and `expect`, declared once: its usage
-# `DIRECTIVE ARG... [KEY=PLACEHOLDER]...`, the runner method its line calls,
-# and the defaults of its options that are not None
-_DIRECTIVES = {usage.split()[0]: (usage, method, defaults) for usage, method, defaults in [
-    ("session VEHICLE [duration=MS] [budget=N]", ScenarioRunner._session, {"duration": 5000}),
-    ("sessions COUNT VEHICLE [duration=MS]", ScenarioRunner._sessions, {"duration": 5000}),
-    ("advance MS", ScenarioRunner._advance, {}),
-    ("revoke VEHICLE", ScenarioRunner._revoke, {}),
-    ("snapshot", ScenarioRunner._take_snapshot, {}),
-    ("flood COUNT [style=wellformed|garbage|mixed]", ScenarioRunner.flood, {"style": "wellformed"}),
-    ("sweep VARIANT [mask=HH]", ScenarioRunner._sweep, {"mask": 0x01}),
-    ("probe replay-start-charge|splice-auth", ScenarioRunner._probe, {}),
-    ("report nonce-store", ScenarioRunner._report, {}),
-]}
 
 # the one link each direction runs on
 _LINK = {V2T: INSECURE, T2V: INSECURE, T2S: SECURE, S2T: SECURE}

@@ -248,6 +248,51 @@ class TestSession:
             cli("session", "--registry", registry_path, "--duration", "-5", "--seed", "11")
         assert err.value.code == 2
 
+    def test_missing_registry_exits_3_and_leaves_no_lock_file(self, cli, tmp_path):
+        path = tmp_path / "missing.json"
+        code, _, err = cli("session", "--registry", str(path), "--duration", "1000")
+        assert code == 3
+        assert err.startswith(f"storage error: cannot read registry {path}: [Errno 2] ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("init", "--tariff", "-2"),
+            ("register", "--balance", "-1"),
+            ("session", "--duration", "1000", "--budget", "-5"),
+            ("session", "--duration", "-5"),
+        ],
+        ids=lambda argv: argv[-2],
+    )
+    def test_negative_values_are_refused_by_the_commands_parser(self, capsys, tmp_path, argv):
+        # before the command runs, so not even a lock file is made
+        path = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exit_:
+            main([argv[0], "--registry", str(path), *argv[1:]])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: evabs {argv[0]} ")
+        assert err.endswith(
+            f"error: argument {argv[-2]}: must be a non-negative integer, got {argv[-1]!r}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["x", "-1", "0x10000000000000000", "1.5"])
+    def test_a_bad_seed_says_what_a_seed_must_be(self, capsys, value):
+        with pytest.raises(SystemExit):
+            main(["attack", "--scenario", "replay", "--seed", value])
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"error: argument --seed: must be an integer in 0..2**64-1, got {value!r}\n"
+        )
+
+    @pytest.mark.parametrize("command", ["revoke", "invoices"])
+    def test_only_commands_that_draw_randomness_take_a_seed(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--vehicle", VEHICLE, "--seed", "4"])
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --seed 4\n")
+
     def test_corrupt_registry_is_a_storage_error(self, cli, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{ nope")
@@ -780,12 +825,13 @@ _PINNED_OUTPUT = {
         _SESSION_USAGE
         + "evabs session: error: the following arguments are required: --duration\n",
     ),
-    # errors the top-level parser raises after a command was selected
     ("session", "--duration", "-5", "--registry", "x"): (
         2,
         "",
-        _TOP_USAGE + "evabs: error: --duration must be non-negative\n",
+        _SESSION_USAGE
+        + "evabs session: error: argument --duration: must be a non-negative integer, got '-5'\n",
     ),
+    # an error the top-level parser raises after a command was selected
     ("session", "--duration", "5", "--bogus"): (
         2,
         "",
@@ -873,7 +919,7 @@ class TestParser:
             ["init", "--registry", "r.json", "--tariff", "3", "--seed", "0x10", "--force"],
             ["register", "--registry", "r.json", "--vehicle", VEHICLE, "--key", KEY,
              "--balance", "7", "--owner", "demo"],
-            ["revoke", "--vehicle", VEHICLE, "--seed", "4"],
+            ["revoke", "--vehicle", VEHICLE],
             ["session", "--registry", "r.json", "--vehicle", VEHICLE, "--duration", "1500",
              "--budget", "9", "--transcript", "t.jsonl", "--json"],
             ["attack", "--scenario", "mitm", "--report", "r.txt", "--json"],
@@ -891,16 +937,16 @@ class TestParser:
             assert _parsed(parse_args, argv) == _parsed(build_parser().parse_args, argv)
 
     @pytest.mark.parametrize(
-        "argv, usage_error",
+        "argv, usage_error, full_build",
         [
-            (["--duration", "1000", "--seed", "11"], False),
-            (["--duration", "5", "--bogus"], True),
-            (["--duration", "-5"], True),
+            (["--duration", "1000", "--seed", "11"], False, False),
+            (["--duration", "5", "--bogus"], True, True),
+            (["--duration", "-5"], True, False),
         ],
         ids=["success", "leftover-argument", "negative-duration"],
     )
     def test_session_builds_the_full_parser_only_for_a_usage_error(
-        self, argv, usage_error, cli, registry_path, monkeypatch
+        self, argv, usage_error, full_build, cli, registry_path, monkeypatch
     ):
         progs, reads = [], []
         init, get_terminal_size = argparse.ArgumentParser.__init__, shutil.get_terminal_size
@@ -920,6 +966,6 @@ class TestParser:
         except SystemExit as exc:
             code = exc.code
         full = ["evabs", *(f"evabs {name}" for name in _OPTIONS)]
-        assert progs == ["evabs session", *(full if usage_error else [])]
-        assert len(reads) == (2 if usage_error else 1)  # one width read per build
+        assert progs == ["evabs session", *(full if full_build else [])]
+        assert len(reads) == (2 if full_build else 1)  # one width read per build
         assert code == (2 if usage_error else 0)

@@ -759,6 +759,13 @@ class TestOpen:
         assert [inv.t5 for inv in loaded.invoices] == [1000]
         assert loaded.find(record.id_a).balance == 100_000 - 2
 
+    def test_a_path_with_no_file_leaves_no_lock_file(self, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(StorageError, match=r"^cannot read registry .*: \[Errno 2\] "):
+            with Registry.open(path):
+                pass
+        assert list(tmp_path.iterdir()) == []
+
     def test_holds_the_lock_file_for_the_block(self, path):
         with Registry.open(path):
             fd = os.open(f"{path}.lock", os.O_RDWR)

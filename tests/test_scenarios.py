@@ -291,21 +291,52 @@ class TestUnfiredRules:
         assert not any(c.name.startswith("rule ") for c in report.checks)
 
 
-DECLARED = [row[0] for row in scenario._DIRECTIVES.values()]
+DECLARED = list(scenario._DIRECTIVES)
+USAGES = [*DECLARED, scenario._RULE]
+
+
+def _named_by(usage):
+    """The words of a usage that name its row: the row _select picks for
+    them must be the usage's own."""
+    if usage == scenario._RULE:
+        return 1
+    selected, count = scenario._select(usage.split())
+    assert selected == usage
+    return count
 
 
 class TestGrammarTable:
-    """Every directive but `scenario`, `rule` and `expect` is declared once,
-    by its usage, in one row of scenario._DIRECTIVES."""
+    """Every directive but `scenario` is declared once, by its usage: `rule`
+    by scenario._RULE, each other one, every `expect` form included, by one
+    row of scenario._DIRECTIVES."""
 
-    @pytest.mark.parametrize("usage", DECLARED)
+    @pytest.mark.parametrize("usage", USAGES)
     def test_usage_is_the_error_and_the_docs(self, usage):
+        head = " ".join(usage.split()[:_named_by(usage)])
         with pytest.raises(ScriptError, match=rf"^line 1: .*; usage: {re.escape(usage)}$"):
-            parse_scenario(f"{usage.split()[0]} ! ! ! !\n")
+            parse_scenario(f"{head} ! ! ! !\n")
         doc = scenario.__doc__
         grammar = doc[doc.index("Grammar"):doc.index("VEHICLE is")]
         assert re.search(rf"^    {re.escape(usage)}(  |$)", grammar, re.M)
         assert f"`{usage}`" in _readme_scenario_files()
+
+    @pytest.mark.parametrize("text", BAD_LINES)
+    def test_every_malformed_line_ends_in_its_usage(self, text):
+        # but for `scenario` and a word that names no directive
+        line = text.splitlines()[-1]
+        with pytest.raises(ScriptError) as error:
+            parse_scenario(text)
+        if line.split()[0] in ("scenario", "teleport"):
+            return
+        usage = str(error.value).rpartition("; usage: ")[2]
+        assert usage in USAGES
+        assert line.split()[:_named_by(usage)] == usage.split()[:_named_by(usage)]
+
+    @pytest.mark.parametrize("line", ["expect", "expect bogus"])
+    def test_an_unknown_form_lists_the_forms(self, line):
+        forms = "|".join(usage.split()[1] for usage in DECLARED if usage.startswith("expect "))
+        with pytest.raises(ScriptError, match=rf"; usage: expect {re.escape(forms)} \.\.\.$"):
+            parse_scenario(f"{line}\n")
 
     def test_readme_example_parses(self):
         [example] = re.findall(r"```\n(.*?)```", _readme_scenario_files(), re.S)
@@ -313,8 +344,12 @@ class TestGrammarTable:
 
     @pytest.mark.parametrize("usage", DECLARED)
     def test_row_matches_its_method(self, usage):
-        _, method, defaults = scenario._DIRECTIVES[usage.split()[0]]
-        positionals = [arg for arg in usage.split()[1:] if not arg.startswith("[")]
+        method, defaults = scenario._DIRECTIVES[usage]
+        words = [arg for arg in usage.split()[_named_by(usage):] if "=" not in arg]
+        # a bracketed word list is a positional that may be left out, so only
+        # the last positional may be one
+        assert not any(arg.startswith("[") for arg in words[:-1])
+        positionals = [arg.strip("[]") for arg in words]
         options = dict(re.findall(r"\[(\w+)=(\S+)\]", usage))
         # self, the positionals, then the options, in the order of the usage:
         # the step passes them all by position. A positional is named after
