@@ -21,10 +21,11 @@ A Rule checks itself once, when a scenario file or a caller makes it: a
 variant no agent puts on the open link, nth below 1, a negative delay or
 replay seq, a tamper index past the variant's frame, a mask outside
 0x01..0xff or an injected frame that is not bytes-like is a ScriptError
-before any frame is sent. When the rule fires, Network.send checks only
-what depends on the frame in hand (a tamper index past a frame shorter than
-its variant, a replay seq that names no recorded open-link frame), before
-the trigger frame is transcribed: a refused rule records nothing of it.
+before any frame is sent, and so is a listed rule with no nth, which could
+never fire. When the rule fires, Network.send checks only what depends on
+the frame in hand (a tamper index past a frame shorter than its variant, a
+replay seq that names no recorded open-link frame), before the trigger
+frame is transcribed: a refused rule records nothing of it.
 
 Triggers match on observable bytes only (frame variant, nth occurrence),
 never on agent state, so the adversary cannot cheat by reading hidden
@@ -109,7 +110,7 @@ class Rule:
     rule could get wrong without seeing a frame is a ScriptError here."""
 
     variant: str
-    nth: int | None  # None: the next occurrence after the rule is armed
+    nth: int | None  # None: the next occurrence after arm_ephemeral
     action: object
 
     def __post_init__(self):
@@ -143,12 +144,17 @@ class AdversaryScript:
     """
 
     def __init__(self, rules=()):
-        self.rules = list(rules)
+        self.rules = []
         self._ephemeral = []
         self._counts = {}
         self._fired = set()
+        for rule in rules:
+            self.add_rule(rule)
 
     def add_rule(self, rule):
+        """List a rule; one with no nth could never fire, so it is refused."""
+        if rule.nth is None:
+            raise ScriptError("a listed rule needs an nth; nth=None is for arm_ephemeral")
         self.rules.append(rule)
 
     def arm_ephemeral(self, rule):

@@ -62,13 +62,17 @@ from evabs.scenario import (
 
 
 def _int_value(what, base=10, hi=None):
-    """argparse type: an int in 0..hi written in `base`, else "must be `what`"."""
+    """argparse type: an int in 0..hi written in `base` in ASCII letters and
+    digits alone, so no sign, space, `_` or other script's digits; else
+    "must be `what`"."""
 
     def convert(text):
         try:
-            return checked_int("value", int(text, base), 0, hi, ValueError)
+            if text.isascii() and text.isalnum():
+                return checked_int("value", int(text, base), 0, hi, ValueError)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}") from None
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
 
     return convert
 

@@ -16,7 +16,7 @@ Grammar (# starts a comment unless a digit follows, blank lines ignored):
     snapshot                                      remember registry state
     rule CHANNEL VARIANT [nth=K] ACTION           arm an adversary rule
     flood COUNT [style=wellformed|garbage|mixed]  forged frames, no keys used
-    sweep VARIANT [mask=HH]                       one session per byte position,
+    sweep auth_request|start_charge [mask=HH]     one session per byte position,
                                                   flipping that byte's bits
     probe replay-start-charge|splice-auth         the stale-t2 replay, or a recorded
                                                   m3+mac with a fresh nonce
@@ -33,16 +33,18 @@ Grammar (# starts a comment unless a digit follows, blank lines ignored):
     expect energy-off
     expect sweep no-charging|mac-invalid
 
-VEHICLE is `*` (first enrolled), `#K` (K-th enrolled, 1-based, in ASCII
-digits) or a 32-hex id. ACTION is drop | delay=MS | tamper=IDX:MASKHEX |
-inject=HEXBYTES | replay[=SEQ]. Rules fire once, on the nth occurrence of
-their frame variant (counted from run start). A rule that could never fire
-as written is a ScriptError at parse time: the secure channel (it carries
-messages, not frames), or anything channel.Rule refuses when it is made (a
-variant no agent sends on the open link, nth below 1, a negative delay or
-replay seq, a tamper index past the variant's frame, a mask outside 01..ff).
-A rule still unfired when the run ends adds a FAIL check naming its line. A
-sweep takes auth_request or start_charge and the same 01..ff mask.
+VEHICLE is `*` (first enrolled), `#K` (K-th enrolled, 1-based) or a 32-hex
+id. CHANNEL is `insecure`, VARIANT one of channel.RULE_VARIANTS, and ACTION
+drop | delay=MS | tamper=IDX (mask ff) | tamper=IDX:HH | inject=HEXBYTES |
+replay | replay=SEQ. Numbers are ASCII decimal digits and HH bare hex digits:
+no sign, `_`, `0x` or other script's digits. A KEY=VALUE option may stand
+anywhere after the words that name its line. Rules fire once, on the nth
+occurrence of their frame variant (counted from run start). A rule that
+could never fire as written is a ScriptError at parse time: the secure
+channel (it carries messages, not frames), or anything channel.Rule refuses
+when it is made (nth below 1, a tamper index past the variant's frame, a
+mask outside 01..ff). A rule still unfired when the run ends adds a FAIL
+check naming its line. A sweep takes the same 01..ff mask.
 
 Failed expectations never raise; they mark the report FAIL and the run
 carries on, so one broken defense does not hide another. A malformed line
@@ -68,6 +70,7 @@ from importlib import resources
 from evabs import crypto
 from evabs.channel import (
     INSECURE,
+    RULE_VARIANTS,
     SECURE,
     AdversaryScript,
     Delay,
@@ -109,10 +112,6 @@ V2T = "vehicle->terminal"
 T2V = "terminal->vehicle"
 T2S = "terminal->server"
 S2T = "server->terminal"
-
-# the two frames every honest session puts on the open link; a sweep flips
-# each of their byte positions in turn
-SWEEP_VARIANTS = ("auth_request", "start_charge")
 
 SCENARIO_ALIASES = {"mitm": ("tamper-m3", "tamper-m8")}
 
@@ -209,7 +208,18 @@ class ScenarioReport:
 # -- parsing ------------------------------------------------------------
 
 
-def _parse_action(token):
+def _parse_count(value, what, base=10):
+    """A count, millisecond value, index or seq in ASCII decimal digits, or a
+    mask in base 16 in bare hex digits: no sign, `_`, `0x` or other digits."""
+    if not re.fullmatch("[0-9a-fA-F]+" if base == 16 else "[0-9]+", value):
+        raise ScriptError(f"{what} must be {'hex' if base == 16 else 'decimal'} digits, got {value!r}")
+    try:
+        return int(value, base)
+    except ValueError:  # more decimal digits than int() converts
+        raise ScriptError(f"{what} has {len(value)} digits, too many") from None
+
+
+def _parse_action(token, what):
     if token == "drop":
         return Drop()
     if token == "replay":
@@ -217,15 +227,13 @@ def _parse_action(token):
     if "=" in token:
         key, _, value = token.partition("=")
         if key == "delay":
-            return Delay(_parse_int(value, "delay"))
+            return Delay(_parse_count(value, "delay"))
         if key == "replay":
-            return Replay(_parse_int(value, "replay seq"))
+            return Replay(_parse_count(value, "replay seq"))
         if key == "tamper":
-            index, _, mask = value.partition(":")
-            return Tamper(
-                _parse_int(index, "tamper index"),
-                _parse_int(mask, "mask", base=16) if mask else 0xFF,
-            )
+            index, colon, mask = value.partition(":")
+            mask = _parse_count(mask, "mask", 16) if colon else 0xFF
+            return Tamper(_parse_count(index, "tamper index"), mask)
         if key == "inject":
             try:
                 return Inject(bytes.fromhex(value))
@@ -234,56 +242,16 @@ def _parse_action(token):
     raise ScriptError(f"unknown action {token!r}")
 
 
-# the one line with a parser of its own: its Rule is checked as a whole when made
-_RULE = "rule CHANNEL VARIANT [nth=K] ACTION"
-
-
-def _parse_rule(words):
-    """The Rule that a rule line's words after `rule` arm. A rule that
-    could never fire as written is refused here, so a typo cannot pass for
-    an attack that ran and was stopped."""
-    nth = 1
-    if len(words) > 2 and words[2].startswith("nth="):
-        nth = _parse_int(words[2][4:], "nth")
-        words = words[:2] + words[3:]
-    if len(words) < 3:
-        raise ScriptError(f"missing {('CHANNEL', 'VARIANT', 'ACTION')[len(words)]}")
-    channel, variant, action, *extra = words
-    if channel == SECURE:
+def _channel(text, what):
+    if text == SECURE:
         raise ScriptError("the secure line carries messages, not frames; no rule matches there")
-    if channel != INSECURE:
-        raise ScriptError(f"unknown channel {channel!r}")
-    rule = Rule(variant, nth, _parse_action(action))
-    if extra:
-        raise ScriptError(f"unexpected token {extra[0]!r}")
-    return rule
+    return _one_of((INSECURE,), text, what)
 
 
-def _parse_options(tokens, allowed):
-    options = {}
-    for token in tokens:
-        key, eq, value = token.partition("=")
-        if not eq or key not in allowed:
-            raise ScriptError(f"unexpected token {token!r}")
-        if key in options:
-            raise ScriptError(f"{key}= given more than once")
-        options[key] = value
-    return options
-
-
-def _parse_int(value, what, base=10):
-    try:
-        return int(value, base)
-    except ValueError:
-        raise ScriptError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _parse_count(value, what):
-    """_parse_int for counts and millisecond values, which are never negative."""
-    number = _parse_int(value, what)
-    if number < 0:
-        raise ScriptError(f"{what} must not be negative, got {number}")
-    return number
+def _rule(channel, variant, action, nth):
+    """A rule line's Rule, made and so checked as a whole when the line is
+    parsed: a typo cannot pass for an attack that ran and was stopped."""
+    return (Rule(variant, nth, action),)
 
 
 def _vehicle(text, what):
@@ -302,8 +270,8 @@ def _one_of(words, text, what):
 
 def _sweep_mask(text, what):
     """A hex mask, refused now if Rule refuses it in a sweep's rules."""
-    mask = _parse_int(text, what, base=16)
-    Rule(SWEEP_VARIANTS[0], None, Tamper(0, mask))
+    mask = _parse_count(text, what, 16)
+    Rule(RULE_VARIANTS[0], None, Tamper(0, mask))
     return mask
 
 
@@ -320,8 +288,11 @@ _VALUES = {
     "MS": _parse_count,
     "N": _parse_count,
     "AMOUNT": _parse_count,
+    "K": _parse_count,
     "VEHICLE": _vehicle,
-    "VARIANT": partial(_one_of, SWEEP_VARIANTS),
+    "CHANNEL": _channel,
+    "VARIANT": partial(_one_of, RULE_VARIANTS),
+    "ACTION": _parse_action,
     "HH": _sweep_mask,
     "LABEL": _reason,
 }
@@ -346,12 +317,15 @@ def _select(tokens):
 
 def _parse_step(tokens):
     """The runner method and checked arguments of one directive line. A
-    row's method takes the positionals, then each option in usage order,
-    its default (or None) if the line leaves it out; a bracketed word list
-    is a positional that may be left out, None if it is. A malformed line
-    is a ScriptError that ends in its usage."""
-    usage, named_by = (_RULE, 1) if tokens[0] == "rule" else _select(tokens)
-    form, words = usage.split()[named_by:], tokens[named_by:]
+    row's method (or its maker, if it has one) takes the positionals, then
+    each option in usage order, its default (or None) if the line leaves it
+    out; a bracketed word list is a positional that may be left out, None if
+    it is. A KEY=VALUE word whose KEY is one of the row's options may stand
+    anywhere after the words that name the row. A malformed line is a
+    ScriptError that ends in its usage."""
+    usage, named_by = _select(tokens)
+    method, defaults, *make = _DIRECTIVES[usage]
+    form = usage.split()[named_by:]
     required = [arg for arg in form if not arg.startswith("[")]
     positionals = [arg.strip("[]") for arg in form if "=" not in arg]
     options = dict(arg[1:-1].split("=") for arg in form if "=" in arg)
@@ -360,16 +334,25 @@ def _parse_step(tokens):
         return _VALUES.get(placeholder, partial(_one_of, placeholder.split("|")))(text, what)
 
     try:
-        if usage == _RULE:
-            return ScenarioRunner._add_rule, (_parse_rule(words),)
-        method, defaults = _DIRECTIVES[usage]
+        words, given = [], {}
+        for word in tokens[named_by:]:
+            key, eq, text = word.partition("=")
+            if not (eq and key in options):
+                words.append(word)
+            elif key in given:
+                raise ScriptError(f"{key}= given more than once")
+            else:
+                given[key] = text
         if len(words) < len(required):
             raise ScriptError(f"missing {required[len(words)]}")
+        if len(words) > len(positionals):
+            raise ScriptError(f"unexpected token {words[len(positionals)]!r}")
         args = [value(text, p, p) for p, text in zip(positionals, words)]
         args += [None] * (len(positionals) - len(args))
-        given = _parse_options(words[len(positionals):], options)
         for key, p in options.items():
             args.append(value(given[key], p, key) if key in given else defaults.get(key))
+        if make:
+            args = make[0](*args)
     except ScriptError as exc:
         raise ScriptError(f"{exc}; usage: {usage}") from None
     return method, tuple(args)
@@ -875,8 +858,9 @@ class ScenarioRunner:
     def _add_rule(self, rule):
         self.script.add_rule(rule)
 
-    def _sweep(self, variant, mask):
-        self.run_sweep(self._resolve_vehicle("*"), variant, mask)
+    def _sweep(self, name, mask):
+        """`sweep` names the frame to sweep, auth_request or start_charge."""
+        self.run_sweep(self._resolve_vehicle("*"), name, mask)
 
     def _probe(self, name):
         """`probe NAME` calls probe_NAME, - read as _, on the first enrolled vehicle."""
@@ -930,17 +914,19 @@ class ScenarioRunner:
         )
 
 
-# every directive but `scenario` and `rule`, declared once: its usage
+# every directive but `scenario`, declared once: its usage
 # `DIRECTIVE [FORM] ARG... [KEY=PLACEHOLDER]...`, then the runner method its
-# line calls and the defaults of its options that are not None
+# line calls, the defaults of its options that are not None and, for a line
+# whose arguments are checked together, the maker of the method's arguments
 _DIRECTIVES = {
     "session VEHICLE [duration=MS] [budget=N]": (ScenarioRunner._session, {"duration": 5000}),
     "sessions COUNT VEHICLE [duration=MS]": (ScenarioRunner._sessions, {"duration": 5000}),
     "advance MS": (ScenarioRunner._advance, {}),
     "revoke VEHICLE": (ScenarioRunner._revoke, {}),
     "snapshot": (ScenarioRunner._take_snapshot, {}),
+    "rule CHANNEL VARIANT [nth=K] ACTION": (ScenarioRunner._add_rule, {"nth": 1}, _rule),
     "flood COUNT [style=wellformed|garbage|mixed]": (ScenarioRunner.flood, {"style": "wellformed"}),
-    "sweep VARIANT [mask=HH]": (ScenarioRunner._sweep, {"mask": 0x01}),
+    "sweep auth_request|start_charge [mask=HH]": (ScenarioRunner._sweep, {"mask": 0x01}),
     "probe replay-start-charge|splice-auth": (ScenarioRunner._probe, {}),
     "report nonce-store": (ScenarioRunner._report, {}),
     "expect completed N": (ScenarioRunner._expect_completed, {}),

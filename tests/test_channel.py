@@ -168,6 +168,16 @@ class TestRuleMatching:
         net.send(INSECURE, "to_terminal", AUTH)
         assert script.unfired() == [1, 2]
 
+    def test_a_listed_rule_without_nth_is_refused(self):
+        # it could never match, and unfired() would report it forever
+        rule = Rule("auth_request", None, Drop())
+        with pytest.raises(ScriptError, match="^a listed rule needs an nth"):
+            AdversaryScript([rule])
+        script = AdversaryScript()
+        with pytest.raises(ScriptError, match="^a listed rule needs an nth"):
+            script.add_rule(rule)
+        assert script.rules == [] and script.unfired() == []
+
     def test_ephemeral_takes_priority_over_listed_rules(self):
         script = AdversaryScript([Rule("auth_request", 1, Drop())])
         script.arm_ephemeral(Rule("auth_request", None, Tamper(index=1, mask=1)))

@@ -278,7 +278,21 @@ class TestSession:
         )
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("value", ["x", "-1", "0x10000000000000000", "1.5"])
+    @pytest.mark.parametrize("value", ["1_000", "\u0665", " 5", "+5", "5 "])
+    def test_a_number_is_ascii_digits_alone(self, capsys, tmp_path, value):
+        # int() would read each of these as a number
+        path = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exit_:
+            main(["session", "--registry", str(path), "--duration", value])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --duration: must be a non-negative integer, got {value!r}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "value", ["x", "-1", "0x10000000000000000", "1.5", "1_0", "\u0661", "+1", " 1"]
+    )
     def test_a_bad_seed_says_what_a_seed_must_be(self, capsys, value):
         with pytest.raises(SystemExit):
             main(["attack", "--scenario", "replay", "--seed", value])
@@ -300,6 +314,15 @@ class TestSession:
         assert code == 3
         assert "storage error" in err
 
+
+    @pytest.mark.parametrize("content", ["[]", "1", "null"])
+    def test_registry_that_is_not_an_object_exits_3(self, cli, tmp_path, content):
+        path = tmp_path / "r.json"
+        path.write_text(content)
+        code, out, err = cli("invoices", "--registry", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == f"storage error: registry {path} must be a JSON object\n"
 
     def test_unwritable_transcript_exits_3_after_the_invoice_is_saved(
         self, cli, registry_path, tmp_path

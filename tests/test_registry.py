@@ -639,6 +639,14 @@ class TestLoadCanonical:
         with pytest.raises(StorageError, match=re.escape(f"registry {path} is not valid JSON")):
             Registry.load(path)
 
+    @pytest.mark.parametrize("content", ["[]", "1", "null"])
+    def test_json_that_is_not_an_object_is_a_storage_error(self, tmp_path, content):
+        path = tmp_path / "registry.json"
+        path.write_text(content)
+        message = f"registry {path} must be a JSON object"
+        with pytest.raises(StorageError, match=rf"^{re.escape(message)}$"):
+            Registry.load(path)
+
     @pytest.mark.parametrize(
         "locate, where",
         [

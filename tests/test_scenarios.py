@@ -5,6 +5,7 @@ statuses are INFO (measurements) and EXPECTED-WEAKNESS (the documented
 missing freshness check on the terminal nonce)."""
 
 import ast
+import functools
 import hashlib
 import inspect
 import logging
@@ -15,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 from evabs import crypto, scenario, wire
-from evabs.channel import SECURE
+from evabs.channel import SECURE, Replay, Rule, Tamper
 from evabs.errors import ConfigError, InvalidInput, InvalidSeed, ScriptError
 from evabs.registry import Registry
 from evabs.scenario import (
@@ -168,6 +169,23 @@ BAD_LINES = [
     f"session {'ab' * 17}\n",
     "sessions 2 zz\n",
     "revoke zz\n",
+    # numbers that int() reads: only ASCII decimal digits make one, and only
+    # bare hex digits a mask
+    "rule insecure auth_request nth=1 tamper=1:\n",
+    "rule insecure auth_request nth=+1 drop\n",
+    "rule insecure auth_request tamper=1:0x01\n",
+    "rule insecure auth_request delay=1_0\n",
+    "expect completed 1_0\n",
+    "expect completed \u0662\n",
+    "expect completed 1.0\n",
+    "flood +3\n",
+    "advance  \u0665\n",
+    f"advance {'9' * 5000}\n",
+    "sweep auth_request mask=0x01\n",
+    "sweep auth_request mask=+1\n",
+    # an option may stand anywhere, a positional only in its place
+    "rule insecure drop auth_request\n",
+    "session * duration=1 * \n",
 ]
 
 
@@ -219,6 +237,34 @@ class TestParsing:
         runner = _runner()
         runner.execute(parse_scenario(text))
         assert len(runner.script.rules) == 7
+
+    @pytest.mark.parametrize(
+        "line, rule",
+        [
+            ("rule insecure start_charge replay=4", Rule("start_charge", 1, Replay(4))),
+            # a tamper with no mask flips every bit
+            ("rule insecure auth_request nth=3 tamper=7", Rule("auth_request", 3, Tamper(7, 0xFF))),
+        ],
+    )
+    def test_rule_line_arms_the_rule_it_made_when_parsed(self, line, rule):
+        [(_, _, method, args)] = parse_scenario(line).steps
+        assert method is ScenarioRunner._add_rule
+        assert args == (rule,)
+
+    @pytest.mark.parametrize(
+        "line, same_as",
+        [
+            ("rule insecure auth_request drop nth=2", "rule insecure auth_request nth=2 drop"),
+            ("rule nth=2 insecure auth_request drop", "rule insecure auth_request nth=2 drop"),
+            ("session duration=700 *", "session * duration=700"),
+            ("session budget=3 * duration=700", "session * duration=700 budget=3"),
+            ("sweep mask=0f start_charge", "sweep start_charge mask=0f"),
+            ("expect failed reason=mac_invalid 2", "expect failed 2 reason=mac_invalid"),
+        ],
+    )
+    def test_an_option_may_stand_anywhere_after_the_row_words(self, line, same_as):
+        [step], [want] = parse_scenario(line).steps, parse_scenario(same_as).steps
+        assert step[2:] == want[2:]
 
     def test_highest_tamper_index_and_mask_are_accepted(self):
         runner = _runner()
@@ -292,25 +338,21 @@ class TestUnfiredRules:
 
 
 DECLARED = list(scenario._DIRECTIVES)
-USAGES = [*DECLARED, scenario._RULE]
 
 
 def _named_by(usage):
     """The words of a usage that name its row: the row _select picks for
     them must be the usage's own."""
-    if usage == scenario._RULE:
-        return 1
     selected, count = scenario._select(usage.split())
     assert selected == usage
     return count
 
 
 class TestGrammarTable:
-    """Every directive but `scenario` is declared once, by its usage: `rule`
-    by scenario._RULE, each other one, every `expect` form included, by one
-    row of scenario._DIRECTIVES."""
+    """Every directive but `scenario` is declared once, by its usage: one
+    row of scenario._DIRECTIVES, for `rule` and each `expect` form too."""
 
-    @pytest.mark.parametrize("usage", USAGES)
+    @pytest.mark.parametrize("usage", DECLARED)
     def test_usage_is_the_error_and_the_docs(self, usage):
         head = " ".join(usage.split()[:_named_by(usage)])
         with pytest.raises(ScriptError, match=rf"^line 1: .*; usage: {re.escape(usage)}$"):
@@ -329,7 +371,7 @@ class TestGrammarTable:
         if line.split()[0] in ("scenario", "teleport"):
             return
         usage = str(error.value).rpartition("; usage: ")[2]
-        assert usage in USAGES
+        assert usage in DECLARED
         assert line.split()[:_named_by(usage)] == usage.split()[:_named_by(usage)]
 
     @pytest.mark.parametrize("line", ["expect", "expect bogus"])
@@ -344,23 +386,24 @@ class TestGrammarTable:
 
     @pytest.mark.parametrize("usage", DECLARED)
     def test_row_matches_its_method(self, usage):
-        method, defaults = scenario._DIRECTIVES[usage]
+        method, defaults, *make = scenario._DIRECTIVES[usage]
         words = [arg for arg in usage.split()[_named_by(usage):] if "=" not in arg]
         # a bracketed word list is a positional that may be left out, so only
         # the last positional may be one
         assert not any(arg.startswith("[") for arg in words[:-1])
         positionals = [arg.strip("[]") for arg in words]
         options = dict(re.findall(r"\[(\w+)=(\S+)\]", usage))
-        # self, the positionals, then the options, in the order of the usage:
-        # the step passes them all by position. A positional is named after
-        # its placeholder, or is `name` when it takes one of a list of words
+        # the positionals, then the options, in the order of the usage, go by
+        # position to the row's maker if it has one, else to the method after
+        # self. A positional is named after its placeholder, or is `name`
+        # when it takes one of a list of words
         names = [p.lower() if p in scenario._VALUES else "name" for p in positionals]
         names += options
-        signature = inspect.signature(method)
-        params = list(signature.parameters.values())[1:]
+        signature = inspect.signature(make[0] if make else functools.partial(method, None))
+        params = list(signature.parameters.values())
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
         assert [p.name for p in params] == names
-        signature.bind(None, *names)
+        signature.bind(*names)
         assert defaults.keys() <= options.keys()
         # a named placeholder must have a value parser, else it reads as a word
         for placeholder in [*positionals, *options.values()]:
@@ -386,6 +429,15 @@ def test_repeated_frames_name_the_byte_spans_of_their_fields(variant):
     assert check.detail.split("; ")[1:] == [
         f"{variant} bytes {span} repeat across sessions" for span in ("1:17", "17:49", "49:65")
     ]
+
+
+def test_terminal_ignores_a_vehicle_link_frame_that_is_not_an_auth_request():
+    # a failure notice decodes, but only an auth request makes a lookup
+    runner = _runner()
+    runner._deliver(runner.network.attacker_send(scenario.V2T, bytes.fromhex("0601")))
+    assert runner.terminal.ignored == {"FailureNotice": 1}
+    assert [e.channel for e in runner.transcript] == ["insecure"]
+    assert runner.server.accepted == 0 and not runner.server.rejected
 
 
 class TestStepRefusalsNameTheLine:
