@@ -259,6 +259,8 @@ def _vehicle(text, what):
     an enrolled vehicle waits for its step, which has the registry."""
     if not re.fullmatch(r"\*|#[1-9][0-9]*|[0-9a-fA-F]{32}", text):
         raise ScriptError(f"bad vehicle reference {text!r}")
+    if text[0] == "#":  # its step reads K with int(), which this checks
+        _parse_count(text[1:], what)
     return text
 
 

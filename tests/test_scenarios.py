@@ -181,6 +181,7 @@ BAD_LINES = [
     "flood +3\n",
     "advance  \u0665\n",
     f"advance {'9' * 5000}\n",
+    f"session #{'1' * 5000}\n",
     "sweep auth_request mask=0x01\n",
     "sweep auth_request mask=+1\n",
     # an option may stand anywhere, a positional only in its place
