@@ -10,22 +10,21 @@ The secure line is ideal: it carries the typed wire messages themselves,
 scripts never touch it, and its transcript entries always show no adversary
 action. Every frame or message that crosses either link lands in one
 transcript with a strictly increasing sequence number. A secure-line entry
-keeps its message and encodes it only when its bytes are asked for: through
-`entry.frame`, or an unredacted export (`to_jsonl(redact_secure=False)`,
-`write(..., redact_secure=False)`). The redacted export needs only the
-message's variant and frame length, so it encodes nothing. The adversary
-owns the insecure link: a script of trigger -> action rules can drop, delay,
-tamper, inject or replay frames there.
+keeps its message and encodes it only when `entry.frame` asks for its bytes.
+The one export (`to_jsonl`, `write`) gives such an entry its variant and
+frame length and `"frame": null`, so no export holds the protected line's
+key material. The adversary owns the insecure link: a script of trigger ->
+action rules can drop, delay, tamper, inject or replay frames there.
 
 A Rule checks itself once, when a scenario file or a caller makes it: a
 variant no agent puts on the open link, nth below 1, a negative delay or
 replay seq, a tamper index past the variant's frame, a mask outside
-0x01..0xff or an injected frame that is not bytes-like is a ScriptError
-before any frame is sent, and so is a listed rule with no nth, which could
-never fire. When the rule fires, Network.send checks only what depends on
-the frame in hand (a tamper index past a frame shorter than its variant, a
-replay seq that names no recorded open-link frame), before the trigger
-frame is transcribed: a refused rule records nothing of it.
+0x01..0xff or an injected frame that is empty or not bytes-like is a
+ScriptError before any frame is sent, and so is a listed rule with no nth,
+which could never fire. When the rule fires, Network.send checks only what
+depends on the frame in hand (a tamper index past a frame shorter than its
+variant, a replay seq that names no recorded open-link frame), before the
+trigger frame is transcribed: a refused rule records nothing of it.
 
 Triggers match on observable bytes only (frame variant, nth occurrence),
 never on agent state, so the adversary cannot cheat by reading hidden
@@ -69,8 +68,8 @@ RULE_VARIANTS = ("auth_request", "start_charge", "failure_notice")
 class SimClock:
     """Millisecond counter shared by every agent. Only moves forward."""
 
-    def __init__(self, start=0):
-        self.now = start
+    def __init__(self):
+        self.now = 0
 
     def advance(self, ms):
         self.now += checked_int("clock step", ms)
@@ -130,6 +129,8 @@ class Rule:
             checked_int("tamper mask", action.mask, 1, 0xFF, ScriptError)
         elif isinstance(action, Inject):
             frame = checked_bytes("injected frame", action.frame, error=ScriptError)
+            if not frame:
+                raise ScriptError("an injected frame needs at least one byte")
             object.__setattr__(self, "action", Inject(frame))  # held as bytes
         elif not isinstance(action, Drop):
             raise ScriptError(f"unknown action {action!r}")
@@ -143,13 +144,11 @@ class AdversaryScript:
     copies) are not counted and cannot re-trigger rules.
     """
 
-    def __init__(self, rules=()):
+    def __init__(self):
         self.rules = []
         self._ephemeral = []
         self._counts = {}
         self._fired = set()
-        for rule in rules:
-            self.add_rule(rule)
 
     def add_rule(self, rule):
         """List a rule; one with no nth could never fire, so it is refused."""
@@ -204,13 +203,12 @@ class TranscriptEntry:
             return self.payload.encode()
         return self.payload
 
-    def to_obj(self, redact_secure=True):
+    def to_obj(self):
         payload = self.payload
         if self.channel == SECURE:
-            variant, size = payload.variant, payload.frame_len
             # the protected line carries key material; exported artifacts
             # must never contain it
-            frame = None if redact_secure else payload.encode().hex()
+            variant, size, frame = payload.variant, payload.frame_len, None
         else:
             variant, size, frame = frame_variant(payload) or "unknown", len(payload), payload.hex()
         return {
@@ -249,14 +247,12 @@ class Transcript:
     def __iter__(self):
         return iter(self.entries)
 
-    def to_jsonl(self, redact_secure=True):
-        return "".join(
-            json.dumps(e.to_obj(redact_secure=redact_secure)) + "\n" for e in self.entries
-        )
+    def to_jsonl(self):
+        return "".join(json.dumps(e.to_obj()) + "\n" for e in self.entries)
 
-    def write(self, path, redact_secure=True):
+    def write(self, path):
         with open(path, "w") as fh:
-            fh.write(self.to_jsonl(redact_secure=redact_secure))
+            fh.write(self.to_jsonl())
 
 
 class Network:
@@ -266,12 +262,13 @@ class Network:
     (direction, payload) pairs: on the open link possibly no frame
     (drop/delay), possibly several (inject/replay); on the protected line
     always the one message sent. Delayed frames surface later through due().
+    A network builds its own clock, adversary script and transcript.
     """
 
-    def __init__(self, clock, script, transcript=None):
-        self.clock = clock
-        self.script = script
-        self.transcript = transcript if transcript is not None else Transcript()
+    def __init__(self):
+        self.clock = SimClock()
+        self.script = AdversaryScript()
+        self.transcript = Transcript()
         self._deferred = []
 
     def send(self, channel, direction, frame):

@@ -30,8 +30,8 @@ file that cannot be read, written or trusted, or a --transcript or
 --report file that cannot be written).
 
 Secrecy rule: generated keys are printed once, here, to the operator; no
-transcript, report or log ever contains key material (secure-line messages
-are redacted on export).
+transcript, report or log ever contains key material (a transcript file
+gives no secure-line message's bytes).
 """
 
 import argparse

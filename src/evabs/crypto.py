@@ -143,9 +143,6 @@ class NonceSource:
     def state(self):
         return (self._s0, self._s1)
 
-    def clone(self):
-        return NonceSource(self._s0, self._s1)
-
     def next_u64(self):
         out, self._s0, self._s1 = kernels.xorshift128p_next(self._s0, self._s1)
         return out

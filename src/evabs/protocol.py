@@ -19,9 +19,8 @@ The id never crosses the open link in the clear and every frame is
 randomized by a fresh nonce.
 
 Agents are small state machines over these steps. They ignore frames that
-do not fit their current phase (counted, for tests), fail closed on any
-verification error, and never write to the registry themselves; only the
-server does that.
+do not fit their current phase, fail closed on any verification error, and
+never write to the registry themselves; only the server does that.
 """
 
 import enum
@@ -158,7 +157,6 @@ class VehicleSession:
         self.fail_reason = None
         self.t2 = None
         self.t4 = None
-        self.ignored = Counter()
 
     def start(self):
         if self.phase is not Phase.IDLE:
@@ -169,7 +167,6 @@ class VehicleSession:
 
     def receive(self, msg):
         if self.phase is not Phase.WAITING:
-            self.ignored[type(msg).__name__] += 1
             return
         if isinstance(msg, StartCharge):
             try:
@@ -182,8 +179,6 @@ class VehicleSession:
         elif isinstance(msg, FailureNotice):
             self.phase = Phase.FAILED
             self.fail_reason = msg.reason
-        else:
-            self.ignored[type(msg).__name__] += 1
 
     def unplug(self, now):
         """Driver leaves at time t3; the display shows t4 = t3 - t2."""
@@ -218,8 +213,6 @@ class Terminal:
         self.nonces = nonces
         self.pending = deque()
         self.active = []
-        self.failures = []
-        self.ignored = Counter()
 
     def handle_auth(self, req):
         """AuthRequest in, LookupRequest (for the protected line) out."""
@@ -231,16 +224,13 @@ class Terminal:
         """LookupReply in; StartCharge out on success, FailureNotice
         otherwise. Replies pair with pending auths in FIFO order."""
         if not self.pending:
-            self.ignored["LookupReply"] += 1
             return None
         req = self.pending.popleft()
         if not reply.accepted:
-            self.failures.append(reply.reason)
             return FailureNotice(reason=reply.reason)
         if not verify_auth_request(req, reply.k_a):
             # server vouched for the record but the frame's tag does not
             # bind to it: no energy, session over
-            self.failures.append(Reason.MAC_INVALID)
             return FailureNotice(reason=Reason.MAC_INVALID)
         msg = build_start_charge(reply.k_a, self.group_key, now, self.nonces.next_nonce())
         # energy flows from the moment the start message exists

@@ -43,8 +43,8 @@ occurrence of their frame variant (counted from run start). A rule that
 could never fire as written is a ScriptError at parse time: the secure
 channel (it carries messages, not frames), or anything channel.Rule refuses
 when it is made (nth below 1, a tamper index past the variant's frame, a
-mask outside 01..ff). A rule still unfired when the run ends adds a FAIL
-check naming its line. A sweep takes the same 01..ff mask.
+mask outside 01..ff, an empty inject). A rule still unfired when the run
+ends adds a FAIL check naming its line. A sweep takes the same 01..ff mask.
 
 Failed expectations never raise; they mark the report FAIL and the run
 carries on, so one broken defense does not hide another. A malformed line
@@ -72,14 +72,12 @@ from evabs.channel import (
     INSECURE,
     RULE_VARIANTS,
     SECURE,
-    AdversaryScript,
     Delay,
     Drop,
     Inject,
     Network,
     Replay,
     Rule,
-    SimClock,
     Tamper,
     Transcript,
 )
@@ -437,10 +435,10 @@ class ScenarioRunner:
         # expectations and counters report invoices issued by this run, not
         # whatever billing history the registry already carries
         self._invoices_start = len(registry.invoices)
-        self.clock = SimClock()
-        self.script = AdversaryScript()
-        self.transcript = Transcript()
-        self.network = Network(self.clock, script=self.script, transcript=self.transcript)
+        self.network = Network()
+        self.clock = self.network.clock
+        self.script = self.network.script
+        self.transcript = self.network.transcript
         self.server = Server(registry)
         state, terminal_seed = crypto.splitmix64(seed)
         state, adversary_seed = crypto.splitmix64(state)
@@ -509,10 +507,7 @@ class ScenarioRunner:
 
     def _terminal_hears_vehicle(self, frame):
         msg = self._decode(frame)
-        if msg is None:
-            return []
         if not isinstance(msg, AuthRequest):
-            self.terminal.ignored[type(msg).__name__] += 1
             return []
         return [(T2S, self.terminal.handle_auth(msg))]
 

@@ -188,6 +188,25 @@ class TestSession:
         assert obj["t5"] == 2**64 - 1
         assert obj["invoice"]["duration_ms"] == duration
 
+    def test_without_a_seed_prints_the_seed_that_reproduces_it(self, cli, registry_path, tmp_path):
+        # the rerun goes to an untouched copy: on the first file its nonce
+        # would be a replay
+        again = tmp_path / "again"
+        again.mkdir()
+        for name in os.listdir(tmp_path):
+            if name.startswith("registry.json"):
+                shutil.copy(tmp_path / name, again / name)
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        argv = ("session", "--duration", "1000", "--transcript")
+        code, out, _ = cli(*argv, str(first), "--registry", registry_path)
+        assert code == 0
+        seed = out.splitlines()[0].removeprefix("seed: ").partition(" ")[0]
+        assert out.startswith(f"seed: {seed} (pass --seed {seed} to reproduce)\n")
+        code, out, _ = cli(*argv, str(second), "--registry", str(again / "registry.json"),
+                           "--seed", seed)
+        assert code == 0 and "seed" not in out
+        assert second.read_text() == first.read_text()
+
     def test_sessions_persist_nonces_across_runs(self, cli, registry_path):
         for seed in ("11", "12"):
             code, _, _ = cli(
@@ -234,6 +253,12 @@ class TestSession:
         assert code == 1
         assert "unknown_vehicle" in err
         assert Registry.load(registry_path).invoices == []
+
+    def test_vehicle_of_15_bytes_is_an_invocation_error(self, cli, registry_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli("session", "--registry", registry_path, "--vehicle", "a1" * 15, "--seed", "11")
+        assert err.value.code == 2
+        assert "argument --vehicle: need 16 bytes (32 hex chars)" in capsys.readouterr().err
 
     def test_vehicle_required_when_ambiguous(self, cli, registry_path):
         cli("register", "--registry", registry_path, "--vehicle", OTHER_VEHICLE, "--key", OTHER_KEY)

@@ -251,14 +251,21 @@ class TestVehicleSession:
         assert session.fail_reason is Reason.MAC_INVALID
 
     def test_out_of_phase_frames_ignored(self, registry):
+        # an ignored frame changes nothing the session shows
         _, session, _, _ = _wire_up(registry)
         stray = protocol.build_start_charge(bytes(32), bytes(32), 0, bytes(16))
         session.receive(stray)  # IDLE: not started yet
-        assert session.phase is protocol.Phase.IDLE
+        assert (session.phase, session.fail_reason, session.t2) == (
+            protocol.Phase.IDLE, None, None,
+        )
         session.start()
+        session.receive(LookupReply(accepted=False, reason=Reason.REPLAY_DETECTED))  # not for it
+        assert (session.phase, session.fail_reason) == (protocol.Phase.WAITING, None)
         session.receive(FailureNotice(reason=Reason.ABORTED))
         session.receive(stray)  # FAILED: session over
-        assert session.ignored["StartCharge"] == 2
+        assert (session.phase, session.fail_reason, session.t2) == (
+            protocol.Phase.FAILED, Reason.ABORTED, None,
+        )
 
     def test_unplug_requires_charging(self, registry):
         _, session, _, _ = _wire_up(registry)
@@ -285,8 +292,10 @@ class TestTerminal:
         out = terminal.handle_reply(
             LookupReply(accepted=False, reason=Reason.UNKNOWN_VEHICLE), now=0
         )
+        # nothing paired, started or drawn
         assert out is None
-        assert terminal.ignored["LookupReply"] == 1
+        assert not terminal.pending and not terminal.energy_on
+        assert terminal.nonces.state == crypto.NonceSource.from_seed(21).state
 
     def test_rejected_reply_becomes_failure_notice(self, registry):
         creds, session, terminal, _ = _wire_up(registry)
@@ -305,8 +314,7 @@ class TestTerminal:
         assert reply.accepted  # lookup alone cannot see the forgery
         out = terminal.handle_reply(reply, now=0)
         assert out == FailureNotice(reason=Reason.MAC_INVALID)
-        assert not terminal.energy_on
-        assert terminal.failures == [Reason.MAC_INVALID]
+        assert not terminal.energy_on and not terminal.pending
 
     def test_replies_pair_fifo(self):
         registry = seeded_registry(vehicles=2)

@@ -44,6 +44,18 @@ class TestEnrollment:
         with pytest.raises(DuplicateVehicle):
             registry.register(record.id_a, seeded_bytes(1, 32))
 
+    def test_lookup_key_collision_rejected(self, registry):
+        # two vehicles with one E(id, k) would make a lookup ambiguous;
+        # id2 = D(E(id1, k1), k2) builds one
+        first = registry.vehicles[0]
+        k2 = seeded_bytes(2, 32)
+        id2 = crypto.decrypt_block(first.lookup_key, k2)
+        assert id2 != first.id_a
+        with pytest.raises(DuplicateVehicle, match=f"^lookup key collision for {id2.hex()}$"):
+            registry.register(id2, k2)
+        assert len(registry.vehicles) == 2
+        assert registry.authenticate(first.lookup_key, b"\x01" * 16) == (first, None)
+
     def test_field_validation(self, registry):
         with pytest.raises(InvalidInput):
             registry.register(b"\x01" * 15, b"\x02" * 32)

@@ -8,6 +8,7 @@ import ast
 import functools
 import hashlib
 import inspect
+import json
 import logging
 import pathlib
 import re
@@ -60,9 +61,9 @@ GOLDEN = {
     "traceability": "2bd620707eaace388ed2dc486e9d202e016084161d5182c3a1d3f584adb26227",
 }
 
-# SHA-256 of transcript.to_jsonl(redact_secure=False) for the same runs: the
-# protected line keeps messages and encodes them only on export, and these
-# pin the bytes that export produces
+# SHA-256 of _unredacted_jsonl(transcript) for the same runs: the protected
+# line keeps messages and encodes them only when an entry's frame is asked
+# for, and these pin those bytes
 GOLDEN_UNREDACTED = {
     "cloning": "a92530a3de3d526657a9c27c16d88ecbf7669445f0a7965f242b6463f938e8a6",
     "desync": "f5e6412fc75dddcf67ad66fb93f584ecb4a60a9f272ebfef3d8b7b59baa83698",
@@ -75,6 +76,14 @@ GOLDEN_UNREDACTED = {
     "tamper-m8": "0c332fd46818a27e90097be014d2f88d67fbb074c1b578422c36f86ea8f3f47e",
     "traceability": "51e6900087568a5980be2ee198967ebe3f01cdb5d7cc8468154253a996fdb8f4",
 }
+
+
+def _unredacted_jsonl(transcript):
+    """The export with every frame's bytes, protected-line ones included,
+    which the package itself never writes."""
+    return "".join(
+        json.dumps({**e.to_obj(), "frame": e.frame.hex()}) + "\n" for e in transcript
+    )
 
 
 # one malformed line each (the last line, where a case has two); every one
@@ -142,6 +151,7 @@ BAD_LINES = [
     "rule insecure auth_request nth=1\n",
     "rule insecure auth_request drop drop\n",
     "rule insecure auth_request inject=xyz\n",
+    "rule insecure auth_request inject=\n",
     "sweep auth_request mask=-1\n",
     "sweep auth_request mask=00\n",
     "sweep auth_request mask=100\n",
@@ -432,11 +442,26 @@ def test_repeated_frames_name_the_byte_spans_of_their_fields(variant):
     ]
 
 
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("expect registry-unchanged\n", "no snapshot directive before this expect"),
+        ("expect sweep no-charging\n", "no sweep ran before this expect"),
+        ("sweep auth_request\nexpect sweep mac-invalid\n", "no start_charge sweep ran"),
+    ],
+    ids=["no-snapshot", "no-sweep", "no-start-charge-sweep"],
+)
+def test_expect_with_nothing_to_compare_fails_saying_what_is_missing(text, detail):
+    runner = _runner()
+    runner.execute(parse_scenario(text))
+    assert [(c.status, c.detail) for c in runner.checks] == [("FAIL", detail)]
+
+
 def test_terminal_ignores_a_vehicle_link_frame_that_is_not_an_auth_request():
     # a failure notice decodes, but only an auth request makes a lookup
     runner = _runner()
     runner._deliver(runner.network.attacker_send(scenario.V2T, bytes.fromhex("0601")))
-    assert runner.terminal.ignored == {"FailureNotice": 1}
+    assert not runner.terminal.pending
     assert [e.channel for e in runner.transcript] == ["insecure"]
     assert runner.server.accepted == 0 and not runner.server.rejected
 
@@ -898,7 +923,7 @@ class TestShippedScenarios:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_unredacted_transcript_matches_golden_digest(self, name):
         [report] = run_named_scenario(lambda: seeded_registry(), name, seed=11)
-        text = report.transcript.to_jsonl(redact_secure=False)
+        text = _unredacted_jsonl(report.transcript)
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_UNREDACTED[name]
 
     def test_replay_scenario_documents_the_weakness(self):

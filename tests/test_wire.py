@@ -122,6 +122,11 @@ class TestStrictDecode:
         with pytest.raises(FrameError):
             wire.decode_frame(bytes([0x03, 0x00, 0xEE]))
 
+    def test_a_lone_reply_tag_is_truncated(self):
+        # a reply's second byte picks its layout; with no second byte none does
+        with pytest.raises(FrameError, match="^truncated lookup_reply$"):
+            wire.decode_frame(b"\x03")
+
     def test_rejects_unknown_reply_status(self):
         with pytest.raises(FrameError):
             wire.decode_frame(bytes([0x03, 0x02]) + bytes(48))
