@@ -20,15 +20,16 @@ A Rule checks itself once, when a scenario file or a caller makes it: a
 variant no agent puts on the open link, nth below 1, a negative delay or
 replay seq, a tamper index past the variant's frame, a mask outside
 0x01..0xff or an injected frame that is empty or not bytes-like is a
-ScriptError before any frame is sent, and so is a listed rule with no nth,
-which could never fire. When the rule fires, Network.send checks only what
-depends on the frame in hand (a tamper index past a frame shorter than its
-variant, a replay seq that names no recorded open-link frame), before the
-trigger frame is transcribed: a refused rule records nothing of it.
+ScriptError before any frame is sent. When the rule fires, Network.send
+checks only what depends on the frame in hand (a tamper index past a frame
+shorter than its variant, a replay seq that names no recorded open-link
+frame), before the trigger frame is transcribed: a refused rule records
+nothing of it.
 
 Triggers match on observable bytes only (frame variant, nth occurrence),
 never on agent state, so the adversary cannot cheat by reading hidden
-values. Each rule fires at most once; the first matching rule wins.
+values. A rule fires once, on its exact nth, and leaves the script; the
+first matching rule wins.
 
 Determinism: no randomness lives here. Given the same frames in the same
 order, the transcript is byte-identical.
@@ -38,7 +39,7 @@ import json
 from dataclasses import dataclass
 
 from evabs.errors import InvalidInput, ScriptError, checked_bytes, checked_int
-from evabs.wire import FRAME_LENGTHS, frame_variant
+from evabs.wire import FRAME_LENGTHS, TS_MAX, frame_variant
 
 __all__ = [
     "SECURE",
@@ -66,13 +67,13 @@ RULE_VARIANTS = ("auth_request", "start_charge", "failure_notice")
 
 
 class SimClock:
-    """Millisecond counter shared by every agent. Only moves forward."""
+    """Millisecond counter shared by every agent. Only moves forward, never past TS_MAX."""
 
     def __init__(self):
         self.now = 0
 
     def advance(self, ms):
-        self.now += checked_int("clock step", ms)
+        self.now += checked_int("clock step", ms, 0, TS_MAX - self.now)
         return self.now
 
 
@@ -109,15 +110,14 @@ class Rule:
     rule could get wrong without seeing a frame is a ScriptError here."""
 
     variant: str
-    nth: int | None  # None: the next occurrence after arm_ephemeral
+    nth: int
     action: object
 
     def __post_init__(self):
         variant, nth, action = self.variant, self.nth, self.action
         if variant not in RULE_VARIANTS:
             raise ScriptError(f"a rule takes {', '.join(RULE_VARIANTS)}, got {variant!r}")
-        if nth is not None:
-            checked_int("nth", nth, 1, error=ScriptError)
+        checked_int("nth", nth, 1, error=ScriptError)
         if isinstance(action, Delay):
             checked_int("delay", action.by_ms, error=ScriptError)
         elif isinstance(action, Replay):
@@ -137,52 +137,45 @@ class Rule:
 
 
 class AdversaryScript:
-    """Ordered rule list with per-variant occurrence counting.
+    """Rules waiting to fire, with per-variant occurrence counting.
 
     nth counts frames as submitted by the agents, starting at 1 from the
     start of the run; the adversary's own products (injected or replayed
-    copies) are not counted and cannot re-trigger rules.
+    copies) are not counted and cannot re-trigger rules. `rules` holds the
+    listed rules not yet fired, in list order; armed rules are checked first.
     """
 
     def __init__(self):
         self.rules = []
-        self._ephemeral = []
+        self._armed = []
         self._counts = {}
-        self._fired = set()
 
     def add_rule(self, rule):
-        """List a rule; one with no nth could never fire, so it is refused."""
-        if rule.nth is None:
-            raise ScriptError("a listed rule needs an nth; nth=None is for arm_ephemeral")
         self.rules.append(rule)
 
-    def arm_ephemeral(self, rule):
-        """One-shot rule matching the next occurrence of its variant."""
-        self._ephemeral.append(rule)
+    def arm(self, variant, action):
+        """A one-shot rule on the next frame of `variant` that no rule armed
+        earlier is waiting for."""
+        nth = self._counts.get(variant, 0) + 1 + sum(r.variant == variant for r in self._armed)
+        self._armed.append(Rule(variant, nth, action))
 
-    def disarm_ephemeral(self):
-        """Drop one-shot rules that never matched, so a rule armed for one
-        session cannot act on a later one."""
-        self._ephemeral.clear()
+    def disarm(self):
+        """Drop armed rules that never fired, so a rule armed for one session
+        cannot act on a later one."""
+        self._armed.clear()
 
     def match(self, variant):
         """The action of the rule that fires on this open-link frame, or None."""
         nth = self._counts[variant] = self._counts.get(variant, 0) + 1
-        for i, rule in enumerate(self._ephemeral):
-            if rule.variant == variant:
-                del self._ephemeral[i]
+        for i, rule in enumerate(self._armed):
+            if rule.nth == nth and rule.variant == variant:
+                del self._armed[i]
                 return rule.action
         for i, rule in enumerate(self.rules):
-            if i in self._fired:
-                continue
-            if rule.variant == variant and rule.nth == nth:
-                self._fired.add(i)
+            if rule.nth == nth and rule.variant == variant:
+                del self.rules[i]
                 return rule.action
         return None
-
-    def unfired(self):
-        """Indices of listed rules that have not fired yet, in list order."""
-        return [i for i in range(len(self.rules)) if i not in self._fired]
 
 
 @dataclass(slots=True)

@@ -205,7 +205,7 @@ def cmd_session(args):
     if args.json:
         print(json.dumps({
             "phase": outcome.phase,
-            "vehicle": outcome.id_a.hex(),
+            "vehicle": record.id_a.hex(),
             "t1": outcome.t1,
             "t5": outcome.t5,
             "t4": outcome.t4,
@@ -213,7 +213,7 @@ def cmd_session(args):
             "balance": record.balance,
         }))
     else:
-        print(f"session completed for vehicle {outcome.id_a.hex()}")
+        print(f"session completed for vehicle {record.id_a.hex()}")
         print(f"  charging display t4: {outcome.t4} ms (t5 - t1 = {outcome.t5 - outcome.t1})")
         print(f"  invoice: duration_ms={invoice.duration_ms} amount={invoice.amount}")
         print(f"  balance: {record.balance}")

@@ -139,7 +139,7 @@ class SessionOutcome:
     session's own auth request, t2 and t4 what the vehicle saw."""
 
     index: int
-    id_a: bytes
+    position: int  # the vehicle's enrollment position, from 0
     phase: str
     reason: str | None
     t1: int | None
@@ -190,7 +190,7 @@ class ScenarioReport:
             "outcomes": [
                 {
                     "index": o.index,
-                    "vehicle": o.id_a.hex(),
+                    "vehicle": f"#{o.position + 1}",
                     "phase": o.phase,
                     "reason": o.reason,
                     "t1": o.t1,
@@ -271,7 +271,7 @@ def _one_of(words, text, what):
 def _sweep_mask(text, what):
     """A hex mask, refused now if Rule refuses it in a sweep's rules."""
     mask = _parse_count(text, what, 16)
-    Rule(RULE_VARIANTS[0], None, Tamper(0, mask))
+    Rule(RULE_VARIANTS[0], 1, Tamper(0, mask))
     return mask
 
 
@@ -546,12 +546,12 @@ class ScenarioRunner:
 
     def _teardown(self, vehicle):
         """Stop any energy still flowing and bill it; abort a stuck vehicle;
-        disarm the adversary's one-shot rules that this session left unused
+        disarm the adversary's armed rules that this session left unused
         (an earlier drop can starve a sweep's tamper of its frame)."""
         vehicle.abort()
         while self.terminal.energy_on:
             self._stop_charge()
-        self.script.disarm_ephemeral()
+        self.script.disarm()
         self._vehicle = None
 
     def _stop_charge(self):
@@ -576,8 +576,9 @@ class ScenarioRunner:
             return None
         return 1000 * -(-budget // tariff)
 
-    def run_session(self, record, duration, budget=None, record_outcome=True):
-        """One charge attempt, end to end, through the adversary.
+    def run_session(self, record, duration, budget=None):
+        """One charge attempt, end to end, through the adversary. It returns
+        the outcome; the `session` and `sessions` lines keep it in `outcomes`.
 
         Arguments and charge time are checked before anything happens:
         charging starts 1000 ms from now, and a session whose end t5 would not
@@ -603,9 +604,9 @@ class ScenarioRunner:
                 pass
         self._teardown(vehicle)
         t1, t5, amount = self._own_charge or (None, None, None)
-        outcome = SessionOutcome(
+        return SessionOutcome(
             index=len(self.outcomes),
-            id_a=record.id_a,
+            position=record.position,
             phase=vehicle.phase.value,
             reason=vehicle.fail_reason.label if vehicle.fail_reason else None,
             t1=t1,
@@ -615,9 +616,6 @@ class ScenarioRunner:
             amount=amount,
             frames=dict(self._session_frames),
         )
-        if record_outcome:
-            self.outcomes.append(outcome)
-        return outcome
 
     # -- adversary bulk actions -------------------------------------------
 
@@ -638,14 +636,12 @@ class ScenarioRunner:
 
     def run_sweep(self, record, variant, mask=0x01):
         """One session per byte position of the chosen frame, with that
-        position XOR-flipped in flight."""
+        position XOR-flipped in flight: the SessionOutcome of each, the
+        position being its index in the list, kept in `sweeps[variant]`."""
         results = []
         for position in range(FRAME_LENGTHS[variant]):
-            self.script.arm_ephemeral(Rule(variant, None, Tamper(position, mask)))
-            outcome = self.run_session(record, duration=2000, record_outcome=False)
-            results.append(
-                {"position": position, "phase": outcome.phase, "reason": outcome.reason}
-            )
+            self.script.arm(variant, Tamper(position, mask))
+            results.append(self.run_session(record, duration=2000))
         self.sweeps[variant] = results
         return results
 
@@ -653,7 +649,7 @@ class ScenarioRunner:
         """The protocol has no vehicle-side freshness check on the terminal
         nonce: a recorded start message from an old session still verifies.
         Documented weakness; reported as such, never as FAIL."""
-        first = self.run_session(record, duration=3000, record_outcome=False)
+        first = self.run_session(record, duration=3000)
         stale = first.frames.get("start_charge")
         if first.phase != "completed" or stale is None:
             self._check("probe replay-start-charge", False, "setup session failed")
@@ -664,7 +660,7 @@ class ScenarioRunner:
             if e.channel == INSECURE and e.frame == stale and e.adversary_action is None
         )
         self._advance(1000)
-        self.script.arm_ephemeral(Rule("start_charge", None, Drop()))
+        self.script.arm("start_charge", Drop())
         vehicle = self._begin_session(record)
         fresh_t1 = self.terminal.active[-1].t1 if self.terminal.active else None
         self._deliver(self.network.replay_entry(seq))
@@ -684,7 +680,7 @@ class ScenarioRunner:
     def probe_splice_auth(self, record):
         """Recorded m3 + mac, fresh nonce: the lookup key no longer matches
         any record, so a cloned partial frame buys nothing."""
-        first = self.run_session(record, duration=3000, record_outcome=False)
+        first = self.run_session(record, duration=3000)
         raw = first.frames.get("auth_request")
         if first.phase != "completed" or raw is None:
             self._check("probe splice-auth", False, "setup session failed")
@@ -794,10 +790,10 @@ class ScenarioRunner:
             return False, "no sweep ran before this expect"
         if name == "no-charging":
             bad = [
-                (variant, r["position"])
+                (variant, position)
                 for variant, results in self.sweeps.items()
-                for r in results
-                if r["phase"] in ("charging", "completed")
+                for position, o in enumerate(results)
+                if o.phase in ("charging", "completed")
             ]
             return (
                 not bad,
@@ -808,10 +804,10 @@ class ScenarioRunner:
         if results is None:
             return False, "no start_charge sweep ran"
         bad = [
-            r["position"]
-            for r in results
-            if (r["position"] == 0 and r["phase"] in ("charging", "completed"))
-            or (r["position"] > 0 and r["reason"] != Reason.MAC_INVALID.label)
+            position
+            for position, o in enumerate(results)
+            if (position == 0 and o.phase in ("charging", "completed"))
+            or (position > 0 and o.reason != Reason.MAC_INVALID.label)
         ]
         return (
             not bad,
@@ -839,12 +835,13 @@ class ScenarioRunner:
             raise ConfigError(f"no vehicle {ref}") from None
 
     def _session(self, vehicle, duration, budget):
-        self.run_session(self._resolve_vehicle(vehicle), duration=duration, budget=budget)
+        record = self._resolve_vehicle(vehicle)
+        self.outcomes.append(self.run_session(record, duration=duration, budget=budget))
 
     def _sessions(self, count, vehicle, duration):
         record = self._resolve_vehicle(vehicle)
         for _ in range(count):
-            self.run_session(record, duration=duration)
+            self.outcomes.append(self.run_session(record, duration=duration))
 
     def _revoke(self, vehicle):
         self.registry.revoke(self._resolve_vehicle(vehicle).id_a)
@@ -879,7 +876,6 @@ class ScenarioRunner:
     def execute(self, scenario):
         """Run the steps in order; what step N raises gains `line N: `, and
         what an expect form returns is a check named after its line."""
-        earlier = len(self.script.rules)
         for lineno, tokens, method, args in scenario.steps:
             try:
                 check = method(self, *args)
@@ -888,12 +884,10 @@ class ScenarioRunner:
             if check is not None:
                 self._check(" ".join(tokens), *check)
         # a rule that never fired tested nothing; its line must not read as
-        # a defense that held. This run's rules follow the script's earlier
-        # ones, in the order of their lines
-        rule_steps = [step for step in scenario.steps if step[2] is ScenarioRunner._add_rule]
-        for index in self.script.unfired():
-            if index >= earlier:
-                lineno, tokens, _, _ = rule_steps[index - earlier]
+        # a defense that held. Equal lines make equal rules, so a line's own
+        # rule is found by identity
+        for lineno, tokens, method, args in scenario.steps:
+            if method is ScenarioRunner._add_rule and any(r is args[0] for r in self.script.rules):
                 self._check(" ".join(tokens), False, f"line {lineno}: rule never fired")
         return ScenarioReport(
             name=scenario.name,

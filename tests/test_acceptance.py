@@ -22,7 +22,7 @@ import threading
 import pytest
 
 from evabs import crypto, protocol
-from evabs.channel import INSECURE, Rule, Tamper
+from evabs.channel import INSECURE, Tamper
 from evabs.errors import HandshakeError
 from evabs.protocol import (
     Phase,
@@ -55,13 +55,16 @@ def verdict(capsys):
 
 @pytest.fixture(scope="module")
 def bulk():
-    """1000 honest end-to-end sessions, shared by C06 and C07."""
+    """1000 honest end-to-end sessions, shared by C06 and C07: the runner
+    and the outcomes."""
     runner = ScenarioRunner(seeded_registry(seed=77, vehicles=2), seed=0xACCE)
     vehicles = runner.registry.vehicles
+    outcomes = []
     for i in range(1000):
         outcome = runner.run_session(vehicles[i % 2], duration=1500)
         assert outcome.phase == "completed", f"bulk session {i} {outcome.phase}"
-    return runner
+        outcomes.append(outcome)
+    return runner, outcomes
 
 
 def test_c01_cipher_and_mac_vectors(verdict):
@@ -173,17 +176,17 @@ def test_c04_tamper_sweep_both_frames(verdict):
     bad = []
     if len(auth) != 65 or len(start) != 65:
         bad.append("coverage")
-    for result in auth:
-        if result["phase"] == "charging" or result["phase"] == "completed":
-            bad.append(f"auth@{result['position']}")
-    for result in start:
+    for position, result in enumerate(auth):
+        if result.phase == "charging" or result.phase == "completed":
+            bad.append(f"auth@{position}")
+    for position, result in enumerate(start):
         # position 0 is the frame tag: the frame no longer decodes and the
         # vehicle times out; every other position must trip the vehicle MAC
-        if result["position"] == 0:
-            if result["phase"] != "aborted":
+        if position == 0:
+            if result.phase != "aborted":
                 bad.append("start@0")
-        elif not (result["phase"] == "failed" and result["reason"] == "mac_invalid"):
-            bad.append(f"start@{result['position']}")
+        elif not (result.phase == "failed" and result.reason == "mac_invalid"):
+            bad.append(f"start@{position}")
     verdict(4, "tamper-detected-at-every-byte", not bad,
              f"130 positions swept, undetected: {bad or 'none'}")
 
@@ -198,12 +201,13 @@ def test_c05_forged_frames_never_authenticate(verdict):
 
 
 def test_c06_no_secret_bytes_on_the_open_link(bulk, verdict):
-    needles = [bulk.registry.group_key]
-    for record in bulk.registry.vehicles:
+    runner, _ = bulk
+    needles = [runner.registry.group_key]
+    for record in runner.registry.vehicles:
         needles.append(record.id_a)
         needles.append(record.k_a)
     haystack = b"".join(
-        entry.frame for entry in bulk.transcript if entry.channel == INSECURE
+        entry.frame for entry in runner.transcript if entry.channel == INSECURE
     )
     hits = [needle.hex()[:8] for needle in needles if needle in haystack]
     verdict(6, "no-secrets-on-the-open-link", not hits,
@@ -218,7 +222,8 @@ def test_c07_frame_material_fresh_and_balanced(bulk, verdict):
     bits_one = 0
     bits_total = 0
     sessions = 0
-    for outcome in bulk.outcomes:
+    _, outcomes = bulk
+    for outcome in outcomes:
         auth = outcome.frames.get("auth_request")
         start = outcome.frames.get("start_charge")
         if auth is None or start is None:
@@ -244,14 +249,14 @@ def test_c08_recovery_and_rule_bound_registry(verdict):
     runner = ScenarioRunner(seeded_registry(seed=53), seed=0xC8)
     record = runner.registry.vehicles[0]
     aborts = [
-        Rule("auth_request", None, Tamper(2, 0xFF)),
-        Rule("auth_request", None, Tamper(20, 0xFF)),
-        Rule("start_charge", None, Tamper(2, 0xFF)),
-        Rule("auth_request", None, Tamper(0, 0xFF)),
+        ("auth_request", Tamper(2, 0xFF)),
+        ("auth_request", Tamper(20, 0xFF)),
+        ("start_charge", Tamper(2, 0xFF)),
+        ("auth_request", Tamper(0, 0xFF)),
     ]
     bad = []
-    for i, rule in enumerate(aborts):
-        runner.script.arm_ephemeral(rule)
+    for i, (variant, action) in enumerate(aborts):
+        runner.script.arm(variant, action)
         broken = runner.run_session(record, duration=2000)
         if broken.phase == "completed":
             bad.append(f"abort{i}-completed")

@@ -6,6 +6,8 @@ determinism."""
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evabs import channel
 from evabs.channel import (
@@ -142,48 +144,107 @@ class TestRuleMatching:
         assert net.send(INSECURE, "to_terminal", AUTH) == []
         assert net.transcript.get(0).adversary_action == {"kind": "dropped"}
 
-    def test_ephemeral_rule_matches_next_occurrence(self):
+    def test_armed_rule_matches_next_occurrence(self):
         net = _network()
         script = net.script
         net.send(INSECURE, "to_terminal", AUTH)
-        script.arm_ephemeral(Rule("auth_request", None, Drop()))
+        script.arm("auth_request", Drop())
         assert net.send(INSECURE, "to_terminal", AUTH) == []
         assert net.send(INSECURE, "to_terminal", AUTH) != []
 
-    def test_disarmed_ephemeral_rule_no_longer_matches(self):
+    def test_rules_armed_before_one_frame_fire_on_the_next_frames(self):
+        net = _network()
+        net.send(INSECURE, "to_terminal", AUTH)
+        net.script.arm("auth_request", Drop())
+        net.script.arm("auth_request", Tamper(index=1, mask=1))
+        assert net.send(INSECURE, "to_terminal", AUTH) == []
+        [(_, tampered)] = net.send(INSECURE, "to_terminal", AUTH)
+        assert tampered != AUTH
+        assert net.send(INSECURE, "to_terminal", AUTH) == [("to_terminal", AUTH)]
+
+    def test_disarmed_rule_no_longer_matches(self):
         net = _network()
         script = net.script
-        script.arm_ephemeral(Rule("auth_request", None, Drop()))
-        script.disarm_ephemeral()
+        script.arm("auth_request", Drop())
+        script.disarm()
         assert net.send(INSECURE, "to_terminal", AUTH) != []
 
-    def test_unfired_lists_rules_that_never_matched(self):
-        net = _network(
-            [
-                Rule("auth_request", 1, Drop()),
-                Rule("auth_request", 3, Drop()),
-                Rule("start_charge", 1, Drop()),
-            ]
-        )
+    def test_a_rule_leaves_the_script_when_it_fires(self):
+        rules = [
+            Rule("auth_request", 1, Drop()),
+            Rule("auth_request", 3, Drop()),
+            Rule("start_charge", 1, Drop()),
+        ]
+        net = _network(rules)
         script = net.script
-        assert script.unfired() == [0, 1, 2]
+        assert script.rules == rules
         net.send(INSECURE, "to_terminal", AUTH)
         net.send(INSECURE, "to_terminal", AUTH)
-        assert script.unfired() == [1, 2]
+        assert script.rules == rules[1:]
 
-    def test_a_listed_rule_without_nth_is_refused(self):
-        # it could never match, and unfired() would report it forever
-        rule = Rule("auth_request", None, Drop())
-        script = AdversaryScript()
-        with pytest.raises(ScriptError, match="^a listed rule needs an nth"):
-            script.add_rule(rule)
-        assert script.rules == [] and script.unfired() == []
-
-    def test_ephemeral_takes_priority_over_listed_rules(self):
-        net = _network([Rule("auth_request", 1, Drop())])
-        net.script.arm_ephemeral(Rule("auth_request", None, Tamper(index=1, mask=1)))
+    def test_armed_rule_takes_priority_over_listed_rules(self):
+        listed = Rule("auth_request", 1, Drop())
+        net = _network([listed])
+        net.script.arm("auth_request", Tamper(index=1, mask=1))
         out = net.send(INSECURE, "to_terminal", AUTH)
         assert out != [] and out[0][1] != AUTH
+        # the listed rule's frame went by: it stays, never to fire
+        assert net.script.rules == [listed]
+
+
+class _ScriptModel:
+    """What an adversary script does, written out plainly: a listed rule
+    fires once, on the exact nth frame of its variant; armed rules fire in
+    the order they were armed, on the next frames of their variant, ahead of
+    listed rules; a fired rule is gone."""
+
+    def __init__(self):
+        self.listed = []  # (variant, nth, action), in list order
+        self.armed = []  # (variant, action), in arming order
+        self.counts = dict.fromkeys(VARIANTS, 0)
+
+    def match(self, variant):
+        self.counts[variant] += 1
+        for i, (armed_variant, action) in enumerate(self.armed):
+            if armed_variant == variant:
+                del self.armed[i]
+                return action
+        for i, (listed_variant, nth, action) in enumerate(self.listed):
+            if listed_variant == variant and nth == self.counts[variant]:
+                del self.listed[i]
+                return action
+        return None
+
+
+VARIANTS = ("auth_request", "start_charge")
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.sampled_from(VARIANTS), st.integers(1, 6)),
+        st.tuples(st.just("arm"), st.sampled_from(VARIANTS)),
+        st.tuples(st.just("disarm")),
+        st.tuples(st.just("match"), st.sampled_from(VARIANTS)),
+    ),
+    max_size=40,
+)
+
+
+@given(_STEPS)
+def test_script_matches_its_reference_model(steps):
+    script, model = AdversaryScript(), _ScriptModel()
+    for i, (op, *args) in enumerate(steps):
+        action = Delay(i)  # a distinct action per step names the rule that fired
+        if op == "add":
+            script.add_rule(Rule(args[0], args[1], action))
+            model.listed.append((args[0], args[1], action))
+        elif op == "arm":
+            script.arm(args[0], action)
+            model.armed.append((args[0], action))
+        elif op == "disarm":
+            script.disarm()
+            model.armed.clear()
+        else:
+            assert script.match(args[0]) == model.match(args[0])
+        assert [(r.variant, r.nth, r.action) for r in script.rules] == model.listed
 
 
 class TestRuleChecks:
@@ -197,13 +258,15 @@ class TestRuleChecks:
             lambda: Rule("auth_request", 1, Delay(-50)),
             lambda: Rule("lookup_request", 1, Drop()),
             lambda: Rule("auth_request", 0, Drop()),
+            # a rule with no nth could never fire
+            lambda: Rule("auth_request", None, Drop()),
             lambda: Rule("auth_request", 1, Tamper(index=0, mask=0)),
             lambda: Rule("auth_request", 1, Tamper(index=65, mask=1)),
             lambda: Rule("auth_request", 1, Replay(of_seq=-1)),
             lambda: Rule("auth_request", 1, "drop"),
         ],
         ids=[
-            "inject-int", "inject-empty", "negative-delay", "lookup-request", "nth-0",
+            "inject-int", "inject-empty", "negative-delay", "lookup-request", "nth-0", "nth-none",
             "mask-0", "index-past-frame", "negative-replay-seq", "unknown-action",
         ],
     )

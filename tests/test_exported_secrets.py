@@ -1,10 +1,12 @@
-"""No exported transcript holds a secret.
+"""No exported transcript or attack report holds a secret.
 
 The protected line carries the vehicle key k_a in clear, and the package has
 one transcript export, which gives a protected-line entry its shape and no
-bytes. Every shipped scenario runs at seed 11; its `to_jsonl()` text and the
-file `evabs attack --scenario NAME --transcript FILE` writes are searched for
-every vehicle id, vehicle key and the group key, in hex."""
+bytes. A report names a vehicle by its enrollment ordinal, `#K`. Every
+shipped scenario runs at seed 11; its `to_jsonl()` text, the file
+`evabs attack --scenario NAME --transcript FILE` writes and the report that
+command prints, as text and with `--json`, are searched for every vehicle
+id, vehicle key and the group key, in hex."""
 
 import json
 
@@ -45,9 +47,14 @@ def test_no_export_of_a_shipped_scenario_holds_a_secret(name, tmp_path, capsys):
     transcript = tmp_path / "frames.jsonl"
     argv = ["attack", "--scenario", name, "--registry", str(path), "--seed", "11"]
     assert main(argv + ["--transcript", str(transcript)]) == 0
-    capsys.readouterr()
+    assert _leaked(capsys.readouterr().out, secrets) == []
     text = transcript.read_text()
     assert [json.loads(line)["seq"] for line in text.splitlines()] == list(
         range(len(report.transcript))
     )
     assert _leaked(text, secrets) == []
+
+    assert main(argv + ["--json"]) == 0
+    [obj] = json.loads(capsys.readouterr().out)
+    assert _leaked(json.dumps(obj), secrets) == []
+    assert {o["vehicle"] for o in obj["outcomes"]} <= {"#1"}

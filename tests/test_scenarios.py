@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 from evabs import crypto, scenario, wire
-from evabs.channel import SECURE, Replay, Rule, Tamper
+from evabs.channel import SECURE, Drop, Replay, Rule, Tamper
 from evabs.errors import ConfigError, InvalidInput, InvalidSeed, ScriptError
 from evabs.registry import Registry
 from evabs.scenario import (
@@ -227,8 +227,7 @@ class TestParsing:
         id_hex = registry.vehicles[2].id_a.hex()
         text = f"session *\nsession #2\nsession {id_hex}\nsession {id_hex.upper()}\n"
         runner.execute(parse_scenario(text))
-        want = [registry.vehicles[i].id_a for i in (0, 1, 2, 2)]
-        assert [o.id_a for o in runner.outcomes] == want
+        assert [o.position for o in runner.outcomes] == [0, 1, 2, 2]
 
     @pytest.mark.parametrize("text", BAD_LINES)
     def test_bad_directives_raise(self, text):
@@ -330,6 +329,24 @@ class TestUnfiredRules:
             ("rule insecure auth_request nth=9 drop", "line 1: rule never fired"),
             ("rule insecure start_charge drop", "line 2: rule never fired"),
         ]
+
+    def test_of_two_equal_rule_lines_only_the_unfired_one_fails(self):
+        # equal lines make equal rules; the first fires on the one auth
+        # request, and only the second line's own rule is still waiting
+        line = "rule insecure auth_request nth=1 drop"
+        report = _runner().execute(parse_scenario(f"{line}\n{line}\nsession *\n"))
+        assert [(c.name, c.status, c.detail) for c in report.checks] == [
+            (line, "FAIL", "line 2: rule never fired")
+        ]
+
+    def test_a_rule_added_through_the_api_names_no_line(self):
+        runner = _runner()
+        runner.script.add_rule(Rule("auth_request", 9, Drop()))
+        report = runner.execute(parse_scenario("rule insecure start_charge nth=9 drop\n"))
+        assert [(c.name, c.detail) for c in report.checks] == [
+            ("rule insecure start_charge nth=9 drop", "line 1: rule never fired")
+        ]
+        assert len(runner.script.rules) == 2
 
     def test_fired_rules_add_no_check(self):
         report = _runner().execute(
@@ -482,6 +499,19 @@ class TestStepRefusalsNameTheLine:
         # the second session's auth request was the trigger: not recorded
         auth = [e for e in runner.transcript if wire.frame_variant(e.frame) == "auth_request"]
         assert len(auth) == 1
+
+    def test_advance_past_the_last_timestamp_releases_nothing(self):
+        # the delayed auth request must not reach the server at a time no
+        # timestamp can hold: the step is refused before anything is due
+        runner = _runner()
+        text = (
+            "rule insecure auth_request nth=1 delay=1000\n"
+            "session *\n"
+            "advance 18446744073709551615\n"
+        )
+        with pytest.raises(InvalidInput, match=r"^line 3: clock step must be an integer"):
+            runner.execute(parse_scenario(text))
+        assert runner.server.accepted == 0
 
     def test_charge_time_out_of_range(self):
         with pytest.raises(InvalidInput, match=r"^line 1: charge time "):
@@ -760,10 +790,9 @@ class TestRunnerSessions:
         record = runner.registry.vehicles[0]
         results = runner.run_sweep(record, "auth_request")
         assert len(results) == 65
-        assert [r["position"] for r in results] == list(range(65))
-        assert all(r["phase"] != "charging" for r in results)
+        assert all(o.phase != "charging" for o in results)
         assert runner.outcomes == []  # sweep sessions stay out of outcomes
-        assert "auth_request" in runner.sweeps
+        assert runner.sweeps["auth_request"] is results
 
     def test_probe_replay_start_charge_reports_weakness(self):
         runner = _runner()
