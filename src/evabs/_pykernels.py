@@ -1,11 +1,11 @@
 """The hot kernels, in pure Python: the reference kernel.
 
-AES-256 on a single 16-byte block, plus one step of the xorshift128+
-generator. evabs.crypto calls whichever kernel module it bound
-(evabs._osslkernels when the host's libcrypto serves, this one otherwise),
-and everything above crypto reaches the kernels through crypto. Each block
-function checks its key and block once, with checked_bytes; a wrong one
-raises InvalidInput, a ValueError.
+AES-256 on a single 16-byte block, plus the xorshift128+ generator, run
+for as many steps as one draw needs. evabs.crypto calls whichever kernel
+module it bound (evabs._osslkernels when the host's libcrypto serves, this
+one otherwise), and everything above crypto reaches the kernels through
+crypto. Each block function checks its key and block once, with
+checked_bytes; a wrong one raises InvalidInput, a ValueError.
 The tests check the libcrypto kernel against this one.
 
 The block functions are raw codebook operation on one block: deterministic
@@ -158,13 +158,18 @@ def aes256_decrypt_block(key, block):
     return bytes(b ^ k for b, k in zip(s, rks[0]))
 
 
-def xorshift128p_next(s0, s1):
-    """One xorshift128+ step: (s0, s1) -> (output, s0', s1').
+def xorshift128p_next(s0, s1, words=1):
+    """`words` xorshift128+ steps: (s0, s1) -> (output, s0', s1').
 
-    Shift triple (23, 17, 26); the output is the 64-bit sum of the two
-    state words before the shuffle.
+    Shift triple (23, 17, 26); a step's output is the 64-bit sum of the two
+    state words before the shuffle. The output returned joins the steps'
+    outputs big-endian in step order, with the state after the last step,
+    so one call of k steps gives what k chained one-step calls give.
     """
-    result = (s0 + s1) & _MASK64
-    x = s0 ^ ((s0 << 23) & _MASK64)
-    new_s1 = x ^ s1 ^ (x >> 17) ^ (s1 >> 26)
-    return result, s1, new_s1
+    out = 0
+    while words > 0:  # not range(): a one-step call costs about a quarter less
+        out = (out << 64) | ((s0 + s1) & _MASK64)
+        x = s0 ^ ((s0 << 23) & _MASK64)
+        s0, s1 = s1, x ^ s1 ^ (x >> 17) ^ (s1 >> 26)
+        words -= 1
+    return out, s0, s1

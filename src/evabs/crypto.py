@@ -15,7 +15,7 @@ Four operations and a nonce source:
     construction so a run seed reproduces every frame byte.
 
 All sizes are fixed: 16-byte blocks and nonces, 32-byte keys and tags.
-The block cipher and the xorshift128+ step run in a kernel module bound
+The block cipher and the xorshift128+ steps run in a kernel module bound
 here as `kernels`; BACKEND names it. That is evabs._osslkernels, AES from
 the libcrypto hashlib already loaded, when it imports and passes its
 known-answer check, and otherwise evabs._pykernels, the reference kernel.
@@ -112,8 +112,8 @@ class NonceSource:
     """Deterministic xorshift128+ stream of 64-bit words and 128-bit nonces.
 
     next_bytes(n) is the stream's next n / 8 words, each big-endian, in
-    draw order, stepped in one pass and encoded once. So one draw of 64
-    bytes equals draws of 16, 32 and 16 in turn, and next_nonce() is
+    draw order: one kernel call of n / 8 steps, encoded once. So one draw
+    of 64 bytes equals draws of 16, 32 and 16 in turn, and next_nonce() is
     next_bytes(16).
 
     Agents only need next_nonce()/next_u64(), so anything with that shape
@@ -154,11 +154,5 @@ class NonceSource:
         """n bytes from successive outputs; n must be a positive multiple of 8."""
         if checked_int("byte count", n, 8) % 8:
             raise InvalidInput(f"byte count must be a multiple of 8, got {n}")
-        step = kernels.xorshift128p_next  # per draw, so a patched kernels is seen
-        s0, s1 = self._s0, self._s1
-        acc = 0
-        for _ in range(n // 8):
-            out, s0, s1 = step(s0, s1)
-            acc = (acc << 64) | out
-        self._s0, self._s1 = s0, s1
-        return acc.to_bytes(n, "big")
+        out, self._s0, self._s1 = kernels.xorshift128p_next(self._s0, self._s1, n // 8)
+        return out.to_bytes(n, "big")

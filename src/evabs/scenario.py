@@ -113,7 +113,8 @@ S2T = "server->terminal"
 
 SCENARIO_ALIASES = {"mitm": ("tamper-m3", "tamper-m8")}
 
-# a forged auth request: its tag byte, then m3 || mac || n_a in one draw
+# an auth request's tag byte, the one the terminal decodes, and a forged
+# one's m3 || mac || n_a in one draw
 _AUTH_TAG = bytes([AuthRequest.tag])
 _AUTH_BODY_LEN = AuthRequest.frame_len - 1
 
@@ -138,7 +139,6 @@ class SessionOutcome:
     """One charge attempt: t1 and t5 are the terminal's charge for the
     session's own auth request, t2 and t4 what the vehicle saw."""
 
-    index: int
     position: int  # the vehicle's enrollment position, from 0
     phase: str
     reason: str | None
@@ -189,7 +189,7 @@ class ScenarioReport:
             "counters": dict(sorted(self.counters.items())),
             "outcomes": [
                 {
-                    "index": o.index,
+                    "index": index,
                     "vehicle": f"#{o.position + 1}",
                     "phase": o.phase,
                     "reason": o.reason,
@@ -198,7 +198,7 @@ class ScenarioReport:
                     "t4": o.t4,
                     "amount": o.amount,
                 }
-                for o in self.outcomes
+                for index, o in enumerate(self.outcomes)
             ],
         }
 
@@ -506,8 +506,10 @@ class ScenarioRunner:
             return None
 
     def _terminal_hears_vehicle(self, frame):
-        msg = self._decode(frame)
-        if not isinstance(msg, AuthRequest):
+        """The terminal answers only an auth_request: a frame with any other
+        tag byte is dropped undecoded, and one with that tag must decode."""
+        msg = self._decode(frame) if frame[:1] == _AUTH_TAG else None
+        if msg is None:
             return []
         return [(T2S, self.terminal.handle_auth(msg))]
 
@@ -589,7 +591,10 @@ class ScenarioRunner:
         cutoff = self.budget_cutoff_ms(budget, self.registry.tariff_per_second)
         if cutoff is not None:
             effective = min(effective, cutoff)
-        checked_int("charge time", effective, 0, TS_MAX - self.clock.now - 1000)
+        latest = TS_MAX - self.clock.now - 1000
+        if latest < 0:
+            raise InvalidInput("no session can start and end in a 64-bit timestamp any more")
+        checked_int("charge time", effective, 0, latest)
         self._advance(1000)
         vehicle = self._begin_session(record)
         if vehicle.phase is Phase.CHARGING:
@@ -605,7 +610,6 @@ class ScenarioRunner:
         self._teardown(vehicle)
         t1, t5, amount = self._own_charge or (None, None, None)
         return SessionOutcome(
-            index=len(self.outcomes),
             position=record.position,
             phase=vehicle.phase.value,
             reason=vehicle.fail_reason.label if vehicle.fail_reason else None,
@@ -937,7 +941,8 @@ _DIRECTIVES = {
 _LINK = {V2T: INSECURE, T2V: INSECURE, T2S: SECURE, S2T: SECURE}
 
 # the receiver of each delivery, by direction: open-link receivers get a
-# frame and decode it, protected-line receivers get the message itself
+# frame and decode it (the terminal only one tagged auth_request),
+# protected-line receivers get the message itself
 _RECEIVERS = {
     V2T: ScenarioRunner._terminal_hears_vehicle,
     T2V: ScenarioRunner._vehicle_hears_terminal,

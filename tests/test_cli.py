@@ -8,10 +8,12 @@ attack and invoice output must never contain key material."""
 import argparse
 import contextlib
 import fcntl
+import hashlib
 import io
 import json
 import os
 import pathlib
+import re
 import shutil
 import stat
 import subprocess
@@ -26,6 +28,7 @@ import evabs
 from evabs.cli import build_parser, main, parse_args
 from evabs.errors import StorageError
 from evabs.registry import Registry, _Journal
+from evabs.scenario import builtin_scenarios
 
 from conftest import seeded_registry
 
@@ -33,6 +36,23 @@ VEHICLE = "a1" * 16
 KEY = "b2" * 32
 OTHER_VEHICLE = "c3" * 16
 OTHER_KEY = "d4" * 32
+
+
+# SHA-256 of what `evabs attack --scenario NAME --json` prints for every
+# shipped scenario at seed 11 against a file of seeded_registry(); a change
+# that moves one character of the JSON report shows up here
+GOLDEN_ATTACK_JSON = {
+    "cloning": "6f1ee19fb8cc81b1d66787f33464f7ce3daa68fb04bf8a36e55434234da1cdc8",
+    "desync": "7a6801a40ff279016be7897dd12f25aae9c11b3b071af93812cd08c1bb6cb49e",
+    "dos": "7184f2f8705a09c3e3449eb1e9ab1a3fdaa567f46a5dc70312849a0186683a99",
+    "eavesdrop": "e1a0f5f6e6a4cf81901f19fadef7406901fb9650b2f5b546e52820277d1c6354",
+    "impersonation": "0f4195febdf1a791998ec171080c0a03667222fa1c7565952054d05f3328dcdc",
+    "physical-disclosure": "a87b84099aa92907c25dbca79971a104e1c0dd81ceffc73f76a6fd898b53c3a8",
+    "replay": "5030ffabd999725a147c79f049e1c2a73c1100baf0b1cf476e31c9cf585e09a1",
+    "tamper-m3": "9a9a8d8e4287bab16f8b08ee3ffb5204757292e5dff87053127c0c22351191bb",
+    "tamper-m8": "247545ec5d4f360643b53562d1e4f30bd93bec72210333cb4a6288f4b7ae37f1",
+    "traceability": "58310f7fff0dbced49943f5e8d188a76cc61375dff6b667c9bced779c1463f54",
+}
 
 
 @pytest.fixture
@@ -563,6 +583,25 @@ class TestAttack:
         code, _, err = cli("attack", "--scenario", str(path), "--seed", "9")
         assert code == 2
         assert "line 2" in err
+
+    def test_session_after_the_last_startable_time_exits_2(self, cli, tmp_path):
+        path = tmp_path / "late.scn"
+        path.write_text("advance 18446744073709551000\nsession *\n")
+        code, out, err = cli("attack", "--scenario", str(path), "--seed", "9")
+        assert code == 2
+        assert "line 2: no session can start and end in a 64-bit timestamp any more" in err
+        assert re.search(r"-\d", err) is None
+        assert out == ""
+
+    @pytest.mark.parametrize("name", builtin_scenarios())
+    def test_json_report_of_a_shipped_scenario_matches_golden_digest(self, cli, tmp_path, name):
+        path = tmp_path / "registry.json"
+        seeded_registry().save(str(path))
+        code, out, _ = cli(
+            "attack", "--scenario", name, "--registry", str(path), "--seed", "11", "--json"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ATTACK_JSON[name]
 
     def test_undecodable_scenario_file_exits_2(self, cli, tmp_path):
         path = tmp_path / "bad.scn"

@@ -114,6 +114,22 @@ def test_non_bytes_key_or_block_is_refused(kernel, bad_key, bad_block):
         assert isinstance(err.value, ValueError)
 
 
+word64 = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@settings(max_examples=100)
+@given(s0=word64, s1=word64, words=st.integers(min_value=1, max_value=16))
+def test_xorshift_steps_in_one_call_equal_chained_one_step_calls(kernel, s0, s1, words):
+    out, a, b = kernel.xorshift128p_next(s0, s1, words)
+    joined = 0
+    for _ in range(words):
+        word, s0, s1 = kernel.xorshift128p_next(s0, s1)
+        assert 0 <= word < 2**64
+        joined = (joined << 64) | word
+    assert (out, a, b) == (joined, s0, s1)
+
+
 @needs_openssl
 def test_threads_with_distinct_keys_get_the_reference_bytes():
     threads_n, rounds = 8, 40

@@ -842,3 +842,33 @@ class TestOpen:
         assert path.read_bytes() == before
         names = sorted(p.name for p in path.parent.iterdir())
         assert names == ["registry.json", "registry.json.lock"]
+
+    def test_a_lock_that_fails_is_a_storage_error(self, path, monkeypatch):
+        def no_lock(fd, operation):
+            raise OSError(37, "No locks available")
+
+        monkeypatch.setattr(fcntl, "flock", no_lock)
+        with pytest.raises(StorageError, match=r"^cannot lock registry .*No locks available"):
+            with Registry.open(path):
+                pytest.fail("the block ran without the lock")
+
+    def test_a_temp_name_already_taken_draws_another(self, registry, path, monkeypatch):
+        taken = path.parent / ".registry.json.tmp-0000000000000000"
+        taken.write_bytes(b"not ours")
+        names = iter([bytes(8), bytes(8), b"\x11" * 8])
+        monkeypatch.setattr(os, "urandom", lambda n: next(names))
+        registry.authenticate(registry.vehicles[0].lookup_key, b"\x05" * 16)
+        registry.save(path)
+        assert next(names, None) is None  # the third name was drawn
+        assert taken.read_bytes() == b"not ours"
+        assert Registry.load(path).snapshot() == registry.snapshot()
+        assert sorted(p.name for p in path.parent.iterdir()) == [taken.name, "registry.json"]
+
+    def test_a_directory_that_cannot_be_listed_is_a_storage_error(self, path, monkeypatch):
+        def unreadable(directory):
+            raise PermissionError(13, "Permission denied", directory)
+
+        monkeypatch.setattr(os, "listdir", unreadable)
+        with pytest.raises(StorageError, match=r"^cannot remove temp files of registry .*denied"):
+            with Registry.open(path):
+                pytest.fail("the block ran before stale temp files were removed")

@@ -18,7 +18,7 @@ import pytest
 
 from evabs import crypto, scenario, wire
 from evabs.channel import SECURE, Drop, Replay, Rule, Tamper
-from evabs.errors import ConfigError, InvalidInput, InvalidSeed, ScriptError
+from evabs.errors import ConfigError, FrameError, InvalidInput, InvalidSeed, ScriptError
 from evabs.registry import Registry
 from evabs.scenario import (
     SCENARIO_ALIASES,
@@ -517,6 +517,20 @@ class TestStepRefusalsNameTheLine:
         with pytest.raises(InvalidInput, match=r"^line 1: charge time "):
             _runner().execute(parse_scenario("session * duration=18446744073709551000\n"))
 
+    def test_a_clock_too_late_for_any_session_says_so(self):
+        # 615 ms are left before the last timestamp, less than the 1000 ms
+        # before charging starts: no duration could fit, and no bound is shown
+        runner = _runner()
+        text = "advance 18446744073709551000\nsession *\n"
+        with pytest.raises(InvalidInput) as err:
+            runner.execute(parse_scenario(text))
+        assert str(err.value) == (
+            "line 2: no session can start and end in a 64-bit timestamp any more"
+        )
+        assert runner.clock.now == 18446744073709551000
+        assert len(runner.transcript) == 0
+        assert runner.outcomes == []
+
     @pytest.mark.parametrize(
         "ref, message",
         [
@@ -604,10 +618,49 @@ class TestSecureLineCarriesMessages:
         runner = _runner()
         runner.flood(2, "mixed")
         assert sum(runner.server.rejected.values()) == 1
-        # decoded: the forged auth_request and the garbage frame, not the
-        # failure_notice no vehicle hears; encoded: the failure_notice, since
-        # the forged frame is drawn as bytes
-        assert calls == {"decode": 2, "encode": 1}
+        # decoded: the forged auth_request only, not the garbage frame, whose
+        # tag byte is not the auth_request's, nor the failure_notice no
+        # vehicle hears; encoded: the failure_notice, since the forged frame
+        # is drawn as bytes
+        assert calls == {"decode": 1, "encode": 1}
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            wire.StartCharge(m8=b"\x08" * 16, mac=b"\x09" * 32, n_t=b"\x0a" * 16).encode(),
+            wire.FailureNotice(Reason.ABORTED).encode(),
+            bytes([0x07]) + bytes(64),
+            b"\xff",
+        ],
+        ids=["start_charge", "failure_notice", "unknown-tag-65", "unknown-tag-1"],
+    )
+    def test_terminal_skips_a_frame_not_tagged_auth_request_undecoded(self, calls, frame):
+        runner = _runner()
+        runner._deliver(runner.network.attacker_send(scenario.V2T, frame))
+        assert calls == {"decode": 0, "encode": 0}
+        assert [e.channel for e in runner.transcript] == ["insecure"]
+        assert runner.server.accepted == 0 and not runner.server.rejected
+
+    def test_terminal_still_decodes_and_refuses_a_malformed_auth_request(self, monkeypatch):
+        refused = []
+        decode = scenario.decode_frame
+
+        def spy(frame):
+            try:
+                return decode(frame)
+            except FrameError as exc:
+                refused.append(str(exc))
+                raise
+
+        monkeypatch.setattr(scenario, "decode_frame", spy)
+        runner = _runner()
+        frame = bytes([wire.AuthRequest.tag]) + bytes(63)
+        runner._deliver(runner.network.attacker_send(scenario.V2T, frame))
+        # the tag is the auth_request's, so the wire decoder is the check
+        # that refuses the frame, and no lookup follows
+        assert refused == ["auth_request must be 65 bytes, got 64"]
+        assert [e.channel for e in runner.transcript] == ["insecure"]
+        assert runner.server.accepted == 0 and not runner.server.rejected
 
     def test_secure_entries_hold_messages(self):
         runner = _runner()
@@ -677,6 +730,17 @@ class TestRunnerSessions:
         assert outcome.amount == 180
         assert runner.server.accepted == 1
         assert not runner.terminal.energy_on
+
+    def test_a_report_numbers_the_outcomes_it_keeps(self):
+        # a sweep's sessions are kept in `sweeps`, not in `outcomes`; an
+        # outcome has no index of its own, so none of them can share one
+        runner = _runner()
+        swept = runner.run_sweep(runner.registry.vehicles[0], "auth_request")
+        assert len(swept) == 65
+        assert not any(hasattr(o, "index") for o in swept)
+        report = runner.execute(parse_scenario("session *\nsweep start_charge\nsessions 2 *\n"))
+        assert len(runner.sweeps["start_charge"]) == 65
+        assert [o["index"] for o in report.to_obj()["outcomes"]] == [0, 1, 2]
 
     def test_logs_hold_no_id_or_key(self, caplog):
         caplog.set_level(logging.DEBUG, logger="evabs")

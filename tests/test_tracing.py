@@ -11,6 +11,7 @@ import pytest
 
 import evabs.crypto
 from evabs.channel import Transcript
+from evabs.crypto import NonceSource
 from evabs.scenario import ScenarioRunner
 
 from conftest import seeded_registry
@@ -54,3 +55,24 @@ def test_a_traced_session_records_registry_spans_and_restores_every_patch(tracin
         "kernels.aes_encrypt",
     } <= names
     assert [vars(owner)[attr] for owner, attr in patched] == before
+
+
+def test_a_traced_flood_records_one_xorshift_span_per_draw(tracing, monkeypatch):
+    runner = ScenarioRunner(seeded_registry(vehicles=2), seed=11)
+    draws = []
+    for name in ("next_u64", "next_bytes"):
+
+        def counted(self, *args, method=getattr(NonceSource, name), name=name):
+            draws.append(name)
+            return method(self, *args)
+
+        monkeypatch.setattr(NonceSource, name, counted)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        tracer.begin_op()
+        runner.flood(2, "mixed")
+        tracer.end_op()
+    # the forged auth_request is one 64-byte draw; the garbage frame is a
+    # length word, then one draw of its bytes
+    assert draws == ["next_bytes", "next_u64", "next_bytes"]
+    assert [span[0] for span in tracer.spans].count("kernels.xorshift") == len(draws)
