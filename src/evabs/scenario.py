@@ -91,7 +91,7 @@ from evabs.errors import (
     ScriptError,
     checked_int,
 )
-from evabs.protocol import Phase, Server, Terminal, VehicleCredentials, VehicleSession
+from evabs.protocol import ActiveCharge, Phase, Server, Terminal, VehicleCredentials, VehicleSession
 from evabs.wire import FRAME_LENGTHS, TS_MAX, AuthRequest, Reason, StartCharge, decode_frame
 
 __all__ = [
@@ -136,18 +136,32 @@ class CheckResult:
 
 @dataclass
 class SessionOutcome:
-    """One charge attempt: t1 and t5 are the terminal's charge for the
-    session's own auth request, t2 and t4 what the vehicle saw."""
+    """One charge attempt, made when the session begins and filled in as it
+    runs: t1 when the session's own auth request opens a charge, t5 and
+    amount when that charge stops, and phase, reason, t2 and t4, what the
+    vehicle saw, at teardown."""
 
     position: int  # the vehicle's enrollment position, from 0
-    phase: str
-    reason: str | None
-    t1: int | None
-    t2: int | None
-    t4: int | None
-    t5: int | None
-    amount: int | None
+    phase: str | None = None
+    reason: str | None = None
+    t1: int | None = None
+    t2: int | None = None
+    t4: int | None = None
+    t5: int | None = None
+    amount: int | None = None
     frames: dict = field(repr=False, default_factory=dict)
+
+
+@dataclass
+class _Session:
+    """The open charge session: its vehicle, the auth request that vehicle
+    built, the outcome being filled in, and the terminal charge that
+    request opened (None until one opens)."""
+
+    vehicle: VehicleSession
+    request: AuthRequest
+    outcome: SessionOutcome
+    charge: ActiveCharge | None = None
 
 
 @dataclass
@@ -451,10 +465,7 @@ class ScenarioRunner:
         self.checks = []
         self.sweeps = {}
         self._snapshot = None
-        self._vehicle = None
-        self._request = None  # the current session's own auth request
-        self._own_charge = None  # (t1, t5, amount) of the charge that request opened
-        self._session_frames = {}
+        self._open = None  # the _Session under way, between begin and teardown
 
     # -- plumbing --------------------------------------------------------
 
@@ -514,10 +525,10 @@ class ScenarioRunner:
         return [(T2S, self.terminal.handle_auth(msg))]
 
     def _vehicle_hears_terminal(self, frame):
-        if self._vehicle is not None:  # a frame nobody hears is not decoded
+        if self._open is not None:  # a frame nobody hears is not decoded
             msg = self._decode(frame)
             if msg is not None:
-                self._vehicle.receive(msg)
+                self._open.vehicle.receive(msg)
         return []
 
     def _server_hears_terminal(self, msg):
@@ -525,50 +536,60 @@ class ScenarioRunner:
         return [] if reply is None else [(S2T, reply)]
 
     def _terminal_hears_server(self, reply):
+        """A lookup is always pending: the protected line answers each at
+        once. A charge that answers a copy of the open session's own auth
+        request is that session's, whether or not the vehicle ever charges."""
         out = self.terminal.handle_reply(reply, self.clock.now)
-        if out is None:
-            return []
         frame = out.encode()
-        if isinstance(out, StartCharge) and self._vehicle is not None:
-            self._session_frames.setdefault("start_charge", frame)
+        session = self._open
+        if isinstance(out, StartCharge) and session is not None:
+            session.outcome.frames.setdefault("start_charge", frame)
+            charge = self.terminal.active[-1]
+            if charge.req == session.request:
+                session.charge = charge
+                session.outcome.t1 = charge.t1
         return [(T2V, frame)]
 
     def _begin_session(self, record):
-        """A fresh vehicle session whose auth request has been sent and
-        answered until quiet."""
+        """Open a session for a fresh vehicle: its record, with the outcome
+        made and filled in as the session runs, once its auth request has
+        been sent and answered until quiet."""
         creds = VehicleCredentials(record.id_a, record.k_a)
         vehicle = VehicleSession(creds, self.registry.group_key, self._rng_for(record))
-        self._request = vehicle.start()
-        self._own_charge = None
-        raw = self._request.encode()
-        self._vehicle = vehicle
-        self._session_frames = {"auth_request": raw}
+        request = vehicle.start()
+        raw = request.encode()
+        outcome = SessionOutcome(record.position, frames={"auth_request": raw})
+        self._open = session = _Session(vehicle, request, outcome)
         self._send(V2T, raw)
-        return vehicle
+        return session
 
-    def _teardown(self, vehicle):
+    def _teardown(self, session):
         """Stop any energy still flowing and bill it; abort a stuck vehicle;
         disarm the adversary's armed rules that this session left unused
-        (an earlier drop can starve a sweep's tamper of its frame)."""
+        (an earlier drop can starve a sweep's tamper of its frame). Closes
+        the session and returns its outcome, with what the vehicle saw."""
+        vehicle = session.vehicle
         vehicle.abort()
         while self.terminal.energy_on:
-            self._stop_charge()
+            self._stop_charge(session)
         self.script.disarm()
-        self._vehicle = None
+        self._open = None
+        outcome = session.outcome
+        outcome.phase = vehicle.phase.value
+        outcome.reason = vehicle.fail_reason.label if vehicle.fail_reason else None
+        outcome.t2, outcome.t4 = vehicle.t2, vehicle.t4
+        return outcome
 
-    def _stop_charge(self):
-        """Stop the terminal's oldest charge and bill it. A charge opened
-        for a copy of this session's own auth request gives the outcome its
-        t1 and t5, whether or not the vehicle ever charged, and the amount
-        of the invoice its report was billed as (None if none was issued)."""
-        own = self.terminal.active[0].req == self._request
+    def _stop_charge(self, session):
+        """Stop the terminal's oldest charge and bill it. The session's own
+        charge gives its outcome t5 and the amount of the invoice its
+        report was billed as."""
+        own = self.terminal.active[0] is session.charge
         report = self.terminal.stop_charge(self.clock.now)
-        invoices = self.registry.invoices
-        issued = len(invoices)
         self._send(T2S, report)
         if own:
-            amount = invoices[-1].amount if len(invoices) > issued else None
-            self._own_charge = (report.t1, report.t5, amount)
+            session.outcome.t5 = report.t5
+            session.outcome.amount = self.registry.invoices[-1].amount
 
     @staticmethod
     def budget_cutoff_ms(budget, tariff):
@@ -580,7 +601,8 @@ class ScenarioRunner:
 
     def run_session(self, record, duration, budget=None):
         """One charge attempt, end to end, through the adversary. It returns
-        the outcome; the `session` and `sessions` lines keep it in `outcomes`.
+        the outcome, made when the session began and complete once it ends;
+        the `session` and `sessions` lines keep it in `outcomes`.
 
         Arguments and charge time are checked before anything happens:
         charging starts 1000 ms from now, and a session whose end t5 would not
@@ -596,7 +618,8 @@ class ScenarioRunner:
             raise InvalidInput("no session can start and end in a 64-bit timestamp any more")
         checked_int("charge time", effective, 0, latest)
         self._advance(1000)
-        vehicle = self._begin_session(record)
+        session = self._begin_session(record)
+        vehicle = session.vehicle
         if vehicle.phase is Phase.CHARGING:
             self._advance(effective)
             # the driver unplugs; the teardown stops the charge at this t5
@@ -607,19 +630,7 @@ class ScenarioRunner:
                 # that passed a broken tag check gives: the vehicle stays
                 # charging with no display, an outcome a check can fail on
                 pass
-        self._teardown(vehicle)
-        t1, t5, amount = self._own_charge or (None, None, None)
-        return SessionOutcome(
-            position=record.position,
-            phase=vehicle.phase.value,
-            reason=vehicle.fail_reason.label if vehicle.fail_reason else None,
-            t1=t1,
-            t2=vehicle.t2,
-            t4=vehicle.t4,
-            t5=t5,
-            amount=amount,
-            frames=dict(self._session_frames),
-        )
+        return self._teardown(session)
 
     # -- adversary bulk actions -------------------------------------------
 
@@ -665,21 +676,21 @@ class ScenarioRunner:
         )
         self._advance(1000)
         self.script.arm("start_charge", Drop())
-        vehicle = self._begin_session(record)
-        fresh_t1 = self.terminal.active[-1].t1 if self.terminal.active else None
+        session = self._begin_session(record)
+        vehicle = session.vehicle
         self._deliver(self.network.replay_entry(seq))
         if vehicle.phase is Phase.CHARGING and vehicle.t2 == first.t1:
             status = "EXPECTED-WEAKNESS"
             detail = (
                 f"stale start message accepted: vehicle t2={vehicle.t2} "
-                f"(old session) vs terminal t1={fresh_t1} (seq {seq} replayed)"
+                f"(old session) vs terminal t1={session.outcome.t1} (seq {seq} replayed)"
             )
         elif vehicle.phase is not Phase.CHARGING:
             status, detail = "PASS", "stale start message refused"
         else:
             status, detail = "FAIL", f"unexpected t2={vehicle.t2} after replay of seq {seq}"
         self.checks.append(CheckResult("probe replay-start-charge", status, detail))
-        self._teardown(vehicle)
+        self._teardown(session)
 
     def probe_splice_auth(self, record):
         """Recorded m3 + mac, fresh nonce: the lookup key no longer matches
@@ -764,19 +775,20 @@ class ScenarioRunner:
         )
 
     def _expect_fresh_frames(self):
-        auth = [o.frames["auth_request"] for o in self.outcomes if "auth_request" in o.frames]
-        start = [o.frames["start_charge"] for o in self.outcomes if "start_charge" in o.frames]
-        problems = []
-        for cls, frames in ((AuthRequest, auth), (StartCharge, start)):
+        """A session is numbered by its outcome's position in `outcomes`."""
+        counts, problems = [], []
+        for cls in (AuthRequest, StartCharge):
             label = cls.variant
+            frames = [(i, o.frames[label]) for i, o in enumerate(self.outcomes) if label in o.frames]
+            counts.append(len(frames))
             for _, lo, hi in cls.layout.spans:
-                parts = [f[lo:hi] for f in frames]
+                parts = [f[lo:hi] for _, f in frames]
                 if len(set(parts)) != len(parts):
                     problems.append(f"{label} bytes {lo}:{hi} repeat across sessions")
             # corresponding-position byte matches should stay at chance level
-            for i in range(len(frames)):
-                for j in range(i + 1, len(frames)):
-                    same = sum(a == b for a, b in zip(frames[i][1:], frames[j][1:]))
+            for k, (i, a) in enumerate(frames):
+                for j, b in frames[k + 1:]:
+                    same = sum(x == y for x, y in zip(a[1:], b[1:]))
                     if same > 5:
                         problems.append(
                             f"{label} sessions {i} and {j} share {same}/{cls.frame_len - 1}"
@@ -784,7 +796,7 @@ class ScenarioRunner:
                         )
         return (
             not problems,
-            f"{len(auth)} auth + {len(start)} start frames compared"
+            f"{counts[0]} auth + {counts[1]} start frames compared"
             + ("; " + "; ".join(problems[:3]) if problems else ""),
         )
 

@@ -28,7 +28,7 @@ import evabs
 from evabs.cli import build_parser, main, parse_args
 from evabs.errors import StorageError
 from evabs.registry import Registry, _Journal
-from evabs.scenario import builtin_scenarios
+from evabs.scenario import ScenarioRunner, builtin_scenarios
 
 from conftest import seeded_registry
 
@@ -195,6 +195,24 @@ class TestSession:
             code = exc.code
         assert code == 2
         assert pathlib.Path(registry_path).read_bytes() == before
+
+    def test_an_outcome_whose_clocks_disagree_exits_1(self, cli, registry_path, monkeypatch):
+        # with no adversary in the path t4 is always t5 - t1, so only a
+        # patched runner reaches the check
+        run_session = ScenarioRunner.run_session
+
+        def skewed(self, *args, **kwargs):
+            outcome = run_session(self, *args, **kwargs)
+            outcome.t4 += 1
+            return outcome
+
+        monkeypatch.setattr(ScenarioRunner, "run_session", skewed)
+        code, out, err = cli(
+            "session", "--registry", registry_path, "--duration", "1000", "--seed", "11"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "internal clock inconsistency: t4=1001 t5-t1=1000\n"
 
     def test_longest_duration_that_fits_is_billed(self, cli, registry_path):
         # a fresh run starts charging at t1 = 1000 ms, so t5 reaches 2**64 - 1

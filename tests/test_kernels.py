@@ -233,6 +233,58 @@ def test_context_is_freed_when_its_thread_ends(monkeypatch):
     assert made and freed == made
 
 
+def _raised_in_a_new_thread(fn):
+    """What fn raises on a thread of its own, which has no context yet."""
+    raised = []
+
+    def work():
+        try:
+            fn()
+        except Exception as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return raised
+
+
+@needs_openssl
+def test_a_context_libcrypto_cannot_make_is_a_memory_error(monkeypatch):
+    monkeypatch.setattr(_osslkernels, "_ctx_new", lambda: None)
+    [exc] = _raised_in_a_new_thread(lambda: _osslkernels.aes256_encrypt_block(FIPS_KEY, FIPS_PLAIN))
+    assert isinstance(exc, MemoryError)
+
+
+@needs_openssl
+def test_a_context_that_cannot_be_set_up_is_freed(monkeypatch):
+    made, freed = [], []
+    new, free = _osslkernels._ctx_new, _osslkernels._ctx_free
+
+    def recording_new():
+        made.append(new())
+        return made[-1]
+
+    def recording_free(ctx):
+        freed.append(ctx.value)
+        free(ctx)
+
+    monkeypatch.setattr(_osslkernels, "_ctx_new", recording_new)
+    monkeypatch.setattr(_osslkernels, "_ctx_free", recording_free)
+    monkeypatch.setattr(_osslkernels, "_set_padding", lambda ctx, pad: 0)
+    [exc] = _raised_in_a_new_thread(lambda: _osslkernels.aes256_encrypt_block(FIPS_KEY, FIPS_PLAIN))
+    assert isinstance(exc, OSError) and "set-up failed" in str(exc)
+    assert made and freed == made
+
+
+@needs_openssl
+def test_a_kernel_that_fails_the_known_answer_is_refused_as_an_import(monkeypatch):
+    monkeypatch.setattr(_osslkernels, "aes256_encrypt_block", lambda key, block: bytes(16))
+    [exc] = _raised_in_a_new_thread(_osslkernels._known_answer)
+    assert isinstance(exc, ImportError) and "FIPS-197" in str(exc)
+
+
 @needs_openssl
 def test_every_threads_context_is_a_ctypes_pointer():
     # EVP_CipherInit_ex and EVP_CipherUpdate are bound without argtypes,

@@ -8,6 +8,7 @@ There t1 and t5 are the start and stop times of the charge the terminal
 opened for this session's own auth request, whichever frames it also heard
 meanwhile; t2 and t4 are what the vehicle saw."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -151,6 +152,27 @@ def test_charge_opened_between_sessions_is_stopped_first():
         ("completed", None, 7600, 7600, 5000, 12600, 10),
     ]
     assert invoices == [(1600, 12600, 22), (7600, 12600, 10)]
+
+
+def test_an_outcome_does_not_change_after_its_session_returns(monkeypatch):
+    # the first request's charge opens during `advance`, after its session
+    # ended: no outcome, the first one included, is touched by it
+    copies = []
+    run_session = ScenarioRunner.run_session
+
+    def copying(self, *args, **kwargs):
+        outcome = run_session(self, *args, **kwargs)
+        copies.append(dataclasses.replace(outcome, frames=dict(outcome.frames)))
+        return outcome
+
+    monkeypatch.setattr(ScenarioRunner, "run_session", copying)
+    runner = ScenarioRunner(seeded_registry(), seed=1)
+    runner.execute(parse_scenario(
+        "rule insecure auth_request nth=1 delay=600\nsession *\nadvance 600\nsession *\n"
+    ))
+    assert runner.server.accepted == 2 and len(runner.registry.invoices) == 2
+    assert runner.outcomes == copies
+    assert runner.outcomes[0].t1 is None
 
 
 @pytest.mark.parametrize(

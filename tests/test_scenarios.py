@@ -459,6 +459,31 @@ def test_repeated_frames_name_the_byte_spans_of_their_fields(variant):
     ]
 
 
+def test_fresh_frames_numbers_a_session_by_its_outcome():
+    # the revoked vehicle's session, outcome 1, gets no start message; a
+    # terminal drawing the same nonce every time repeats it in outcomes 0,
+    # 2 and 3, and the check names those, not their places among the
+    # start messages
+    class ConstantNonces:
+        def next_nonce(self):
+            return bytes(16)
+
+    runner = ScenarioRunner(seeded_registry(), seed=3)
+    runner.terminal.nonces = ConstantNonces()
+    runner.execute(parse_scenario(
+        "revoke #2\nsession #1\nsession #2\nsession #1\nsession #1\nexpect fresh-frames\n"
+    ))
+    assert ["start_charge" in o.frames for o in runner.outcomes] == [True, False, True, True]
+    [check] = runner.checks
+    assert check.status == "FAIL"
+    assert check.detail.split("; ") == [
+        "4 auth + 3 start frames compared",
+        "start_charge bytes 49:65 repeat across sessions",
+        "start_charge sessions 0 and 2 share 16/64 byte positions",
+        "start_charge sessions 0 and 3 share 16/64 byte positions",
+    ]
+
+
 @pytest.mark.parametrize(
     "text, detail",
     [
