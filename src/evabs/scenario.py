@@ -21,12 +21,12 @@ Grammar (# starts a comment unless a digit follows, blank lines ignored):
     probe replay-start-charge|splice-auth         the stale-t2 replay, or a recorded
                                                   m3+mac with a fresh nonce
     report nonce-store                            note per-vehicle nonce growth
-    expect completed N                            each expect form records PASS
-    expect aborted N                              or FAIL, in a check named
-    expect accepted N                             after its line
-    expect failed N [reason=LABEL]
-    expect rejected N [reason=LABEL]
-    expect invoices N [total=AMOUNT]
+    expect completed N                            each expect, probe and report
+    expect aborted N                              line records one check named
+    expect accepted N                             after the line: an expect
+    expect failed N [reason=LABEL]                PASS or FAIL, a probe also
+    expect rejected N [reason=LABEL]              EXPECTED-WEAKNESS, a report
+    expect invoices N [total=AMOUNT]              INFO
     expect no-secrets [ids|keys|all]
     expect fresh-frames
     expect registry-unchanged
@@ -663,12 +663,12 @@ class ScenarioRunner:
     def probe_replay_start_charge(self, record):
         """The protocol has no vehicle-side freshness check on the terminal
         nonce: a recorded start message from an old session still verifies.
-        Documented weakness; reported as such, never as FAIL."""
+        Documented weakness: judged from the outcome of the session that
+        hears the replay, reported as EXPECTED-WEAKNESS, never as FAIL."""
         first = self.run_session(record, duration=3000)
         stale = first.frames.get("start_charge")
         if first.phase != "completed" or stale is None:
-            self._check("probe replay-start-charge", False, "setup session failed")
-            return
+            return False, "setup session failed"
         seq = next(
             e.seq
             for e in self.transcript
@@ -677,48 +677,42 @@ class ScenarioRunner:
         self._advance(1000)
         self.script.arm("start_charge", Drop())
         session = self._begin_session(record)
-        vehicle = session.vehicle
         self._deliver(self.network.replay_entry(seq))
-        if vehicle.phase is Phase.CHARGING and vehicle.t2 == first.t1:
-            status = "EXPECTED-WEAKNESS"
-            detail = (
-                f"stale start message accepted: vehicle t2={vehicle.t2} "
-                f"(old session) vs terminal t1={session.outcome.t1} (seq {seq} replayed)"
-            )
-        elif vehicle.phase is not Phase.CHARGING:
-            status, detail = "PASS", "stale start message refused"
-        else:
-            status, detail = "FAIL", f"unexpected t2={vehicle.t2} after replay of seq {seq}"
-        self.checks.append(CheckResult("probe replay-start-charge", status, detail))
-        self._teardown(session)
+        out = self._teardown(session)
+        if out.phase != "charging":
+            return True, "stale start message refused"
+        if out.t2 != first.t1:
+            return False, f"unexpected t2={out.t2} after replay of seq {seq}"
+        return "EXPECTED-WEAKNESS", (
+            f"stale start message accepted: vehicle t2={out.t2} "
+            f"(old session) vs terminal t1={out.t1} (seq {seq} replayed)"
+        )
 
     def probe_splice_auth(self, record):
         """Recorded m3 + mac, fresh nonce: the lookup key no longer matches
         any record, so a cloned partial frame buys nothing."""
         first = self.run_session(record, duration=3000)
-        raw = first.frames.get("auth_request")
-        if first.phase != "completed" or raw is None:
-            self._check("probe splice-auth", False, "setup session failed")
-            return
-        old = decode_frame(raw)
+        if first.phase != "completed":
+            return False, "setup session failed"
+        old = decode_frame(first.frames["auth_request"])
         accepted_before = self.server.accepted
         forged = AuthRequest(m3=old.m3, mac=old.mac, n_a=self.adversary_rng.next_nonce())
         self._deliver(self.network.attacker_send(V2T, forged.encode()))
         held = self.server.accepted == accepted_before
-        self._check(
-            "probe splice-auth",
-            held,
+        return held, (
             "recorded frame with a fresh nonce does not authenticate"
             if held
-            else "spliced frame was accepted",
+            else "spliced frame was accepted"
         )
 
     # -- expectations ------------------------------------------------------
 
-    def _check(self, name, ok, detail):
-        self.checks.append(CheckResult(name, "PASS" if ok else "FAIL", detail))
+    def _check(self, name, status, detail):
+        status = "PASS" if status is True else "FAIL" if status is False else status
+        self.checks.append(CheckResult(name, status, detail))
 
-    # an expect form's method returns (ok, detail); execute names the check after its line
+    # a judging line's method (an expect form, a probe, report) returns
+    # (status, detail), True for PASS and False for FAIL; execute names the check after its line
 
     @staticmethod
     def _count(n, got, ok=True, detail=""):
@@ -874,7 +868,7 @@ class ScenarioRunner:
 
     def _probe(self, name):
         """`probe NAME` calls probe_NAME, - read as _, on the first enrolled vehicle."""
-        getattr(self, "probe_" + name.replace("-", "_"))(self._resolve_vehicle("*"))
+        return getattr(self, "probe_" + name.replace("-", "_"))(self._resolve_vehicle("*"))
 
     def _report(self, name):
         """`report nonce-store`, the one report."""
@@ -882,16 +876,11 @@ class ScenarioRunner:
             f"{rec.id_a.hex()[:8]}..={len(rec.used_nonces)}" for rec in self.registry.vehicles
         )
         total = sum(len(rec.used_nonces) for rec in self.registry.vehicles)
-        self.checks.append(
-            CheckResult(
-                f"report {name}", "INFO",
-                f"stored nonces grow without bound: total={total} ({sizes})",
-            )
-        )
+        return "INFO", f"stored nonces grow without bound: total={total} ({sizes})"
 
     def execute(self, scenario):
         """Run the steps in order; what step N raises gains `line N: `, and
-        what an expect form returns is a check named after its line."""
+        the verdict a judging line returns is a check named after its line."""
         for lineno, tokens, method, args in scenario.steps:
             try:
                 check = method(self, *args)

@@ -27,7 +27,7 @@ def _line(payload):
 
 
 def _state(registry):
-    return registry.snapshot(), [inv.to_obj() for inv in registry.invoices]
+    return registry.snapshot()
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ output.
 
 import ctypes
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -283,6 +284,23 @@ def test_a_kernel_that_fails_the_known_answer_is_refused_as_an_import(monkeypatc
     monkeypatch.setattr(_osslkernels, "aes256_encrypt_block", lambda key, block: bytes(16))
     [exc] = _raised_in_a_new_thread(_osslkernels._known_answer)
     assert isinstance(exc, ImportError) and "FIPS-197" in str(exc)
+
+
+def test_a_libcrypto_without_aes_256_ecb_is_refused_as_an_import(monkeypatch):
+    # the module's source, run under another name so evabs keeps its kernel,
+    # against a library whose every function returns NULL
+    class NullLibrary:
+        def __init__(self, path):
+            pass
+
+        def __getattr__(self, name):
+            return lambda *args: None
+
+    monkeypatch.setattr(ctypes, "CDLL", NullLibrary)
+    path = pathlib.Path(evabs.__file__).with_name("_osslkernels.py")
+    spec = importlib.util.spec_from_file_location("evabs._osslkernels_without_ecb", path)
+    with pytest.raises(ImportError, match="^libcrypto has no AES-256-ECB$"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 @needs_openssl

@@ -5,6 +5,7 @@ statuses are INFO (measurements) and EXPECTED-WEAKNESS (the documented
 missing freshness check on the terminal nonce)."""
 
 import ast
+import dataclasses
 import functools
 import hashlib
 import inspect
@@ -16,9 +17,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from evabs import crypto, scenario, wire
+from evabs import crypto, protocol, scenario, wire
 from evabs.channel import SECURE, Drop, Replay, Rule, Tamper
-from evabs.errors import ConfigError, FrameError, InvalidInput, InvalidSeed, ScriptError
+from evabs.errors import (
+    ConfigError,
+    FrameError,
+    HandshakeError,
+    InvalidInput,
+    InvalidSeed,
+    ScriptError,
+)
 from evabs.registry import Registry
 from evabs.scenario import (
     SCENARIO_ALIASES,
@@ -499,6 +507,26 @@ def test_expect_with_nothing_to_compare_fails_saying_what_is_missing(text, detai
     assert [(c.status, c.detail) for c in runner.checks] == [("FAIL", detail)]
 
 
+def _raise_the_first_invoice(registry):
+    invoice = registry.invoices[0]
+    registry.invoices[0] = dataclasses.replace(invoice, amount=invoice.amount + 1)
+
+
+def _rename_the_second_owner(registry):
+    registry.vehicles[1].owner = "someone else"
+
+
+@pytest.mark.parametrize(
+    "change", [_raise_the_first_invoice, _rename_the_second_owner], ids=["invoice", "owner"]
+)
+def test_registry_unchanged_sees_every_field_the_file_holds(change):
+    runner = _runner()
+    runner.execute(parse_scenario("session *\nsnapshot\n"))
+    change(runner.registry)
+    runner.execute(parse_scenario("expect registry-unchanged\n"))
+    assert [(c.status, c.detail) for c in runner.checks] == [("FAIL", "state drifted")]
+
+
 def test_terminal_ignores_a_vehicle_link_frame_that_is_not_an_auth_request():
     # a failure notice decodes, but only an auth request makes a lookup
     runner = _runner()
@@ -744,6 +772,10 @@ class TestBudgetCutoff:
         assert ScenarioRunner.budget_cutoff_ms(budget, tariff) == cutoff
 
 
+def _refuse_a_repeat(t2):
+    raise HandshakeError(Reason.MAC_INVALID, "start nonce seen before")
+
+
 class TestRunnerSessions:
     def test_honest_session_completes(self):
         runner = _runner()
@@ -885,11 +917,37 @@ class TestRunnerSessions:
 
     def test_probe_replay_start_charge_reports_weakness(self):
         runner = _runner()
-        runner.probe_replay_start_charge(runner.registry.vehicles[0])
-        [check] = runner.checks
-        assert check.name == "probe replay-start-charge"
-        assert check.status == "EXPECTED-WEAKNESS"
-        assert "stale start message accepted" in check.detail
+        status, detail = runner.probe_replay_start_charge(runner.registry.vehicles[0])
+        assert status == "EXPECTED-WEAKNESS"
+        assert "stale start message accepted" in detail
+        assert runner.checks == []  # execute records it, named after the line
+
+    @pytest.mark.parametrize(
+        "on_repeat, verdict",
+        [
+            (_refuse_a_repeat, (True, "stale start message refused")),
+            (lambda t2: t2 + 1, (False, "unexpected t2=1001 after replay of seq 3")),
+        ],
+        ids=["refused", "moved-start"],
+    )
+    def test_probe_replay_start_charge_judges_a_vehicle_that_remembers_nonces(
+        self, monkeypatch, on_repeat, verdict
+    ):
+        # each vehicle remembers every n_t it has opened a start message
+        # with and passes a repeat's t2 through on_repeat
+        opened = set()
+        open_start_charge = protocol.open_start_charge
+
+        def remembering(msg, k_a, group_key):
+            t2 = open_start_charge(msg, k_a, group_key)
+            if msg.n_t in opened:
+                return on_repeat(t2)
+            opened.add(msg.n_t)
+            return t2
+
+        monkeypatch.setattr(protocol, "open_start_charge", remembering)
+        runner = _runner(seed=11)
+        assert runner.probe_replay_start_charge(runner.registry.vehicles[0]) == verdict
 
     def test_probe_replays_the_stale_start_message_once(self):
         # the replayed copy reaches the vehicle without going back on the
@@ -919,9 +977,9 @@ class TestRunnerSessions:
 
     def test_probe_splice_auth_passes(self):
         runner = _runner()
-        runner.probe_splice_auth(runner.registry.vehicles[0])
-        [check] = runner.checks
-        assert (check.name, check.status) == ("probe splice-auth", "PASS")
+        verdict = runner.probe_splice_auth(runner.registry.vehicles[0])
+        assert verdict == (True, "recorded frame with a fresh nonce does not authenticate")
+        assert runner.checks == []  # execute records it, named after the line
 
     def test_vehicle_references(self):
         registry = seeded_registry(vehicles=3)
