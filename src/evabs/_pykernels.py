@@ -1,12 +1,11 @@
-"""The hot kernels, in pure Python: the reference kernel.
-
-AES-256 on a single 16-byte block, plus the xorshift128+ generator, run
-for as many steps as one draw needs. evabs.crypto calls whichever kernel
-module it bound (evabs._osslkernels when the host's libcrypto serves, this
-one otherwise), and everything above crypto reaches the kernels through
-crypto. Each block function checks its key and block once, with
-checked_bytes; a wrong one raises InvalidInput, a ValueError.
-The tests check the libcrypto kernel against this one.
+"""The reference kernel, in pure Python: AES-256 on one 16-byte block, in
+FIPS-197's rounds, and the xorshift128+ generator, run for as many steps as
+one draw needs. evabs.crypto calls whichever kernel module it bound
+(evabs._osslkernels when the host's libcrypto serves, this one otherwise),
+and everything above crypto reaches the kernels through crypto. Each block
+function checks its key and block once, with checked_bytes; a wrong one
+raises InvalidInput, a ValueError. The tests check the libcrypto kernel
+against this one.
 
 The block functions are raw codebook operation on one block: deterministic
 by design, because the server indexes vehicle records by E(id, key) and an
@@ -80,20 +79,13 @@ def _round_keys(key):
         elif i % 8 == 4:
             t = _sub_word(t)
         w.append(w[i - 8] ^ t)
-    rks = []
-    for r in range(15):
-        rk = []
-        for c in range(4):
-            word = w[4 * r + c]
-            rk.extend(
-                ((word >> 24) & 0xFF, (word >> 16) & 0xFF, (word >> 8) & 0xFF, word & 0xFF)
-            )
-        rks.append(rk)
-    return rks
+    return [list(b"".join(x.to_bytes(4, "big") for x in w[r : r + 4])) for r in range(0, 60, 4)]
 
 
-# State is kept flat in input order: byte i sits at row i % 4, column i // 4,
-# so ShiftRows index arithmetic below is new[r + 4c] = old[r + 4((c + r) % 4)].
+# State is flat in input order: byte i sits at row i % 4, column i // 4.
+# ShiftRows (FIPS-197 5.1.2) moves row r left by r: new[r + 4c] = old[r + 4((c + r) % 4)].
+_SHIFT = tuple(r + 4 * ((c + r) % 4) for c in range(4) for r in range(4))
+_UNSHIFT = tuple(_SHIFT.index(i) for i in range(16))
 
 
 def aes256_encrypt_block(key, block):
@@ -103,13 +95,8 @@ def aes256_encrypt_block(key, block):
     sbox = _SBOX
     m2, m3 = _MUL[2], _MUL[3]
     s = [b ^ k for b, k in zip(block, rks[0])]
-    for rnd in range(1, 14):
-        rk = rks[rnd]
-        s = [sbox[b] for b in s]
-        s = [s[0], s[5], s[10], s[15],
-             s[4], s[9], s[14], s[3],
-             s[8], s[13], s[2], s[7],
-             s[12], s[1], s[6], s[11]]
+    for rk in rks[1:14]:
+        s = [sbox[s[i]] for i in _SHIFT]
         t = [0] * 16
         for c in (0, 4, 8, 12):
             a0, a1, a2, a3 = s[c], s[c + 1], s[c + 2], s[c + 3]
@@ -118,13 +105,7 @@ def aes256_encrypt_block(key, block):
             t[c + 2] = a0 ^ a1 ^ m2[a2] ^ m3[a3] ^ rk[c + 2]
             t[c + 3] = m3[a0] ^ a1 ^ a2 ^ m2[a3] ^ rk[c + 3]
         s = t
-    rk = rks[14]
-    s = [sbox[b] for b in s]
-    s = [s[0], s[5], s[10], s[15],
-         s[4], s[9], s[14], s[3],
-         s[8], s[13], s[2], s[7],
-         s[12], s[1], s[6], s[11]]
-    return bytes(b ^ k for b, k in zip(s, rk))
+    return bytes(sbox[s[i]] ^ k for i, k in zip(_SHIFT, rks[14]))
 
 
 def aes256_decrypt_block(key, block):
@@ -134,14 +115,8 @@ def aes256_decrypt_block(key, block):
     inv = _INV_SBOX
     m9, m11, m13, m14 = _MUL[9], _MUL[11], _MUL[13], _MUL[14]
     s = [b ^ k for b, k in zip(block, rks[14])]
-    for rnd in range(13, 0, -1):
-        s = [s[0], s[13], s[10], s[7],
-             s[4], s[1], s[14], s[11],
-             s[8], s[5], s[2], s[15],
-             s[12], s[9], s[6], s[3]]
-        s = [inv[b] for b in s]
-        rk = rks[rnd]
-        s = [b ^ k for b, k in zip(s, rk)]
+    for rk in rks[13:0:-1]:
+        s = [inv[s[i]] ^ k for i, k in zip(_UNSHIFT, rk)]
         t = [0] * 16
         for c in (0, 4, 8, 12):
             a0, a1, a2, a3 = s[c], s[c + 1], s[c + 2], s[c + 3]
@@ -150,12 +125,7 @@ def aes256_decrypt_block(key, block):
             t[c + 2] = m13[a0] ^ m9[a1] ^ m14[a2] ^ m11[a3]
             t[c + 3] = m11[a0] ^ m13[a1] ^ m9[a2] ^ m14[a3]
         s = t
-    s = [s[0], s[13], s[10], s[7],
-         s[4], s[1], s[14], s[11],
-         s[8], s[5], s[2], s[15],
-         s[12], s[9], s[6], s[3]]
-    s = [inv[b] for b in s]
-    return bytes(b ^ k for b, k in zip(s, rks[0]))
+    return bytes(inv[s[i]] ^ k for i, k in zip(_UNSHIFT, rks[0]))
 
 
 def xorshift128p_next(s0, s1, words=1):

@@ -116,10 +116,11 @@ class NonceSource:
     of 64 bytes equals draws of 16, 32 and 16 in turn, and next_nonce() is
     next_bytes(16).
 
-    Agents only need next_nonce()/next_u64(), so anything with that shape
-    can be swapped in (tests inject fixed-output sources to force nonce
-    collisions). State is two 64-bit words; the all-zero state is the
-    generator's fixed point and is rejected.
+    Agents draw only next_nonce(), so anything with that method can be
+    swapped in (tests inject fixed-output sources to force nonce
+    collisions); the adversary's flood draws next_u64() and next_bytes().
+    State is two 64-bit words; the all-zero state is the generator's fixed
+    point and is rejected.
     """
 
     __slots__ = ("_s0", "_s1")

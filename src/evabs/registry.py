@@ -161,6 +161,17 @@ def _field(obj, key, kind, default, what):
     return value
 
 
+def _unique_fields(pairs):
+    """The dict of a JSON object's pairs, refused if a field repeats: json
+    keeps the last value, and the next save would drop the others."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise StorageError(f"field {repeated!r} is repeated")
+    return obj
+
+
 def _known_fields(obj, keys):
     """Refuse a field the format does not have: the next save would drop it."""
     if not keys.issuperset(obj):
@@ -694,9 +705,11 @@ class Registry:
             raise StorageError(f"cannot read registry {path}: {exc}") from exc
         try:
             # UTF-8 whatever the locale; json.loads would take UTF-16 bytes
-            obj = json.loads(snapshot.decode())
+            obj = json.loads(snapshot.decode(), object_pairs_hook=_unique_fields)
         except (ValueError, RecursionError) as exc:  # also undecodable or too deep
             raise StorageError(f"registry {path} is not valid JSON: {exc}") from exc
+        except StorageError as exc:
+            raise StorageError(f"{path}: {exc}") from None
         if not isinstance(obj, dict):
             raise StorageError(f"registry {path} must be a JSON object")
         try:

@@ -873,7 +873,7 @@ class ScenarioRunner:
     def _report(self, name):
         """`report nonce-store`, the one report."""
         sizes = ", ".join(
-            f"{rec.id_a.hex()[:8]}..={len(rec.used_nonces)}" for rec in self.registry.vehicles
+            f"#{rec.position + 1}={len(rec.used_nonces)}" for rec in self.registry.vehicles
         )
         total = sum(len(rec.used_nonces) for rec in self.registry.vehicles)
         return "INFO", f"stored nonces grow without bound: total={total} ({sizes})"

@@ -44,7 +44,7 @@ OTHER_KEY = "d4" * 32
 GOLDEN_ATTACK_JSON = {
     "cloning": "6f1ee19fb8cc81b1d66787f33464f7ce3daa68fb04bf8a36e55434234da1cdc8",
     "desync": "7a6801a40ff279016be7897dd12f25aae9c11b3b071af93812cd08c1bb6cb49e",
-    "dos": "7184f2f8705a09c3e3449eb1e9ab1a3fdaa567f46a5dc70312849a0186683a99",
+    "dos": "4b8745eb4cae69cea09b2329df792b97fe12a3814424d1ecca1dc8dbcca62f10",
     "eavesdrop": "e1a0f5f6e6a4cf81901f19fadef7406901fb9650b2f5b546e52820277d1c6354",
     "impersonation": "0f4195febdf1a791998ec171080c0a03667222fa1c7565952054d05f3328dcdc",
     "physical-disclosure": "a87b84099aa92907c25dbca79971a104e1c0dd81ceffc73f76a6fd898b53c3a8",
@@ -755,6 +755,19 @@ class TestInvoices:
         code, _, err = cli("invoices", "--registry", registry_path)
         assert code == 3
         assert err.startswith(f"storage error: {registry_path}")
+
+    def test_repeated_field_is_a_storage_error(self, cli, registry_path):
+        # a second tariff after the real one: json alone would bill at 0
+        with open(registry_path) as fh:
+            text = fh.read()
+        line = '"tariff_per_second": 2,'
+        assert line in text
+        with open(registry_path, "w") as fh:
+            fh.write(text.replace(line, f'{line} "tariff_per_second": 0,'))
+        code, out, err = cli("invoices", "--registry", registry_path)
+        assert code == 3
+        assert out == ""
+        assert err == f"storage error: {registry_path}: field 'tariff_per_second' is repeated\n"
 
     @pytest.mark.parametrize("content", [b"\xff", b"[" * 200_000], ids=["0xff", "deep-nesting"])
     def test_undecodable_registry_is_a_storage_error(self, cli, tmp_path, content):

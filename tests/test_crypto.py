@@ -104,6 +104,10 @@ class TestBlockCipherVectors:
             expected = enc.update(pt) + enc.finalize()
             assert _pykernels.aes256_encrypt_block(key, pt) == expected
             assert _pykernels.aes256_decrypt_block(key, expected) == pt
+            # decrypt checked on its own, not only as encrypt's inverse
+            ct = rng.randbytes(16)
+            dec = Cipher(algorithms.AES(key), modes.ECB()).decryptor()
+            assert _pykernels.aes256_decrypt_block(key, ct) == dec.update(ct) + dec.finalize()
 
     @settings(max_examples=50)
     @given(key=key256, pt=block)

@@ -692,6 +692,30 @@ class TestLoadCanonical:
         with pytest.raises(StorageError, match=re.escape(f"{path}{where}")):
             Registry.load(path)
 
+    @pytest.mark.parametrize(
+        "field, value, locate",
+        [
+            ("tariff_per_second", "0", lambda obj: obj),
+            ("revoked", "true", lambda obj: obj["vehicles"][0]),
+            ("issued_at", "0", lambda obj: obj["invoices"][0]),
+        ],
+        ids=["top-level", "vehicle", "invoice"],
+    )
+    def test_repeated_field_is_refused(self, registry, tmp_path, field, value, locate):
+        # json keeps the last value, and the next save would drop the first
+        record = registry.vehicles[0]
+        registry.bill(record.id_a, t1=0, t5=1500, issued_at=1500)
+        path = tmp_path / "registry.json"
+        registry.save(path)
+        text = re.sub(
+            rf'"{field}": [^,\n]+', lambda m: f'{m[0]}, "{field}": {value}', path.read_text(), 1
+        )
+        assert locate(json.loads(text))[field] == json.loads(value)
+        path.write_text(text)
+        message = f"{path}: field {field!r} is repeated"
+        with pytest.raises(StorageError, match=rf"^{re.escape(message)}$"):
+            Registry.load(path)
+
 
 class TestOpen:
     @pytest.fixture

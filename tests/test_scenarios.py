@@ -59,7 +59,7 @@ SHIPPED = [
 GOLDEN = {
     "cloning": "88819cca5c6290d08b8becd38c843cee23a1d7ec43e8e01d530f5525e7c3eb5a",
     "desync": "bf6b098b724a5e21cc4ffcae787f877cc0493f47b5c7cbcd561abb237917e923",
-    "dos": "ffbf706add90ee1d786ff59dd00bba451bb2bce645df382a776d653d9135666f",
+    "dos": "eb6383203e0882f0714331be5e8e17e9fd67a66998e39d0eea8afa9f4a5d38a1",
     "eavesdrop": "974adfa444289493555106fdb7132da640f04587ecde29f79cca74f0d912cb8f",
     "impersonation": "f4d5e35107adf1b7b4892c6387a10abd162177c8466a3dac337046a669cd4694",
     "physical-disclosure": "d3c93f58736d7f567d84daa38855e64cf362bd59108827ede279852f859627d9",
