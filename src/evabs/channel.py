@@ -17,14 +17,14 @@ key material. The adversary owns the insecure link: a script of trigger ->
 action rules can drop, delay, tamper, inject or replay frames there.
 
 A Rule checks itself once, when a scenario file or a caller makes it: a
-variant no agent puts on the open link, nth below 1, a negative delay or
-replay seq, a tamper index past the variant's frame, a mask outside
-0x01..0xff or an injected frame that is empty or not bytes-like is a
-ScriptError before any frame is sent. When the rule fires, Network.send
-checks only what depends on the frame in hand (a tamper index past a frame
-shorter than its variant, a replay seq that names no recorded open-link
-frame), before the trigger frame is transcribed: a refused rule records
-nothing of it.
+variant no agent puts on the open link, nth below 1, a delay below 1 ms (a
+held frame waits for a clock step), a negative replay seq, a tamper index
+past the variant's frame, a mask outside 0x01..0xff or an injected frame
+that is empty or not bytes-like is a ScriptError before any frame is sent.
+When the rule fires, Network.send checks only what depends on the frame in
+hand (a tamper index past a frame shorter than its variant, a replay seq
+that names no recorded open-link frame), before the trigger frame is
+transcribed: a refused rule records nothing of it.
 
 Triggers match on observable bytes only (frame variant, nth occurrence),
 never on agent state, so the adversary cannot cheat by reading hidden
@@ -119,7 +119,7 @@ class Rule:
             raise ScriptError(f"a rule takes {', '.join(RULE_VARIANTS)}, got {variant!r}")
         checked_int("nth", nth, 1, error=ScriptError)
         if isinstance(action, Delay):
-            checked_int("delay", action.by_ms, error=ScriptError)
+            checked_int("delay", action.by_ms, 1, error=ScriptError)
         elif isinstance(action, Replay):
             if action.of_seq is not None:
                 checked_int("replay seq", action.of_seq, error=ScriptError)
@@ -353,6 +353,8 @@ class Network:
 
     def due(self):
         """Delayed frames whose delivery time has arrived, in send order."""
+        if not self._deferred:
+            return []
         ready = [d for d in self._deferred if d[0] <= self.clock.now]
         self._deferred = [d for d in self._deferred if d[0] > self.clock.now]
         return [(direction, frame) for _, direction, frame in ready]

@@ -8,8 +8,10 @@ Four operations and a nonce source:
     equal outputs. Do not add an IV or a mode here.
   * xor_blocks: 16-byte XOR, the involution that lets a nonce be stripped
     by whoever knows it.
-  * compute_mac / verify_mac: HMAC-SHA-256 tags over frame fields;
-    verification is constant-time.
+  * compute_mac / verify_mac: HMAC-SHA-256 tags over frame fields, built
+    as RFC 2104 defines it on hashlib's SHA-256 (hmac.digest, on OpenSSL 3,
+    sets a MAC context up on every call and is slower); verification is
+    constant-time.
   * NonceSource: seedable xorshift128+ stream; one 128-bit nonce is two
     successive 64-bit outputs, big-endian, in draw order. Deterministic by
     construction so a run seed reproduces every frame byte.
@@ -27,6 +29,7 @@ forward: the kernel checks key and block, where a wrong one would reach C.
 """
 
 import hmac as _hmac
+from hashlib import sha256 as _sha256
 
 try:
     from evabs import _osslkernels as kernels
@@ -58,6 +61,11 @@ TAG_SIZE = 32
 BACKEND = kernels.BACKEND
 
 _MASK64 = (1 << 64) - 1
+# HMAC's pads as bytes.translate tables: byte x of a padded key becomes
+# x ^ 0x36 in the inner block and x ^ 0x5C in the outer one
+_SHA256_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
 # splitmix64's state advances by this odd constant per step, so output k of
 # the stream seeded with x is the mix of x + (k + 1) * SPLITMIX64_GAMMA
 SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
@@ -81,16 +89,26 @@ def xor_blocks(a, b):
 
 
 def compute_mac(key, data):
-    """HMAC-SHA-256 tag over data. Protocol keys are 32 bytes, but the
-    construction pads or hashes any non-empty key itself, and the public
-    test vectors use shorter keys, so only emptiness is rejected here."""
+    """HMAC-SHA-256 tag over data, the same bytes as hmac.digest gives.
+
+    RFC 2104: a key longer than SHA-256's 64-byte block is hashed first;
+    the key is zero-padded to one block, XOR-ed with the inner pad, and
+    hashed with data; the same block XOR-ed with the outer pad is hashed
+    with that digest. Two SHA-256 calls cost less than hmac.digest, which
+    on OpenSSL 3 sets a MAC context up again on every call. Protocol keys
+    are 32 bytes, but any non-empty key works (the RFC 4231 vectors hold
+    shorter and longer ones), so only emptiness is rejected here."""
     key = checked_bytes("key", key)
     if not key:
         raise InvalidInput("MAC key must be non-empty")
     data = checked_bytes("data", data)
     if not data:
         raise InvalidInput("MAC input must be non-empty")
-    return _hmac.digest(key, data, "sha256")
+    if len(key) > _SHA256_BLOCK:
+        key = _sha256(key).digest()
+    key = key.ljust(_SHA256_BLOCK, b"\0")
+    inner = _sha256(key.translate(_IPAD) + data).digest()
+    return _sha256(key.translate(_OPAD) + inner).digest()
 
 
 def verify_mac(key, data, tag):

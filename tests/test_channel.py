@@ -232,7 +232,7 @@ _STEPS = st.lists(
 def test_script_matches_its_reference_model(steps):
     script, model = AdversaryScript(), _ScriptModel()
     for i, (op, *args) in enumerate(steps):
-        action = Delay(i)  # a distinct action per step names the rule that fired
+        action = Delay(i + 1)  # a distinct action per step names the rule that fired
         if op == "add":
             script.add_rule(Rule(args[0], args[1], action))
             model.listed.append((args[0], args[1], action))
@@ -256,6 +256,9 @@ class TestRuleChecks:
             # and read as an attack that ran
             lambda: Rule("auth_request", 1, Inject(frame=b"")),
             lambda: Rule("auth_request", 1, Delay(-50)),
+            # a delayed frame waits for a clock step, so 0 ms would not be
+            # its delay
+            lambda: Rule("start_charge", 1, Delay(0)),
             lambda: Rule("lookup_request", 1, Drop()),
             lambda: Rule("auth_request", 0, Drop()),
             # a rule with no nth could never fire
@@ -266,8 +269,9 @@ class TestRuleChecks:
             lambda: Rule("auth_request", 1, "drop"),
         ],
         ids=[
-            "inject-int", "inject-empty", "negative-delay", "lookup-request", "nth-0", "nth-none",
-            "mask-0", "index-past-frame", "negative-replay-seq", "unknown-action",
+            "inject-int", "inject-empty", "negative-delay", "zero-delay", "lookup-request",
+            "nth-0", "nth-none", "mask-0", "index-past-frame", "negative-replay-seq",
+            "unknown-action",
         ],
     )
     def test_bad_rule_is_refused_when_made(self, make):

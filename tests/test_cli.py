@@ -649,6 +649,7 @@ class TestAttack:
             "rule insecure auth_request nth=0 drop",
             "rule insecure auth_request nth=-2 drop",
             "rule insecure auth_request nth=1 delay=-50",
+            "rule insecure start_charge nth=1 delay=0",
             "rule insecure auth_reqest drop",
             "rule secure lookup_reply drop",
             "rule insecure auth_request tamper=2:00",

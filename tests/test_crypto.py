@@ -5,7 +5,7 @@ Three layers of evidence, none of which shares code with the implementation:
 * frozen known-answer vectors from FIPS-197 appendix C.3 and RFC 4231,
 * cross-checks of the reference kernel (evabs._pykernels) against OpenSSL via
   the cryptography package, and of HMAC against a from-definition HMAC built
-  out of hashlib alone,
+  out of hashlib alone and against the standard library's hmac.digest,
 * property tests over the reference kernel, called directly and through crypto.
 
 crypto itself may be bound to the libcrypto kernel; test_kernels.py checks
@@ -13,11 +13,12 @@ that one against the reference kernel.
 """
 
 import hashlib
+import hmac
 import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evabs import crypto
@@ -36,7 +37,9 @@ FIPS_KEY = bytes.fromhex(
 FIPS_PLAIN = bytes.fromhex("00112233445566778899aabbccddeeff")
 FIPS_CIPHER = bytes.fromhex("8ea2b7ca516745bfeafc49904b496089")
 
-# RFC 4231 HMAC-SHA-256 test cases 1 through 4: (key, data, tag).
+# RFC 4231 HMAC-SHA-256 test cases 1 through 4, 6 and 7: (key, data, tag).
+# Case 5 truncates its tag; 6 and 7 key with more than one 64-byte block,
+# the one case where HMAC hashes the key first.
 RFC4231 = [
     (
         b"\x0b" * 20,
@@ -57,6 +60,18 @@ RFC4231 = [
         bytes(range(1, 26)),
         b"\xcd" * 50,
         "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+    ),
+    (
+        b"\xaa" * 131,
+        b"Test Using Larger Than Block-Size Key - Hash Key First",
+        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+    ),
+    (
+        b"\xaa" * 131,
+        b"This is a test using a larger than block-size key and a larger than "
+        b"block-size data. The key needs to be hashed before being used by the "
+        b"HMAC algorithm.",
+        "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
     ),
 ]
 
@@ -164,17 +179,30 @@ class TestMac:
         assert crypto.compute_mac(key, data).hex() == tag_hex
         assert crypto.verify_mac(key, data, bytes.fromhex(tag_hex))
 
-    @settings(max_examples=50)
-    @given(key=key256, data=st.binary(min_size=1, max_size=200))
-    def test_matches_from_definition_hmac(self, key, data):
+    @settings(max_examples=80)
+    @given(
+        key=st.binary(min_size=1, max_size=200),
+        data=st.binary(min_size=1, max_size=200),
+        wrap_key=st.sampled_from([bytes, bytearray, memoryview]),
+        wrap_data=st.sampled_from([bytes, bytearray, memoryview]),
+    )
+    @example(key=b"\x5a" * 64, data=b"m", wrap_key=bytes, wrap_data=bytes)
+    @example(key=b"\x5a" * 65, data=b"m", wrap_key=memoryview, wrap_data=bytearray)
+    def test_matches_from_definition_hmac(self, key, data, wrap_key, wrap_data):
         # HMAC(K, m) = H((K' ^ opad) || H((K' ^ ipad) || m)) built from
-        # hashlib alone, with no shared code path.
-        kp = key + b"\x00" * (64 - len(key))
+        # hashlib alone, with no shared code path; K' is K, hashed first
+        # when longer than the 64-byte block, zero-padded to the block.
+        # The examples pin 64 and 65 bytes, either side of the hashing.
+        kp = hashlib.sha256(key).digest() if len(key) > 64 else key
+        kp += b"\x00" * (64 - len(kp))
         ipad = bytes(b ^ 0x36 for b in kp)
         opad = bytes(b ^ 0x5C for b in kp)
         inner = hashlib.sha256(ipad + data).digest()
         expected = hashlib.sha256(opad + inner).digest()
-        assert crypto.compute_mac(key, data) == expected
+        tag = crypto.compute_mac(wrap_key(key), wrap_data(data))
+        assert tag == expected
+        # the standard library's HMAC is an implementation of its own
+        assert tag == hmac.digest(key, data, "sha256")
 
     @settings(max_examples=30)
     @given(

@@ -142,6 +142,7 @@ BAD_LINES = [
     "rule insecure auth_request nth=0 drop\n",
     "rule insecure auth_request nth=-2 drop\n",
     "rule insecure auth_request delay=-50\n",
+    "rule insecure start_charge nth=1 delay=0\n",
     "rule insecure auth_reqest drop\n",
     "rule secure lookup_reply drop\n",
     "rule secure lookup_request nth=1 drop\n",
