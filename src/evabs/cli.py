@@ -10,7 +10,8 @@ Subcommands (when the first argument names one, only its parser is built):
 
 The registry path comes from --registry or the EVABS_REGISTRY environment
 variable. All randomness funnels through --seed, so any run can be
-reproduced bit for bit; commands that generate a seed print it.
+reproduced bit for bit; commands that generate a seed print it (on stderr
+under --json, so stdout holds only the JSON).
 
 init writes the file under an exclusive lock on `<registry>.lock`; register,
 revoke and session run in Registry.open, which holds it from the load on and
@@ -105,12 +106,20 @@ def _fresh_seed(args):
     if args.seed is not None:
         return args.seed
     seed = int.from_bytes(os.urandom(8), "big")
-    print(f"seed: {seed} (pass --seed {seed} to reproduce)")
+    out = sys.stderr if getattr(args, "json", False) else sys.stdout
+    print(f"seed: {seed} (pass --seed {seed} to reproduce)", file=out)
     return seed
 
 
-def _rng(seed):
-    return crypto.NonceSource.from_seed(seed)
+# A command that draws secrets from a seed seeds its stream with the seed XOR
+# its domain, so one seed given to several commands draws different secrets in
+# each: register's vehicle id, which session prints, is no part of init's
+# group key. attack draws its demo registry's keys.
+_SEED_DOMAIN = {"init": 0, "register": 0x4E6157, "attack": 0xE5AB5}
+
+
+def _rng(command, seed):
+    return crypto.NonceSource.from_seed(seed ^ _SEED_DOMAIN[command])
 
 
 @contextmanager
@@ -132,7 +141,7 @@ def cmd_init(args):
         if os.path.exists(path) and not args.force:
             raise ConfigError(f"{path} exists; use --force to overwrite")
         seed = _fresh_seed(args)
-        group_key = _rng(seed).next_bytes(32)
+        group_key = _rng("init", seed).next_bytes(32)
         registry = Registry(group_key=group_key, tariff_per_second=args.tariff)
         registry.save(path)
     print(f"registry: {path}")
@@ -148,7 +157,7 @@ def cmd_register(args):
         id_a, k_a = args.vehicle, args.key
         if id_a is None or k_a is None:
             # only draw (and announce) a seed when credentials need generating
-            rng = _rng(_fresh_seed(args))
+            rng = _rng("register", _fresh_seed(args))
             id_a = id_a if id_a is not None else rng.next_bytes(16)
             k_a = k_a if k_a is not None else rng.next_bytes(32)
         record = registry.register(id_a, k_a, balance=args.balance, owner=args.owner)
@@ -222,7 +231,7 @@ def cmd_session(args):
 
 def _ephemeral_registry(seed):
     """Self-contained registry for attack runs without --registry."""
-    rng = _rng(seed ^ 0xE5AB5)
+    rng = _rng("attack", seed)
     registry = Registry(group_key=rng.next_bytes(32), tariff_per_second=2)
     registry.register(rng.next_bytes(16), rng.next_bytes(32), balance=100_000, owner="demo-1")
     registry.register(rng.next_bytes(16), rng.next_bytes(32), balance=100_000, owner="demo-2")

@@ -525,11 +525,6 @@ class Registry:
     def vehicles(self):
         return list(self._by_id.values())
 
-    @property
-    def fleet_size(self):
-        """How many vehicles are enrolled: the next one gets this position."""
-        return len(self._by_id)
-
     def find(self, id_a):
         id_a = checked_bytes("vehicle id", id_a)
         record = self._by_id.get(id_a)

@@ -433,15 +433,9 @@ class ScenarioRunner:
     """One registry + one terminal + one server + one adversary, driven by
     directives. All randomness derives from the single seed, 0..2**64-1.
 
-    The seed's splitmix64 chain gives, in order, the terminal's stream seed,
-    the adversary's, then one per vehicle enrolled when the runner was made,
-    in enrollment order. A vehicle's stream is derived on its first session:
-    splitmix64 adds a fixed gamma to its state per step, so the seed of the
-    vehicle at position k is one splitmix64 step from base + k * gamma, base
-    being the state after the adversary's seed. The registry records each
-    vehicle's position; a vehicle enrolled later (at a position past the
-    fleet size the runner saw) gets a stream seeded from its id and the run
-    seed."""
+    Stream i is seeded by output i of the seed's splitmix64 chain: 0 is the
+    terminal's, 1 the adversary's, and 2 + k that of the vehicle at
+    enrollment position k, derived on its first session whenever it enrolled."""
 
     def __init__(self, registry, seed=1):
         self.seed = checked_int("seed", seed, 0, _MASK64, InvalidSeed)
@@ -454,12 +448,8 @@ class ScenarioRunner:
         self.script = self.network.script
         self.transcript = self.network.transcript
         self.server = Server(registry)
-        state, terminal_seed = crypto.splitmix64(seed)
-        state, adversary_seed = crypto.splitmix64(state)
-        self.terminal = Terminal(registry.group_key, crypto.NonceSource.from_seed(terminal_seed))
-        self.adversary_rng = crypto.NonceSource.from_seed(adversary_seed)
-        self._streams_base = state
-        self._fleet_size = registry.fleet_size
+        self.terminal = Terminal(registry.group_key, self._stream(0))
+        self.adversary_rng = self._stream(1)
         self._vehicle_rng = {}
         self.outcomes = []
         self.checks = []
@@ -469,17 +459,17 @@ class ScenarioRunner:
 
     # -- plumbing --------------------------------------------------------
 
+    def _stream(self, i):
+        """The nonce stream seeded by output i of the seed's splitmix64 chain:
+        the chain's state advances by a fixed gamma per step, so output i is
+        one step from seed + i * gamma."""
+        state = (self.seed + i * crypto.SPLITMIX64_GAMMA) & _MASK64
+        return crypto.NonceSource.from_seed(crypto.splitmix64(state)[1])
+
     def _rng_for(self, record):
         rng = self._vehicle_rng.get(record.id_a)
         if rng is None:
-            k = record.position
-            if k < self._fleet_size:
-                state = (self._streams_base + k * crypto.SPLITMIX64_GAMMA) & _MASK64
-            else:
-                # enrolled after runner creation: still a stable stream
-                state = int.from_bytes(record.id_a[:8], "big") ^ self.seed
-            rng = crypto.NonceSource.from_seed(crypto.splitmix64(state)[1])
-            self._vehicle_rng[record.id_a] = rng
+            rng = self._vehicle_rng[record.id_a] = self._stream(2 + record.position)
         return rng
 
     def _advance(self, ms):

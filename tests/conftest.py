@@ -3,6 +3,8 @@
 All randomness in tests is seeded so failures reproduce exactly.
 """
 
+import importlib.util
+import pathlib
 import random
 
 import pytest
@@ -28,6 +30,17 @@ def seeded_registry(seed=7, tariff=2, vehicles=2, balance=100_000):
 def seeded_bytes(seed, n):
     """n reproducible pseudo-random bytes, independent of the package PRNG."""
     return random.Random(seed).randbytes(n)
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py, loaded as a file: the benchmark is no package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -162,7 +162,7 @@ class TestSession:
             "--seed", "11", "--json",
         )
         assert code == 0
-        obj = json.loads(out.splitlines()[-1])
+        obj = json.loads(out)
         assert obj["phase"] == "completed"
         assert obj["t4"] == 2500 == obj["t5"] - obj["t1"]
         assert obj["invoice"]["amount"] == 6  # three started seconds at 2
@@ -174,7 +174,7 @@ class TestSession:
             "--budget", "4", "--seed", "11", "--json",
         )
         assert code == 0
-        obj = json.loads(out.splitlines()[-1])
+        obj = json.loads(out)
         assert obj["t4"] == 2000
         assert obj["invoice"]["amount"] == 4
 
@@ -222,27 +222,46 @@ class TestSession:
             "--seed", "11", "--json",
         )
         assert code == 0, err
-        obj = json.loads(out.splitlines()[-1])
+        obj = json.loads(out)
         assert obj["t5"] == 2**64 - 1
         assert obj["invoice"]["duration_ms"] == duration
 
-    def test_without_a_seed_prints_the_seed_that_reproduces_it(self, cli, registry_path, tmp_path):
-        # the rerun goes to an untouched copy: on the first file its nonce
-        # would be a replay
+    @staticmethod
+    def _untouched_copy(tmp_path):
+        """A copy of the registry files, for a rerun whose nonce would be a
+        replay on the first file."""
         again = tmp_path / "again"
         again.mkdir()
         for name in os.listdir(tmp_path):
             if name.startswith("registry.json"):
                 shutil.copy(tmp_path / name, again / name)
+        return str(again / "registry.json")
+
+    def test_without_a_seed_prints_the_seed_that_reproduces_it(self, cli, registry_path, tmp_path):
+        again = self._untouched_copy(tmp_path)
         first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
         argv = ("session", "--duration", "1000", "--transcript")
         code, out, _ = cli(*argv, str(first), "--registry", registry_path)
         assert code == 0
         seed = out.splitlines()[0].removeprefix("seed: ").partition(" ")[0]
         assert out.startswith(f"seed: {seed} (pass --seed {seed} to reproduce)\n")
-        code, out, _ = cli(*argv, str(second), "--registry", str(again / "registry.json"),
-                           "--seed", seed)
+        code, out, _ = cli(*argv, str(second), "--registry", again, "--seed", seed)
         assert code == 0 and "seed" not in out
+        assert second.read_text() == first.read_text()
+
+    def test_json_without_a_seed_prints_the_seed_on_stderr(self, cli, registry_path, tmp_path):
+        # stdout holds exactly one JSON object
+        again = self._untouched_copy(tmp_path)
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        argv = ("session", "--duration", "1000", "--json", "--transcript")
+        code, out, err = cli(*argv, str(first), "--registry", registry_path)
+        assert code == 0
+        assert json.loads(out)["phase"] == "completed"
+        seed = err.removeprefix("seed: ").partition(" ")[0]
+        assert err == f"seed: {seed} (pass --seed {seed} to reproduce)\n"
+        code, rerun_out, rerun_err = cli(*argv, str(second), "--registry", again, "--seed", seed)
+        assert code == 0 and rerun_err == ""
+        assert rerun_out == out
         assert second.read_text() == first.read_text()
 
     def test_sessions_persist_nonces_across_runs(self, cli, registry_path):
@@ -829,6 +848,23 @@ class TestSecrecy:
         # the id crosses only the protected line; transcripts must not show it
         assert VEHICLE not in transcript.read_text()
         assert VEHICLE not in attack_transcript.read_text()
+
+    @pytest.mark.parametrize(
+        "id_args", [(), ("--vehicle", OTHER_VEHICLE)], ids=["drawn", "given-id"]
+    )
+    def test_init_and_register_on_one_seed_share_no_secret(self, cli, tmp_path, id_args):
+        # session and invoices print the vehicle id, so a register stream
+        # that repeated init's would publish the group key
+        path = str(tmp_path / "registry.json")
+        code, _, _ = cli("init", "--registry", path, "--tariff", "3", "--seed", "7")
+        assert code == 0
+        group_key = Registry.load(path).group_key.hex()
+        code, out, _ = cli("register", "--registry", path, "--seed", "7", *id_args)
+        assert code == 0
+        printed = dict(line.split(": ") for line in out.splitlines())
+        windows = [group_key[i:i + 16] for i in range(0, len(group_key) - 14, 2)]
+        for name in ("vehicle", "key"):
+            assert not any(window in printed[name] for window in windows), name
 
     def test_transcript_redacts_protected_line_frames(self, cli, registry_path, tmp_path):
         transcript = tmp_path / "t.jsonl"

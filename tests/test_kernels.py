@@ -27,7 +27,7 @@ from evabs import _pykernels, crypto
 from evabs.errors import InvalidInput
 from evabs.scenario import run_named_scenario
 
-from conftest import seeded_bytes, seeded_registry
+from conftest import PERFBENCH, load_perfbench, seeded_bytes, seeded_registry
 
 try:
     from evabs import _osslkernels
@@ -368,8 +368,28 @@ def _replay_digest():
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _benchmark_digests():
+    with open(PERFBENCH / "digests.json") as fh:
+        return json.load(fh)
+
+
+def _digest_gates(workdir):
+    """The benchmark's transcript-digest gate (perfbench/run.py) for each
+    workload that perfbench/digests.json records: name -> [ok, failed ops]."""
+    run, workloads = load_perfbench("run"), load_perfbench("workloads")
+    gates = {}
+    for name in _benchmark_digests():
+        ok, _, failed, _ = run.digest_gate(workloads.WORKLOADS[name], workdir)
+        gates[name] = [ok, failed]
+    return gates
+
+
+def test_benchmark_transcripts_match_their_recorded_digests(tmp_path):
+    assert _digest_gates(tmp_path) == dict.fromkeys(_benchmark_digests(), [True, 0])
+
+
 FALLBACK_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, tempfile
 sys.modules["evabs._osslkernels"] = None
 import evabs
 from evabs.cli import main
@@ -381,11 +401,14 @@ with contextlib.redirect_stdout(out):
         main(["--version"])
     except SystemExit as exc:
         code = exc.code
+with tempfile.TemporaryDirectory() as workdir:
+    digests = test_kernels._digest_gates(workdir)
 print(json.dumps({
     "backend": evabs.BACKEND,
     "version": out.getvalue(),
     "version_exit": code,
     "replay": test_kernels._replay_digest(),
+    "digests": digests,
 }))
 """
 
@@ -404,3 +427,4 @@ def test_blocked_libcrypto_kernel_falls_back_with_identical_output():
     assert result["version_exit"] == 0
     assert "kernel backend: pure-python" in result["version"]
     assert result["replay"] == _replay_digest()
+    assert result["digests"] == dict.fromkeys(_benchmark_digests(), [True, 0])

@@ -1025,8 +1025,8 @@ class TestRunnerSessions:
 class TestVehicleStreams:
     """Vehicle K of the registry (0-based) draws its nonces from the stream
     seeded by output 2 + K of the runner seed's splitmix64 chain, in
-    whatever order the vehicles are first used; a vehicle enrolled after the
-    runner was made gets a stream derived from its id."""
+    whatever order the vehicles are first used, whether it enrolled before
+    or after the runner was made."""
 
     @staticmethod
     def _first_nonces(vseed, count):
@@ -1045,13 +1045,11 @@ class TestVehicleStreams:
         late = registry.register(bytes(range(16)), bytes(range(32, 64)))
         # the eager chain: terminal, adversary, then one seed per vehicle
         state, chain = seed, []
-        for _ in range(2 + 6):
+        for _ in range(2 + 7):
             state, out = crypto.splitmix64(state)
             chain.append(out)
         expected = {rec.id_a: self._first_nonces(vseed, 2)
                     for rec, vseed in zip(registry.vehicles, chain[2:])}
-        late_seed = crypto.splitmix64(int.from_bytes(late.id_a[:8], "big") ^ seed)[1]
-        expected[late.id_a] = self._first_nonces(late_seed, 2)
         vehicles = registry.vehicles
         order = [vehicles[4], vehicles[0], vehicles[5], vehicles[2], late, vehicles[4], late]
         for record in order:
@@ -1059,6 +1057,13 @@ class TestVehicleStreams:
         for record in registry.vehicles:
             uses = order.count(record)
             assert record.used_nonces == set(expected[record.id_a][:uses]), record.owner
+        # a runner made after the same vehicle enrolled draws the same stream
+        registry = seeded_registry(vehicles=6)
+        late = registry.register(bytes(range(16)), bytes(range(32, 64)))
+        again = ScenarioRunner(registry, seed=seed)
+        for _ in range(2):
+            assert again.run_session(late, duration=1000).phase == "completed"
+        assert late.used_nonces == set(expected[late.id_a][:2])
 
     def test_runner_construction_derives_no_vehicle_stream(self, monkeypatch):
         registry = seeded_registry(vehicles=1000)

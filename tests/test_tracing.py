@@ -4,9 +4,6 @@ The tracer patches evabs from outside by attribute name, and only
 `perfbench/run.py --trace 1` runs it. These tests load it as a file, so a
 rename in the package that would break a traced run fails here first."""
 
-import importlib.util
-import pathlib
-
 import pytest
 
 import evabs.crypto
@@ -14,17 +11,12 @@ from evabs.channel import Transcript
 from evabs.crypto import NonceSource
 from evabs.scenario import ScenarioRunner
 
-from conftest import seeded_registry
-
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from conftest import load_perfbench, seeded_registry
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("tracing")
 
 
 def test_every_target_is_an_attribute_of_its_owner(tracing):
