@@ -1,4 +1,4 @@
-"""Simulated links, shared clock, transcript, and the message-level adversary.
+"""Simulated links and their clock, transcript, and the message-level adversary.
 
 Two links exist: the open radio link between vehicle and terminal
 ("insecure") and the protected line between terminal and server ("secure").
@@ -44,7 +44,6 @@ from evabs.wire import FRAME_LENGTHS, TS_MAX, frame_variant
 __all__ = [
     "SECURE",
     "INSECURE",
-    "SimClock",
     "Drop",
     "Delay",
     "Tamper",
@@ -64,17 +63,6 @@ SECURE = "secure"
 # all that agents put on the open link, so a rule on any other frame variant
 # could never fire
 RULE_VARIANTS = ("auth_request", "start_charge", "failure_notice")
-
-
-class SimClock:
-    """Millisecond counter shared by every agent. Only moves forward, never past TS_MAX."""
-
-    def __init__(self):
-        self.now = 0
-
-    def advance(self, ms):
-        self.now += checked_int("clock step", ms, 0, TS_MAX - self.now)
-        return self.now
 
 
 @dataclass(frozen=True)
@@ -254,15 +242,18 @@ class Network:
     send() returns what actually reaches a receiver right now, as
     (direction, payload) pairs: on the open link possibly no frame
     (drop/delay), possibly several (inject/replay); on the protected line
-    always the one message sent. Delayed frames surface later through due().
-    A network builds its own clock, adversary script and transcript.
+    always the one message sent. `now` is the millisecond clock every agent
+    reads; only advance() moves it, and it returns the delayed frames the step
+    frees. `held` keeps each frame still delayed, with its due time and the
+    Delay that holds it. A network builds its own adversary script and
+    transcript.
     """
 
     def __init__(self):
-        self.clock = SimClock()
+        self.now = 0
         self.script = AdversaryScript()
         self.transcript = Transcript()
-        self._deferred = []
+        self.held = []
 
     def send(self, channel, direction, frame):
         """Put a frame on the open link, or a message on the protected line."""
@@ -270,7 +261,7 @@ class Network:
             # ideal line: confidential, authentic, never touched by scripts
             if isinstance(frame, (bytes, bytearray, memoryview)):
                 raise InvalidInput("the protected line carries messages, not bytes")
-            self.transcript.append(self.clock.now, channel, direction, frame)
+            self.transcript.append(self.now, channel, direction, frame)
             return [(direction, frame)]
         if channel != INSECURE:
             raise InvalidInput(f"unknown channel {channel!r}")
@@ -278,19 +269,19 @@ class Network:
         variant = frame_variant(frame) or "unknown"
         action = self.script.match(variant)
         if action is None:
-            self.transcript.append(self.clock.now, channel, direction, frame)
+            self.transcript.append(self.now, channel, direction, frame)
             return [(direction, frame)]
         if isinstance(action, Drop):
             self.transcript.append(
-                self.clock.now, channel, direction, frame, {"kind": "dropped"}
+                self.now, channel, direction, frame, {"kind": "dropped"}
             )
             return []
         if isinstance(action, Delay):
             self.transcript.append(
-                self.clock.now, channel, direction, frame,
+                self.now, channel, direction, frame,
                 {"kind": "delayed", "by_ms": action.by_ms},
             )
-            self._deferred.append((self.clock.now + action.by_ms, direction, frame))
+            self.held.append((self.now + action.by_ms, direction, frame, action))
             return []
         if isinstance(action, Tamper):
             # a frame can be shorter than its variant: the rule cannot know
@@ -302,7 +293,7 @@ class Network:
             mutated[action.index] ^= action.mask
             mutated = bytes(mutated)
             self.transcript.append(
-                self.clock.now, channel, direction, mutated,
+                self.now, channel, direction, mutated,
                 {
                     "kind": "tampered",
                     "byte_index": action.index,
@@ -312,7 +303,7 @@ class Network:
             )
             return [(direction, mutated)]
         if isinstance(action, Inject):
-            self.transcript.append(self.clock.now, channel, direction, frame)
+            self.transcript.append(self.now, channel, direction, frame)
             return [(direction, frame)] + self.attacker_send(direction, action.frame)
         # a Replay: Rule admits no other action. A seq other than the trigger's
         # own is checked before the trigger is transcribed, so a refused
@@ -321,14 +312,14 @@ class Network:
         seq = own if action.of_seq is None else action.of_seq
         if seq != own:
             self._recorded(seq)
-        self.transcript.append(self.clock.now, channel, direction, frame)
+        self.transcript.append(self.now, channel, direction, frame)
         return [(direction, frame)] + self.replay_entry(seq)
 
     def attacker_send(self, direction, frame):
         """A frame the adversary makes up itself (impersonation, floods)."""
         frame = checked_bytes("frame", frame)
         self.transcript.append(
-            self.clock.now, INSECURE, direction, frame, {"kind": "injected"}
+            self.now, INSECURE, direction, frame, {"kind": "injected"}
         )
         return [(direction, frame)]
 
@@ -337,7 +328,7 @@ class Network:
         copy routes where the original went, not where any trigger went."""
         source = self._recorded(seq)
         self.transcript.append(
-            self.clock.now, INSECURE, source.direction, source.frame,
+            self.now, INSECURE, source.direction, source.frame,
             {"kind": "replayed", "of_seq": seq},
         )
         return [(source.direction, source.frame)]
@@ -351,10 +342,12 @@ class Network:
             raise ScriptError("cannot replay protected-line frames onto the open link")
         return source
 
-    def due(self):
-        """Delayed frames whose delivery time has arrived, in send order."""
-        if not self._deferred:
+    def advance(self, ms):
+        """Move the clock forward by ms, never past TS_MAX, checked before it
+        moves; return the delayed frames now due, in send order."""
+        self.now += checked_int("clock step", ms, 0, TS_MAX - self.now)
+        if not self.held:
             return []
-        ready = [d for d in self._deferred if d[0] <= self.clock.now]
-        self._deferred = [d for d in self._deferred if d[0] > self.clock.now]
-        return [(direction, frame) for _, direction, frame in ready]
+        ready = [h for h in self.held if h[0] <= self.now]
+        self.held = [h for h in self.held if h[0] > self.now]
+        return [(direction, frame) for _, direction, frame, _ in ready]

@@ -42,6 +42,7 @@ import os
 import shutil
 import sys
 from contextlib import contextmanager
+from hashlib import sha256
 
 from evabs import __version__, crypto
 from evabs.errors import (
@@ -156,10 +157,14 @@ def cmd_register(args):
     with Registry.open(path) as registry:
         id_a, k_a = args.vehicle, args.key
         if id_a is None or k_a is None:
-            # only draw (and announce) a seed when credentials need generating
-            rng = _rng("register", _fresh_seed(args))
-            id_a = id_a if id_a is not None else rng.next_bytes(16)
-            k_a = k_a if k_a is not None else rng.next_bytes(32)
+            # only draw (and announce) a seed when credentials need generating.
+            # The key hashes the seed and the id: a draw could repeat stream
+            # bytes that another call on this seed printed as an id
+            seed = _fresh_seed(args)
+            if id_a is None:
+                id_a = _rng("register", seed).next_bytes(16)
+            if k_a is None:
+                k_a = sha256(b"evabs register key" + seed.to_bytes(8, "big") + id_a).digest()
         record = registry.register(id_a, k_a, balance=args.balance, owner=args.owner)
     print(f"vehicle: {record.id_a.hex()}")
     print(f"key: {record.k_a.hex()}")

@@ -407,11 +407,12 @@ def builtin_scenarios():
 
 
 def load_scenario(name_or_path):
-    """A shipped name, or a path to a user scenario file."""
+    """A shipped name, matched exactly, or else a path to a user scenario
+    file: `./replay` is the file, not the shipped `replay`."""
     if name_or_path in SCENARIO_ALIASES:
         raise ConfigError(f"{name_or_path} is an alias; expand it before loading")
-    builtin = resources.files("evabs").joinpath(f"scenarios/{name_or_path}.scn")
-    if builtin.is_file():
+    if name_or_path in builtin_scenarios():
+        builtin = resources.files("evabs").joinpath(f"scenarios/{name_or_path}.scn")
         return parse_scenario(builtin.read_text(), default_name=name_or_path)
     if os.path.exists(name_or_path):
         try:
@@ -444,7 +445,6 @@ class ScenarioRunner:
         # whatever billing history the registry already carries
         self._invoices_start = len(registry.invoices)
         self.network = Network()
-        self.clock = self.network.clock
         self.script = self.network.script
         self.transcript = self.network.transcript
         self.server = Server(registry)
@@ -473,10 +473,9 @@ class ScenarioRunner:
         return rng
 
     def _advance(self, ms):
-        self.clock.advance(ms)
-        # deferred frames were already transcribed and rule-matched when the
+        # held frames were already transcribed and rule-matched when the
         # adversary held them back; each fully cascades before the next
-        for delivery in self.network.due():
+        for delivery in self.network.advance(ms):
             self._deliver([delivery])
 
     def _send(self, direction, payload):
@@ -522,14 +521,14 @@ class ScenarioRunner:
         return []
 
     def _server_hears_terminal(self, msg):
-        reply = self.server.handle(msg, self.clock.now)
+        reply = self.server.handle(msg, self.network.now)
         return [] if reply is None else [(S2T, reply)]
 
     def _terminal_hears_server(self, reply):
         """A lookup is always pending: the protected line answers each at
         once. A charge that answers a copy of the open session's own auth
         request is that session's, whether or not the vehicle ever charges."""
-        out = self.terminal.handle_reply(reply, self.clock.now)
+        out = self.terminal.handle_reply(reply, self.network.now)
         frame = out.encode()
         session = self._open
         if isinstance(out, StartCharge) and session is not None:
@@ -575,7 +574,7 @@ class ScenarioRunner:
         charge gives its outcome t5 and the amount of the invoice its
         report was billed as."""
         own = self.terminal.active[0] is session.charge
-        report = self.terminal.stop_charge(self.clock.now)
+        report = self.terminal.stop_charge(self.network.now)
         self._send(T2S, report)
         if own:
             session.outcome.t5 = report.t5
@@ -603,7 +602,7 @@ class ScenarioRunner:
         cutoff = self.budget_cutoff_ms(budget, self.registry.tariff_per_second)
         if cutoff is not None:
             effective = min(effective, cutoff)
-        latest = TS_MAX - self.clock.now - 1000
+        latest = TS_MAX - self.network.now - 1000
         if latest < 0:
             raise InvalidInput("no session can start and end in a 64-bit timestamp any more")
         checked_int("charge time", effective, 0, latest)
@@ -614,7 +613,7 @@ class ScenarioRunner:
             self._advance(effective)
             # the driver unplugs; the teardown stops the charge at this t5
             try:
-                vehicle.unplug(self.clock.now)
+                vehicle.unplug(self.network.now)
             except ClockSkew:
                 # a start time t2 after now, which only a forged start message
                 # that passed a broken tag check gives: the vehicle stays
@@ -878,12 +877,17 @@ class ScenarioRunner:
                 raise type(exc)(f"line {lineno}: {exc}") from None
             if check is not None:
                 self._check(" ".join(tokens), *check)
-        # a rule that never fired tested nothing; its line must not read as
-        # a defense that held. Equal lines make equal rules, so a line's own
-        # rule is found by identity
+        # a rule that never fired, or whose delayed frame is still held,
+        # tested nothing; its line must not read as a defense that held.
+        # Equal lines make equal rules, so a line's own rule and its Delay
+        # are found by identity
+        held = [action for *_, action in self.network.held]
         for lineno, tokens, method, args in scenario.steps:
-            if method is ScenarioRunner._add_rule and any(r is args[0] for r in self.script.rules):
-                self._check(" ".join(tokens), False, f"line {lineno}: rule never fired")
+            if method is ScenarioRunner._add_rule:
+                unfired = any(r is args[0] for r in self.script.rules)
+                if unfired or any(a is args[0].action for a in held):
+                    problem = "rule never fired" if unfired else "delayed frame never delivered"
+                    self._check(" ".join(tokens), False, f"line {lineno}: {problem}")
         return ScenarioReport(
             name=scenario.name,
             seed=self.seed,

@@ -20,12 +20,11 @@ from evabs.channel import (
     Network,
     Replay,
     Rule,
-    SimClock,
     Tamper,
     Transcript,
 )
 from evabs.errors import InvalidInput, ScriptError
-from evabs.wire import LookupReply, LookupRequest, Reason
+from evabs.wire import TS_MAX, LookupReply, LookupRequest, Reason
 
 AUTH = bytes([0x01]) + bytes(range(64))
 START = bytes([0x04]) + bytes(range(64))
@@ -41,23 +40,40 @@ def _network(rules=()):
     return net
 
 
-class TestSimClock:
+class TestNetworkClock:
     def test_advances_monotonically(self):
-        clock = SimClock()
-        assert clock.advance(5) == 5
-        assert clock.advance(0) == 5
-        assert clock.now == 5
+        net = Network()
+        assert net.advance(5) == []
+        assert net.advance(0) == []
+        assert net.now == 5
 
     def test_rejects_backwards_or_fractional(self):
-        clock = SimClock()
+        net = Network()
         with pytest.raises(InvalidInput):
-            clock.advance(-1)
+            net.advance(-1)
         with pytest.raises(InvalidInput):
-            clock.advance(1.5)
+            net.advance(1.5)
 
     def test_rejects_a_bool(self):
         with pytest.raises(InvalidInput):
-            SimClock().advance(True)
+            Network().advance(True)
+
+    # TS_MAX - 48 from 49 ms is one step past the last timestamp
+    @pytest.mark.parametrize(
+        "step", [-1, True, TS_MAX - 48], ids=["backwards", "bool", "past-TS_MAX"]
+    )
+    def test_a_refused_step_moves_nothing(self, step):
+        # the step is checked before the clock moves or any held frame is
+        # released: a refused step leaves a frame that is due still held
+        net = _network([Rule("auth_request", 1, Delay(by_ms=50))])
+        net.send(INSECURE, "to_terminal", AUTH)
+        assert net.advance(49) == []  # the frame is due on the next 1 ms
+        with pytest.raises(InvalidInput):
+            net.advance(step)
+        assert net.now == 49
+        assert len(net.held) == 1
+        assert net.advance(1) == [("to_terminal", AUTH)]
+        assert net.advance(0) == []  # released exactly once
 
 
 class TestDelivery:
@@ -292,15 +308,12 @@ class TestActions:
         assert net.transcript.get(0).adversary_action == {"kind": "dropped"}
         assert net.transcript.get(0).frame == AUTH  # recorded, not delivered
 
-    def test_delay_surfaces_via_due(self):
+    def test_delay_surfaces_via_advance(self):
         net = _network([Rule("auth_request", 1, Delay(by_ms=50))])
         assert net.send(INSECURE, "to_terminal", AUTH) == []
-        assert net.due() == []
-        net.clock.advance(49)
-        assert net.due() == []
-        net.clock.advance(1)
-        assert net.due() == [("to_terminal", AUTH)]
-        assert net.due() == []  # delivered exactly once
+        assert net.advance(49) == []
+        assert net.advance(1) == [("to_terminal", AUTH)]
+        assert net.advance(0) == []  # delivered exactly once
 
     def test_tamper_flips_exactly_the_masked_bits(self):
         net = _network([Rule("auth_request", 1, Tamper(index=5, mask=0x0F))])
@@ -438,7 +451,7 @@ class TestTranscript:
         def run():
             net = _network([Rule("auth_request", 2, Tamper(index=3, mask=1))])
             net.send(INSECURE, "to_terminal", AUTH)
-            net.clock.advance(100)
+            net.advance(100)
             net.send(INSECURE, "to_terminal", AUTH)
             net.send(SECURE, "to_server", LOOKUP_MSG)
             return net.transcript.to_jsonl()

@@ -559,6 +559,20 @@ class TestAttack:
         assert "verdict: DEFENSE HELD" in out
         assert "EXPECTED-WEAKNESS" in out
 
+    def test_a_path_is_the_users_file_even_beside_a_shipped_name(
+        self, cli, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        pathlib.Path("replay").write_text("scenario mine\nsession *\nexpect completed 7\n")
+        code, out, _ = cli("attack", "--scenario", "./replay", "--seed", "1")
+        assert code == 1
+        assert out.startswith("scenario: mine (seed=1)")
+        assert "verdict: DEFENSE BREACHED" in out
+        # only the exact shipped name runs the shipped script
+        code, out, _ = cli("attack", "--scenario", "replay", "--seed", "1")
+        assert code == 0
+        assert out.startswith("scenario: replay (seed=1)")
+
     def test_unknown_scenario_lists_shipped(self, cli):
         code, _, err = cli("attack", "--scenario", "nosuch", "--seed", "9")
         assert code == 2
@@ -866,6 +880,22 @@ class TestSecrecy:
         for name in ("vehicle", "key"):
             assert not any(window in printed[name] for window in windows), name
 
+    def test_register_on_one_seed_prints_no_id_inside_a_key(self, cli, tmp_path):
+        # a key drawn from the stream that drew an earlier vehicle's id
+        # would print that id, which session and invoices print too
+        path = str(tmp_path / "registry.json")
+        assert cli("init", "--registry", path, "--tariff", "3", "--seed", "1")[0] == 0
+        printed = []
+        for id_args in ((), ("--vehicle", "11" * 16), ("--vehicle", "22" * 16)):
+            code, out, _ = cli("register", "--registry", path, "--seed", "7", *id_args)
+            assert code == 0
+            printed.append(dict(line.split(": ") for line in out.splitlines()))
+        for vehicle in printed:
+            windows = [vehicle["vehicle"][i:i + 16] for i in range(0, 18, 2)]
+            for other in printed:
+                assert not any(window in other["key"] for window in windows)
+        assert len({p["key"] for p in printed}) == 3
+
     def test_transcript_redacts_protected_line_frames(self, cli, registry_path, tmp_path):
         transcript = tmp_path / "t.jsonl"
         cli(
@@ -890,10 +920,12 @@ class TestVersion:
         assert f"kernel backend: {evabs.BACKEND}" in out
 
     def test_package_version_is_the_pyproject_version(self):
-        tomllib = pytest.importorskip("tomllib")
+        # the `version = "..."` line of [project], read without tomllib,
+        # which Python 3.10 lacks
         pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
-        with open(pyproject, "rb") as fh:
-            assert tomllib.load(fh)["project"]["version"] == evabs.__version__
+        project = pyproject.read_text().split("[project]\n", 1)[1].split("\n[", 1)[0]
+        [version] = re.findall(r'^version = "([^"]*)"$', project, re.M)
+        assert version == evabs.__version__
 
 
 # Help and usage-error output, recorded at 80 columns before the parser was

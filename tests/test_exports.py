@@ -44,7 +44,7 @@ README_NAMES = _readme_api_names()
 
 def test_the_readme_names_api():
     # the search finds what it is for: a broken pattern must not pass vacuously
-    assert {"SimClock.advance", "ScenarioRunner.run_session", "evabs.channel.Rule"} <= set(
+    assert {"Network.advance", "ScenarioRunner.run_session", "evabs.channel.Rule"} <= set(
         README_NAMES
     )
 

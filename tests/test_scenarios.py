@@ -348,6 +348,37 @@ class TestUnfiredRules:
             (line, "FAIL", "line 2: rule never fired")
         ]
 
+    def test_a_delayed_frame_still_held_at_the_end_breaches(self):
+        # the held frame never reached the terminal: the delay acted as a drop
+        line = "rule insecure auth_request nth=1 delay=5000"
+        report = _runner().execute(
+            parse_scenario(f"{line}\nsession * duration=1000\nexpect aborted 1\n")
+        )
+        assert report.verdict == "DEFENSE BREACHED"
+        assert [(c.name, c.status, c.detail) for c in report.checks] == [
+            ("expect aborted 1", "PASS", "expected 1, got 1"),
+            (line, "FAIL", "line 1: delayed frame never delivered"),
+        ]
+
+    def test_a_delayed_frame_a_later_step_delivers_adds_no_check(self):
+        report = _runner().execute(
+            parse_scenario(
+                "rule insecure auth_request nth=1 delay=5000\n"
+                "session * duration=1000\n"
+                "advance 5000\n"
+            )
+        )
+        assert report.checks == []
+        assert report.counters["accepted"] == 1  # the held frame reached the server
+
+    def test_of_two_equal_delay_lines_each_names_its_own_fault(self):
+        line = "rule insecure auth_request nth=1 delay=5000"
+        report = _runner().execute(parse_scenario(f"{line}\n{line}\nsession *\n"))
+        assert [(c.name, c.detail) for c in report.checks] == [
+            (line, "line 1: delayed frame never delivered"),
+            (line, "line 2: rule never fired"),
+        ]
+
     def test_a_rule_added_through_the_api_names_no_line(self):
         runner = _runner()
         runner.script.add_rule(Rule("auth_request", 9, Drop()))
@@ -581,7 +612,7 @@ class TestStepRefusalsNameTheLine:
         assert str(err.value) == (
             "line 2: no session can start and end in a 64-bit timestamp any more"
         )
-        assert runner.clock.now == 18446744073709551000
+        assert runner.network.now == 18446744073709551000
         assert len(runner.transcript) == 0
         assert runner.outcomes == []
 
@@ -837,7 +868,7 @@ class TestRunnerSessions:
             assert registry.snapshot() == before
             assert not runner.terminal.energy_on
         assert Registry.load(path).snapshot() == before
-        assert runner.clock.now == 0
+        assert runner.network.now == 0
         assert len(runner.transcript) == 0
 
     def test_budget_larger_than_session_is_inert(self):
