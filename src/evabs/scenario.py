@@ -18,20 +18,20 @@ Grammar (# starts a comment unless a digit follows, blank lines ignored):
     flood COUNT [style=wellformed|garbage|mixed]  forged frames, no keys used
     sweep auth_request|start_charge [mask=HH]     one session per byte position,
                                                   flipping that byte's bits
-    probe replay-start-charge|splice-auth         the stale-t2 replay, or a recorded
-                                                  m3+mac with a fresh nonce
+    probe replay-start-charge                     the stale-t2 replay
+    probe splice-auth                             a recorded m3+mac, fresh nonce
     report nonce-store                            note per-vehicle nonce growth
-    expect completed N                            each expect, probe and report
-    expect aborted N                              line records one check named
-    expect accepted N                             after the line: an expect
-    expect failed N [reason=LABEL]                PASS or FAIL, a probe also
-    expect rejected N [reason=LABEL]              EXPECTED-WEAKNESS, a report
-    expect invoices N [total=AMOUNT]              INFO
-    expect no-secrets [ids|keys|all]
-    expect fresh-frames
-    expect registry-unchanged
-    expect energy-off
-    expect sweep no-charging|mac-invalid
+    expect completed N
+    expect aborted N
+    expect accepted N
+    expect failed N [reason=LABEL]
+    expect rejected N [reason=unknown_vehicle|replay_detected]
+    expect invoices N [total=AMOUNT]              each expect, probe and report
+    expect no-secrets [ids|keys|all]              line records one check named
+    expect fresh-frames                           after the line: an expect
+    expect registry-unchanged                     PASS or FAIL, a probe also
+    expect energy-off                             EXPECTED-WEAKNESS, a report
+    expect sweep no-charging|mac-invalid          INFO
 
 VEHICLE is `*` (first enrolled), `#K` (K-th enrolled, 1-based) or a 32-hex
 id. CHANNEL is `insecure`, VARIANT one of channel.RULE_VARIANTS, and ACTION
@@ -416,7 +416,8 @@ def load_scenario(name_or_path):
         return parse_scenario(builtin.read_text(), default_name=name_or_path)
     if os.path.exists(name_or_path):
         try:
-            with open(name_or_path, encoding="utf-8") as fh:
+            # utf-8-sig: a leading byte-order mark, as some editors write, is not text
+            with open(name_or_path, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read scenario {name_or_path}: {exc}") from exc
@@ -638,22 +639,23 @@ class ScenarioRunner:
                 frame = _AUTH_TAG + rng.next_bytes(_AUTH_BODY_LEN)
             self._deliver(self.network.attacker_send(V2T, frame))
 
-    def run_sweep(self, record, variant, mask=0x01):
-        """One session per byte position of the chosen frame, with that
-        position XOR-flipped in flight: the SessionOutcome of each, the
-        position being its index in the list, kept in `sweeps[variant]`."""
+    def run_sweep(self, name, mask=0x01):
+        """One session of the first enrolled vehicle per byte position of
+        frame `name`, that position XOR-flipped in flight: the SessionOutcome
+        of each, its index in the list being the position, in `sweeps[name]`."""
+        record = self._resolve_vehicle("*")
         results = []
-        for position in range(FRAME_LENGTHS[variant]):
-            self.script.arm(variant, Tamper(position, mask))
+        for position in range(FRAME_LENGTHS[name]):
+            self.script.arm(name, Tamper(position, mask))
             results.append(self.run_session(record, duration=2000))
-        self.sweeps[variant] = results
-        return results
+        self.sweeps[name] = results
 
-    def probe_replay_start_charge(self, record):
+    def probe_replay_start_charge(self):
         """The protocol has no vehicle-side freshness check on the terminal
-        nonce: a recorded start message from an old session still verifies.
-        Documented weakness: judged from the outcome of the session that
-        hears the replay, reported as EXPECTED-WEAKNESS, never as FAIL."""
+        nonce: the first enrolled vehicle's start message from an old session
+        still verifies. Documented weakness: judged from the outcome of the
+        session that hears the replay, EXPECTED-WEAKNESS, never FAIL."""
+        record = self._resolve_vehicle("*")
         first = self.run_session(record, duration=3000)
         stale = first.frames.get("start_charge")
         if first.phase != "completed" or stale is None:
@@ -677,10 +679,10 @@ class ScenarioRunner:
             f"(old session) vs terminal t1={out.t1} (seq {seq} replayed)"
         )
 
-    def probe_splice_auth(self, record):
-        """Recorded m3 + mac, fresh nonce: the lookup key no longer matches
-        any record, so a cloned partial frame buys nothing."""
-        first = self.run_session(record, duration=3000)
+    def probe_splice_auth(self):
+        """The first vehicle's recorded m3 + mac, fresh nonce: the lookup key
+        no longer matches any record, so a cloned partial frame buys nothing."""
+        first = self.run_session(self._resolve_vehicle("*"), duration=3000)
         if first.phase != "completed":
             return False, "setup session failed"
         old = decode_frame(first.frames["auth_request"])
@@ -721,8 +723,12 @@ class ScenarioRunner:
         return self._count(n, self.server.accepted)
 
     def _expect_rejected(self, n, reason):
-        rejected = self.server.rejected
-        return self._count(n, sum(rejected.values()) if reason is None else rejected.get(reason, 0))
+        """reason is unknown_vehicle or replay_detected, the refusals a lookup
+        gets from Registry.authenticate, or None for any."""
+        rejected = self.server.rejected  # a Counter: 0 for a reason never given
+        if reason is None:
+            return self._count(n, sum(rejected.values()))
+        return self._count(n, rejected[Reason.from_label(reason)])
 
     def _expect_invoices(self, n, total):
         issued = self.registry.invoices[self._invoices_start:]
@@ -750,6 +756,10 @@ class ScenarioRunner:
             needles += [("key", rec.k_a) for rec in self.registry.vehicles]
             needles.append(("group-key", self.registry.group_key))
         frames = [e.frame for e in self.transcript if e.channel == INSECURE]
+        if not frames:
+            return False, "no open-link frame was sent before this expect"
+        if not needles:
+            return False, "no secret to search for"
         hits = [label for label, needle in needles if any(needle in frame for frame in frames)]
         return (
             not hits,
@@ -759,6 +769,8 @@ class ScenarioRunner:
 
     def _expect_fresh_frames(self):
         """A session is numbered by its outcome's position in `outcomes`."""
+        if len(self.outcomes) < 2:
+            return False, "fewer than two session outcomes to compare"
         counts, problems = [], []
         for cls in (AuthRequest, StartCharge):
             label = cls.variant
@@ -851,14 +863,6 @@ class ScenarioRunner:
     def _add_rule(self, rule):
         self.script.add_rule(rule)
 
-    def _sweep(self, name, mask):
-        """`sweep` names the frame to sweep, auth_request or start_charge."""
-        self.run_sweep(self._resolve_vehicle("*"), name, mask)
-
-    def _probe(self, name):
-        """`probe NAME` calls probe_NAME, - read as _, on the first enrolled vehicle."""
-        return getattr(self, "probe_" + name.replace("-", "_"))(self._resolve_vehicle("*"))
-
     def _report(self, name):
         """`report nonce-store`, the one report."""
         sizes = ", ".join(
@@ -916,14 +920,17 @@ _DIRECTIVES = {
     "snapshot": (ScenarioRunner._take_snapshot, {}),
     "rule CHANNEL VARIANT [nth=K] ACTION": (ScenarioRunner._add_rule, {"nth": 1}, _rule),
     "flood COUNT [style=wellformed|garbage|mixed]": (ScenarioRunner.flood, {"style": "wellformed"}),
-    "sweep auth_request|start_charge [mask=HH]": (ScenarioRunner._sweep, {"mask": 0x01}),
-    "probe replay-start-charge|splice-auth": (ScenarioRunner._probe, {}),
+    "sweep auth_request|start_charge [mask=HH]": (ScenarioRunner.run_sweep, {"mask": 0x01}),
+    "probe replay-start-charge": (ScenarioRunner.probe_replay_start_charge, {}),
+    "probe splice-auth": (ScenarioRunner.probe_splice_auth, {}),
     "report nonce-store": (ScenarioRunner._report, {}),
     "expect completed N": (ScenarioRunner._expect_completed, {}),
     "expect aborted N": (ScenarioRunner._expect_aborted, {}),
     "expect accepted N": (ScenarioRunner._expect_accepted, {}),
     "expect failed N [reason=LABEL]": (ScenarioRunner._expect_failed, {}),
-    "expect rejected N [reason=LABEL]": (ScenarioRunner._expect_rejected, {}),
+    "expect rejected N [reason=unknown_vehicle|replay_detected]": (
+        ScenarioRunner._expect_rejected, {}
+    ),
     "expect invoices N [total=AMOUNT]": (ScenarioRunner._expect_invoices, {}),
     "expect no-secrets [ids|keys|all]": (ScenarioRunner._expect_no_secrets, {}),
     "expect fresh-frames": (ScenarioRunner._expect_fresh_frames, {}),

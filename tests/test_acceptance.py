@@ -170,9 +170,9 @@ def test_c03_replay_refused_after_every_step(verdict):
 
 def test_c04_tamper_sweep_both_frames(verdict):
     runner = ScenarioRunner(seeded_registry(seed=51), seed=0xC4)
-    record = runner.registry.vehicles[0]
-    auth = runner.run_sweep(record, "auth_request")
-    start = runner.run_sweep(record, "start_charge")
+    runner.run_sweep("auth_request")
+    runner.run_sweep("start_charge")
+    auth, start = runner.sweeps["auth_request"], runner.sweeps["start_charge"]
     bad = []
     if len(auth) != 65 or len(start) != 65:
         bad.append("coverage")

@@ -662,6 +662,15 @@ class TestAttack:
         assert "cannot read scenario" in err
         assert out == ""
 
+    def test_scenario_file_starting_with_a_byte_order_mark_runs(self, cli, tmp_path):
+        # editors on Windows often begin a UTF-8 file with U+FEFF
+        path = tmp_path / "bom.scn"
+        path.write_bytes(b"\xef\xbb\xbfscenario bom\nsession *\nexpect completed 1\n")
+        code, out, err = cli("attack", "--scenario", str(path), "--seed", "9")
+        assert (code, err) == (0, "")
+        assert "scenario: bom (seed=9)" in out
+        assert "PASS               expect completed 1  expected 1, got 1" in out
+
     def test_scenario_path_naming_a_directory_exits_2(self, cli, tmp_path):
         code, out, err = cli("attack", "--scenario", str(tmp_path), "--seed", "9")
         assert code == 2

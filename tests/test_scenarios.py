@@ -110,8 +110,6 @@ BAD_LINES = [
     "flood 10 style=sideways\n",
     "flood lots\n",
     "sweep\n",
-    "probe unknown-probe\n",
-    "probe\n",
     "report unknown-report\n",
     "snapshot now\n",
     "expect completed\n",
@@ -123,6 +121,8 @@ BAD_LINES = [
     "expect accepted\n",
     "expect rejected x\n",
     "expect rejected 1 reason=bogus\n",
+    # the server refuses a lookup only as unknown_vehicle or replay_detected
+    "expect rejected 0 reason=mac_invalid\n",
     "expect invoices\n",
     "expect invoices 1 total=lots\n",
     "expect sweep bogus\n",
@@ -442,10 +442,11 @@ class TestGrammarTable:
         assert usage in DECLARED
         assert line.split()[:_named_by(usage)] == usage.split()[:_named_by(usage)]
 
-    @pytest.mark.parametrize("line", ["expect", "expect bogus"])
+    @pytest.mark.parametrize("line", ["expect", "expect bogus", "probe", "probe unknown-probe"])
     def test_an_unknown_form_lists_the_forms(self, line):
-        forms = "|".join(usage.split()[1] for usage in DECLARED if usage.startswith("expect "))
-        with pytest.raises(ScriptError, match=rf"; usage: expect {re.escape(forms)} \.\.\.$"):
+        head = line.split()[0]
+        forms = "|".join(usage.split()[1] for usage in DECLARED if usage.startswith(f"{head} "))
+        with pytest.raises(ScriptError, match=rf"; usage: {head} {re.escape(forms)} \.\.\.$"):
             parse_scenario(f"{line}\n")
 
     def test_readme_example_parses(self):
@@ -530,13 +531,30 @@ def test_fresh_frames_numbers_a_session_by_its_outcome():
         ("expect registry-unchanged\n", "no snapshot directive before this expect"),
         ("expect sweep no-charging\n", "no sweep ran before this expect"),
         ("sweep auth_request\nexpect sweep mac-invalid\n", "no start_charge sweep ran"),
+        ("expect fresh-frames\n", "fewer than two session outcomes to compare"),
+        ("session *\nexpect fresh-frames\n", "fewer than two session outcomes to compare"),
+        ("expect no-secrets\n", "no open-link frame was sent before this expect"),
     ],
-    ids=["no-snapshot", "no-sweep", "no-start-charge-sweep"],
+    ids=[
+        "no-snapshot",
+        "no-sweep",
+        "no-start-charge-sweep",
+        "fresh-frames-no-session",
+        "fresh-frames-one-session",
+        "no-secrets-no-frame",
+    ],
 )
 def test_expect_with_nothing_to_compare_fails_saying_what_is_missing(text, detail):
     runner = _runner()
     runner.execute(parse_scenario(text))
     assert [(c.status, c.detail) for c in runner.checks] == [("FAIL", detail)]
+
+
+def test_no_secrets_with_no_secret_to_search_for_fails():
+    # no vehicle is enrolled, so there is no id to look for
+    runner = _runner(vehicles=0)
+    runner.execute(parse_scenario("flood 1\nexpect no-secrets ids\n"))
+    assert [(c.status, c.detail) for c in runner.checks] == [("FAIL", "no secret to search for")]
 
 
 def _raise_the_first_invoice(registry):
@@ -824,7 +842,8 @@ class TestRunnerSessions:
         # a sweep's sessions are kept in `sweeps`, not in `outcomes`; an
         # outcome has no index of its own, so none of them can share one
         runner = _runner()
-        swept = runner.run_sweep(runner.registry.vehicles[0], "auth_request")
+        assert runner.run_sweep("auth_request") is None
+        swept = runner.sweeps["auth_request"]
         assert len(swept) == 65
         assert not any(hasattr(o, "index") for o in swept)
         report = runner.execute(parse_scenario("session *\nsweep start_charge\nsessions 2 *\n"))
@@ -940,16 +959,15 @@ class TestRunnerSessions:
 
     def test_sweep_covers_every_byte_position(self):
         runner = _runner()
-        record = runner.registry.vehicles[0]
-        results = runner.run_sweep(record, "auth_request")
+        runner.run_sweep("auth_request")
+        results = runner.sweeps["auth_request"]
         assert len(results) == 65
         assert all(o.phase != "charging" for o in results)
         assert runner.outcomes == []  # sweep sessions stay out of outcomes
-        assert runner.sweeps["auth_request"] is results
 
     def test_probe_replay_start_charge_reports_weakness(self):
         runner = _runner()
-        status, detail = runner.probe_replay_start_charge(runner.registry.vehicles[0])
+        status, detail = runner.probe_replay_start_charge()
         assert status == "EXPECTED-WEAKNESS"
         assert "stale start message accepted" in detail
         assert runner.checks == []  # execute records it, named after the line
@@ -979,7 +997,7 @@ class TestRunnerSessions:
 
         monkeypatch.setattr(protocol, "open_start_charge", remembering)
         runner = _runner(seed=11)
-        assert runner.probe_replay_start_charge(runner.registry.vehicles[0]) == verdict
+        assert runner.probe_replay_start_charge() == verdict
 
     def test_probe_replays_the_stale_start_message_once(self):
         # the replayed copy reaches the vehicle without going back on the
@@ -995,7 +1013,7 @@ class TestRunnerSessions:
             return out
 
         runner.terminal.handle_reply = counting_handle_reply
-        runner.probe_replay_start_charge(runner.registry.vehicles[0])
+        runner.probe_replay_start_charge()
         [replayed] = [
             e for e in runner.transcript
             if (e.adversary_action or {}).get("kind") == "replayed"
@@ -1009,7 +1027,7 @@ class TestRunnerSessions:
 
     def test_probe_splice_auth_passes(self):
         runner = _runner()
-        verdict = runner.probe_splice_auth(runner.registry.vehicles[0])
+        verdict = runner.probe_splice_auth()
         assert verdict == (True, "recorded frame with a fresh nonce does not authenticate")
         assert runner.checks == []  # execute records it, named after the line
 
