@@ -1,6 +1,6 @@
 """The `evabs` command: provisioning, sessions, attack runs, invoices.
 
-Subcommands (when the first argument names one, only its parser is built):
+Subcommands:
     init       create a registry file (group key, tariff)
     register   enroll a vehicle (prints its credentials exactly once)
     revoke     disable a vehicle server-side
@@ -28,7 +28,8 @@ invoices take no lock and replay the journal when they load.
 Exit codes: 0 success (or: every scenario defense held), 1 protocol or
 domain failure, 2 usage/configuration error, 3 storage error (a registry
 file that cannot be read, written or trusted, or a --transcript or
---report file that cannot be written).
+--report file or standard output that cannot be written; init, register and
+session say so when the change they made is already saved).
 
 Secrecy rule: generated keys are printed once, here, to the operator; no
 transcript, report or log ever contains key material (a transcript file
@@ -39,7 +40,6 @@ import argparse
 import functools
 import json
 import os
-import shutil
 import sys
 from contextlib import contextmanager
 from hashlib import sha256
@@ -133,6 +133,27 @@ def _writing(what, path, note=""):
         raise StorageError(f"cannot write {what} {path}: {exc}{note}") from exc
 
 
+@contextmanager
+def _printing(note=""):
+    """Flush standard output after the block. A write to it that fails is a
+    StorageError (exit 3) that ends in `note`; stdout's descriptor then
+    points at os.devnull, so the interpreter's flush at exit cannot fail
+    again."""
+    try:
+        yield
+        sys.stdout.flush()
+    except OSError as exc:
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # an in-memory stream has no descriptor
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise StorageError(f"cannot write standard output: {exc}{note}") from exc
+
+
 # -- subcommands ----------------------------------------------------------
 
 
@@ -145,10 +166,11 @@ def cmd_init(args):
         group_key = _rng("init", seed).next_bytes(32)
         registry = Registry(group_key=group_key, tariff_per_second=args.tariff)
         registry.save(path)
-    print(f"registry: {path}")
-    print(f"tariff_per_second: {args.tariff}")
-    # shown once so the operator can provision terminals; never logged again
-    print(f"group_key: {group_key.hex()}")
+    with _printing("; the registry is already written"):
+        print(f"registry: {path}")
+        print(f"tariff_per_second: {args.tariff}")
+        # shown once so the operator can provision terminals; never logged again
+        print(f"group_key: {group_key.hex()}")
     return 0
 
 
@@ -166,10 +188,11 @@ def cmd_register(args):
             if k_a is None:
                 k_a = sha256(b"evabs register key" + seed.to_bytes(8, "big") + id_a).digest()
         record = registry.register(id_a, k_a, balance=args.balance, owner=args.owner)
-    print(f"vehicle: {record.id_a.hex()}")
-    print(f"key: {record.k_a.hex()}")
-    print(f"lookup_key: {record.lookup_key.hex()}")
-    print(f"balance: {record.balance}")
+    with _printing("; the vehicle is already enrolled"):
+        print(f"vehicle: {record.id_a.hex()}")
+        print(f"key: {record.k_a.hex()}")
+        print(f"lookup_key: {record.lookup_key.hex()}")
+        print(f"balance: {record.balance}")
     return 0
 
 
@@ -193,6 +216,9 @@ def _pick_vehicle(registry, wanted):
     )
 
 
+_INVOICE_SAVED = "; the invoice is already saved in the registry"
+
+
 def cmd_session(args):
     path = _registry_path(args)
     with Registry.open(path) as registry:
@@ -203,8 +229,7 @@ def cmd_session(args):
         # soon as it is issued; nothing else in a session changes the files
         outcome = runner.run_session(record, duration=args.duration, budget=args.budget)
     if args.transcript:
-        saved = outcome.phase == "completed"
-        note = "; the invoice is already saved in the registry" if saved else ""
+        note = _INVOICE_SAVED if outcome.phase == "completed" else ""
         with _writing("transcript", args.transcript, note):
             runner.transcript.write(args.transcript)
     if outcome.phase != "completed":
@@ -216,21 +241,22 @@ def cmd_session(args):
               file=sys.stderr)
         return 1
     invoice = registry.invoices[-1]
-    if args.json:
-        print(json.dumps({
-            "phase": outcome.phase,
-            "vehicle": record.id_a.hex(),
-            "t1": outcome.t1,
-            "t5": outcome.t5,
-            "t4": outcome.t4,
-            "invoice": invoice.to_obj(),
-            "balance": record.balance,
-        }))
-    else:
-        print(f"session completed for vehicle {record.id_a.hex()}")
-        print(f"  charging display t4: {outcome.t4} ms (t5 - t1 = {outcome.t5 - outcome.t1})")
-        print(f"  invoice: duration_ms={invoice.duration_ms} amount={invoice.amount}")
-        print(f"  balance: {record.balance}")
+    with _printing(_INVOICE_SAVED):
+        if args.json:
+            print(json.dumps({
+                "phase": outcome.phase,
+                "vehicle": record.id_a.hex(),
+                "t1": outcome.t1,
+                "t5": outcome.t5,
+                "t4": outcome.t4,
+                "invoice": invoice.to_obj(),
+                "balance": record.balance,
+            }))
+        else:
+            print(f"session completed for vehicle {record.id_a.hex()}")
+            print(f"  charging display t4: {outcome.t4} ms (t5 - t1 = {outcome.t5 - outcome.t1})")
+            print(f"  invoice: duration_ms={invoice.duration_ms} amount={invoice.amount}")
+            print(f"  balance: {record.balance}")
     return 0
 
 
@@ -364,53 +390,37 @@ _COMMANDS = {
 }
 
 
-def _formatter():
-    """argparse's HelpFormatter with the width it would read, read once per build."""
-    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-
-
-def _add_command(parser, name):
-    _, seed_help, add_options, handler = _COMMANDS[name]
-    parser.add_argument("--registry", help="registry file (default: $EVABS_REGISTRY)")
-    if seed_help is not None:
-        parser.add_argument("--seed", type=_seed, help=seed_help)
-    add_options(parser)
-    parser.set_defaults(func=handler, command=name)
-    return parser
-
-
+@functools.cache
 def build_parser():
-    """The full `evabs` parser: the top level and every command under it."""
-    formatter = _formatter()
+    """The full `evabs` parser: the top level and every command under it,
+    built once per process, so no caller may change it. Help reads the
+    terminal width when it renders."""
     parser = argparse.ArgumentParser(
-        prog="evabs", formatter_class=formatter,
+        prog="evabs",
         description="authenticated street-charging simulator: provisioning, "
         "sessions, attack scenarios, invoices",
     )
     version = f"%(prog)s {__version__} (kernel backend: {crypto.BACKEND})"
     parser.add_argument("--version", action="version", version=version)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, *_) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_text, formatter_class=formatter), name)
+    for name, (help_text, seed_help, add_options, handler) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--registry", help="registry file (default: $EVABS_REGISTRY)")
+        if seed_help is not None:
+            command.add_argument("--seed", type=_seed, help=seed_help)
+        add_options(command)
+        command.set_defaults(func=handler, command=name)
     return parser
-
-
-def parse_args(argv):
-    """The namespace `main` runs for `argv`: a named command's own parser alone,
-    unless the top level must speak or that parser leaves arguments over."""
-    if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"evabs {argv[0]}", formatter_class=_formatter())
-        args, rest = _add_command(parser, argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # every file a command writes turns its OSError into a StorageError,
+        # so an OSError left here is a write to standard output
+        with _printing():
+            return args.func(args)
     except (ConfigError, ScriptError, InvalidInput, InvalidSeed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

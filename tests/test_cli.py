@@ -7,6 +7,7 @@ attack and invoice output must never contain key material."""
 
 import argparse
 import contextlib
+import errno
 import fcntl
 import hashlib
 import io
@@ -14,6 +15,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import shutil
 import stat
 import subprocess
@@ -25,12 +27,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evabs
-from evabs.cli import build_parser, main, parse_args
+from evabs.cli import build_parser, main
 from evabs.errors import StorageError
 from evabs.registry import Registry, _Journal
 from evabs.scenario import ScenarioRunner, builtin_scenarios
 
-from conftest import seeded_registry
+from conftest import load_perfbench, seeded_registry
 
 VEHICLE = "a1" * 16
 KEY = "b2" * 32
@@ -822,6 +824,107 @@ class TestInvoices:
         assert "Traceback" not in err
 
 
+class _Unwritable(io.StringIO):
+    """An in-memory stream, with no descriptor, that refuses every write."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+class TestStandardOutput:
+    """A write to standard output that fails is a storage error (exit 3) on
+    one stderr line, not a traceback. Run in a subprocess, whose stdout is a
+    real descriptor: a closed pipe or a full device."""
+
+    @staticmethod
+    def _evabs(sink, *argv, unbuffered=False):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(evabs.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+
+        def start(stdout):
+            return subprocess.Popen(
+                [sys.executable, "-m", "evabs.cli", *argv],
+                env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+            )
+
+        if sink == "full":
+            with open("/dev/full", "w") as full:
+                proc = start(full)
+        else:
+            proc = start(subprocess.PIPE)
+            proc.stdout.close()  # long before the interpreter starts up
+        try:
+            _, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        error = errno.EPIPE if sink == "pipe" else errno.ENOSPC
+        return proc.returncode, err, f"[Errno {error}] {os.strerror(error)}"
+
+    _SINKS = [
+        "pipe",
+        pytest.param("full", marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="no /dev/full on this host")),
+    ]
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", _SINKS)
+    def test_attack_exits_3(self, sink, unbuffered):
+        code, err, reason = self._evabs(sink, "attack", "--scenario", "replay",
+                                        unbuffered=unbuffered)
+        assert (code, err) == (3, f"storage error: cannot write standard output: {reason}\n")
+
+    @pytest.mark.parametrize("sink", _SINKS)
+    @pytest.mark.parametrize(
+        "command, options, note",
+        [
+            pytest.param("init", ["--tariff", "2", "--seed", "5", "--force"],
+                         "the registry is already written", id="init"),
+            pytest.param("register", ["--vehicle", OTHER_VEHICLE, "--key", OTHER_KEY],
+                         "the vehicle is already enrolled", id="register"),
+            pytest.param("session", ["--duration", "1000", "--seed", "11"],
+                         "the invoice is already saved in the registry", id="session"),
+        ],
+    )
+    def test_a_change_saved_before_the_output_is_named(
+        self, command, options, note, sink, registry_path
+    ):
+        code, err, reason = self._evabs(sink, command, "--registry", registry_path, *options)
+        assert (code, err) == (3, f"storage error: cannot write standard output: {reason}; {note}\n")
+        registry = Registry.load(registry_path)
+        assert (len(registry.vehicles), len(registry.invoices)) == {
+            "init": (0, 0), "register": (2, 0), "session": (1, 1)
+        }[command]
+
+    def test_a_seed_line_that_fails_first_names_no_change(self, registry_path):
+        # unbuffered, the generated seed's line is written, and fails, before
+        # register enrolls anything
+        code, err, reason = self._evabs(
+            "pipe", "register", "--registry", registry_path, unbuffered=True
+        )
+        assert (code, err) == (3, f"storage error: cannot write standard output: {reason}\n")
+        assert len(Registry.load(registry_path).vehicles) == 1
+
+    @pytest.mark.parametrize("stream", ["closed-pipe", "in-memory"])
+    def test_in_process_stdout_that_cannot_be_written_exits_3(self, stream, capsys):
+        broken = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+        if stream == "closed-pipe":
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            stdout = open(write_end, "w")
+        else:
+            stdout = _Unwritable()
+        # closing the pipe's stream flushes its output, to os.devnull by then
+        with stdout, contextlib.redirect_stdout(stdout):
+            code = main(["attack", "--scenario", "replay"])
+        assert (code, capsys.readouterr().err) == (
+            3, f"storage error: cannot write standard output: {broken}\n"
+        )
+
+
 class TestFileMode:
     def test_registry_file_stays_owner_only(self, cli, tmp_path):
         # the file holds the group key and every vehicle key
@@ -937,8 +1040,8 @@ class TestVersion:
         assert version == evabs.__version__
 
 
-# Help and usage-error output, recorded at 80 columns before the parser was
-# built per command; the per-command build must not change a byte of it.
+# Help and usage-error output, recorded at 80 columns; a parser built once per
+# process must not change a byte of it.
 _TOP_USAGE = (
     "usage: evabs [-h] [--version]\n"
     "             {init,register,revoke,session,attack,invoices} ...\n"
@@ -1109,6 +1212,19 @@ class TestParser:
         captured = capsys.readouterr()
         assert (exit_.value.code, captured.out, captured.err) == _PINNED_OUTPUT[argv]
 
+    def test_help_follows_columns_when_it_renders(self, capsys, monkeypatch):
+        def session_help():
+            with pytest.raises(SystemExit) as exit_:
+                main(["session", "--help"])
+            captured = capsys.readouterr()
+            return exit_.value.code, captured.out, captured.err
+
+        monkeypatch.setenv("COLUMNS", "200")
+        build_parser.cache_clear()
+        wide = session_help()
+        monkeypatch.setenv("COLUMNS", "80")
+        assert session_help() == _PINNED_OUTPUT[("session", "--help")] != wide
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1123,45 +1239,71 @@ class TestParser:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_one_command_parser_gives_the_full_parsers_namespace(self, argv):
-        assert parse_args(argv) == build_parser().parse_args(argv)
+    def test_the_shared_parser_gives_a_fresh_parsers_namespace(self, argv):
+        shared = build_parser()
+        for other in (["session", "--duration", "5", "--seed", "1"], ["invoices", "--json"]):
+            shared.parse_args(other)
+        assert shared.parse_args(argv) == build_parser.__wrapped__().parse_args(argv)
 
     @settings(max_examples=400, deadline=None)
     @given(argv=_argvs())
-    def test_main_parses_every_argv_as_the_full_parser_does(self, argv):
+    def test_the_shared_parser_parses_every_argv_as_a_fresh_one_does(self, argv):
+        # the shared parser has parsed every earlier example; a fresh one, none
         with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-            assert _parsed(parse_args, argv) == _parsed(build_parser().parse_args, argv)
+            fresh = build_parser.__wrapped__()
+            assert _parsed(build_parser().parse_args, argv) == _parsed(fresh.parse_args, argv)
 
-    @pytest.mark.parametrize(
-        "argv, usage_error, full_build",
-        [
-            (["--duration", "1000", "--seed", "11"], False, False),
-            (["--duration", "5", "--bogus"], True, True),
-            (["--duration", "-5"], True, False),
-        ],
-        ids=["success", "leftover-argument", "negative-duration"],
-    )
-    def test_session_builds_the_full_parser_only_for_a_usage_error(
-        self, argv, usage_error, full_build, cli, registry_path, monkeypatch
-    ):
-        progs, reads = [], []
-        init, get_terminal_size = argparse.ArgumentParser.__init__, shutil.get_terminal_size
+    def test_main_builds_the_parser_once_per_process(self, cli, registry_path, monkeypatch):
+        progs = []
+        init = argparse.ArgumentParser.__init__
 
         def counting_init(parser, *args, **kwargs):
             progs.append(kwargs.get("prog"))
             init(parser, *args, **kwargs)
 
-        def counting_get_terminal_size(*args):
-            reads.append(args)
-            return get_terminal_size(*args)
-
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        monkeypatch.setattr(shutil, "get_terminal_size", counting_get_terminal_size)
-        try:
-            code, _, _ = cli("session", "--registry", registry_path, *argv)
-        except SystemExit as exc:
-            code = exc.code
-        full = ["evabs", *(f"evabs {name}" for name in _OPTIONS)]
-        assert progs == ["evabs session", *(full if full_build else [])]
-        assert len(reads) == (2 if full_build else 1)  # one width read per build
-        assert code == (2 if usage_error else 0)
+        build_parser.cache_clear()
+        built = []
+        for seed in ("11", "12"):
+            code, _, _ = cli("session", "--registry", registry_path, "--duration", "1000",
+                             "--seed", seed)
+            assert code == 0
+            built.append(len(progs))
+        assert progs == ["evabs", *(f"evabs {name}" for name in _OPTIONS)]
+        assert built == [7, 7]
+
+
+def _quick_start():
+    """The README's Quick start block as (command, the lines it prints)."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [block] = re.findall(r"^## Quick start\n\n```\n(.*?)^```\n", readme, re.M | re.S)
+    steps = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            steps.append((line[2:], []))
+        elif line:
+            steps[-1][1].append(line)
+    return steps
+
+
+def test_readme_quick_start_is_what_the_commands_print(cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (export, printed), *commands = _quick_start()
+    [assignment] = shlex.split(export.removeprefix("export "))
+    name, value = assignment.split("=", 1)
+    assert (name, printed) == ("EVABS_REGISTRY", [])
+    monkeypatch.setenv(name, value)
+    assert commands
+    for command, printed in commands:
+        program, *argv = shlex.split(command)
+        assert program == "evabs"
+        assert cli(*argv) == (0, "".join(f"{line}\n" for line in printed), ""), command
+
+
+def test_a_cli_persisted_round_fails_no_op(tmp_path):
+    """The benchmark's cli-persisted workload, which runs main in process:
+    two rounds, so the second restarts from the pristine registry file."""
+    run, workloads = load_perfbench("run"), load_perfbench("workloads")
+    cls = workloads.CliPersisted
+    workload = cls(41, str(tmp_path))
+    assert [run.run_round(workload, cls.round_ops)[0] for _ in range(2)] == [0, 0]
